@@ -18,12 +18,7 @@ from fractions import Fraction
 from .cartan_dynkin import build_diagram, cartan_matrix, serialize_diagram
 from .rootdata import ParameterError, build_root_datum, enumerate_simple_systems
 from .serre import presentation
-from .verify import (
-    compare_z_grading,
-    default_height_cap,
-    necessity_survey,
-    verify_presentation,
-)
+from .verify import compare_z_grading, necessity_survey, verify_presentation
 
 ENV_MAX_HEIGHT = "SUPERSERRE_MAX_HEIGHT"
 
@@ -47,7 +42,10 @@ def make_datum(args):
     if family == "D21a":
         alpha = None
         if args.alpha not in (None, "generic"):
-            alpha = Fraction(args.alpha)
+            try:
+                alpha = Fraction(args.alpha)
+            except (ValueError, ZeroDivisionError):
+                raise UsageError(f"--alpha must be a rational number, got {args.alpha!r}") from None
         return build_root_datum("D21a", alpha=alpha)
     raise UsageError(f"unknown family {family!r}; use A, B, C, D, F4, G3 or D21a")
 
@@ -67,13 +65,17 @@ def select_systems(datum, selector):
     return [(k, systems[k])]
 
 
-def _resolve_height(args, system):
+def _resolve_height(args):
+    """--max-height, else $SUPERSERRE_MAX_HEIGHT, else None (the default cap)."""
     if args.max_height is not None:
         return args.max_height
     env = os.environ.get(ENV_MAX_HEIGHT)
-    if env:
+    if not env:
+        return None
+    try:
         return int(env)
-    return default_height_cap(system)
+    except ValueError:
+        raise UsageError(f"{ENV_MAX_HEIGHT} must be an integer, got {env!r}") from None
 
 
 def cmd_borels(args, out):
@@ -137,9 +139,6 @@ def cmd_relations(args, out):
 
 def _verify_worker(payload):
     family, m, n, alpha, index, max_height = payload
-    if max_height is None:
-        env = os.environ.get(ENV_MAX_HEIGHT)
-        max_height = int(env) if env else None
     datum = build_root_datum(family, m=m, n=n, alpha=alpha)
     system = enumerate_simple_systems(datum)[index]
     report = verify_presentation(datum, system, max_height=max_height)
@@ -151,19 +150,18 @@ def cmd_verify(args, out):
     selector = "all" if args.all else args.borel
     selected = select_systems(datum, selector)
     jobs = args.jobs or 1
+    max_height = _resolve_height(args)
     results = []
     if jobs > 1 and len(selected) > 1:
         payloads = [
-            (datum.family, datum.m, datum.n, datum.alpha, k, args.max_height)
+            (datum.family, datum.m, datum.n, datum.alpha, k, max_height)
             for k, _ in selected
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = sorted(pool.map(_verify_worker, payloads))
     else:
         for k, system in selected:
-            report = verify_presentation(
-                datum, system, max_height=_resolve_height(args, system)
-            )
+            report = verify_presentation(datum, system, max_height=max_height)
             results.append((k, report.passed, report.got_total, report.to_json()))
     all_pass = all(ok for _, ok, _, _ in results)
     if args.format == "json":
@@ -195,7 +193,7 @@ def cmd_zgrading(args, out):
         raise UsageError("zgrading needs --d (1-based node index)")
     for k, system in select_systems(datum, args.borel):
         table = compare_z_grading(
-            datum, system, args.d, max_height=_resolve_height(args, system)
+            datum, system, args.d, max_height=_resolve_height(args)
         )
         if args.format == "json":
             payload = {
@@ -218,7 +216,7 @@ def cmd_necessity(args, out):
     exit_code = 0
     for k, system in select_systems(datum, args.borel):
         survey = necessity_survey(
-            datum, system, max_height=_resolve_height(args, system)
+            datum, system, max_height=_resolve_height(args)
         )
         if args.format == "json":
             print(

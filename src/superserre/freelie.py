@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .scalars import ONE, Scalar, ZERO
+from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 
 
 class GradingError(ValueError):
@@ -39,12 +39,6 @@ def tree_content(tree, r):
         else:
             stack.extend(t)
     return tuple(nu)
-
-
-def tree_height(tree):
-    if is_leaf(tree):
-        return 1
-    return tree_height(tree[0]) + tree_height(tree[1])
 
 
 def content_parity(nu, parities):
@@ -131,7 +125,7 @@ def word_concat_product(x, y):
 def word_bracket(x, y, px, py):
     """Supercommutator of two word vectors of parities px, py."""
     out = word_concat_product(x, y)
-    sign = Scalar(-1 if (px and py) else 1)
+    sign = MINUS_ONE if (px and py) else ONE
     for w, c in word_concat_product(y, x).items():
         v = out.get(w, ZERO) - sign * c
         if v.is_zero():
@@ -144,7 +138,7 @@ def word_bracket(x, y, px, py):
 def generator_bracket_word(i, vec, parity_i, parity_vec):
     """[e_i, vec] on word vectors: prefix minus Koszul-signed suffix."""
     out = {}
-    sign = Scalar(-1 if (parity_i and parity_vec) else 1)
+    sign = MINUS_ONE if (parity_i and parity_vec) else ONE
     for w, c in vec.items():
         u = (i,) + w
         v = out.get(u, ZERO) + c
@@ -216,13 +210,6 @@ def _halved(content):
     if any(k & 1 for k in content):
         return None
     return tuple(k // 2 for k in content)
-
-
-def tuple_content(word, r):
-    nu = [0] * r
-    for i in word:
-        nu[i - 1] += 1
-    return tuple(nu)
 
 
 def super_lyndon_basis(content, parities):
@@ -558,7 +545,7 @@ def lower_terms(cd, i, terms):
             add(out, (t, v), c)
         if not hu.is_zero():
             add(out, v, hu * kappa(tree_content(v, r)))
-        sign = Scalar(-1 if (p_i and pu) else 1)
+        sign = MINUS_ONE if (p_i and pu) else ONE
         for t, c in dv.items():
             add(out, (u, t), sign * c)
         if not hv.is_zero():

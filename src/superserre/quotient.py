@@ -31,7 +31,7 @@ from .freelie import (
     lower_terms,
     tree_content,
 )
-from .scalars import ONE, Scalar, ZERO
+from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 
 
 class EngineError(RuntimeError):
@@ -224,6 +224,19 @@ class CoveringEngine:
     super-Jacobi boundaries of all basis triples; because H_2 of a free Lie
     superalgebra vanishes, these span the whole kernel of the pair space
     onto the quotient component, so the construction is exact.
+
+    Only triples x <= y <= z (by id, repeats included) are visited.  The
+    boundary J(x, y, z) = [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]
+    is built from pair symbols and products, both super-antisymmetric by
+    construction ([u,v] = -(-1)^{|u||v|} [v,u], and [u,u] = 0 for even u),
+    so J is super-alternating:
+        J(y, x, z) = -(-1)^{|x||y|} J(x, y, z),
+        J(x, z, y) = -(-1)^{|y||z|} J(x, y, z).
+    These two transpositions generate all permutations, so every
+    permutation of a triple spans the same line as its sorted form, and
+    J(x, x, z) = 0 for even x.  The relation row space, hence the set of
+    non-pivot symbols and the read-off products, is the same as with all
+    ordered triples.
     """
 
     def __init__(self, parities, elements):
@@ -262,7 +275,7 @@ class CoveringEngine:
         return content_height(self.weight_of[bid])
 
     def _koszul(self, x, y):
-        return Scalar(-1 if (self.parity_of[x] and self.parity_of[y]) else 1)
+        return MINUS_ONE if (self.parity_of[x] and self.parity_of[y]) else ONE
 
     def product(self, x, y):
         """[x, y] in basis coordinates; total height must be completed."""
@@ -329,6 +342,13 @@ class CoveringEngine:
                 _vadd(out, vec, coeff * cx)
         return out
 
+    def _jacobi_boundary(self, x, y, z):
+        """Pair-symbol vector of [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]."""
+        vec = self._sym_vec_right(x, self.product(y, z))
+        _vadd(vec, self._sym_vec_left(self.product(x, y), z), MINUS_ONE)
+        _vadd(vec, self._sym_vec_right(y, self.product(x, z)), -self._koszul(x, y))
+        return vec
+
     # -- level construction -------------------------------------------------------
 
     def build_level(self, h_next):
@@ -358,22 +378,19 @@ class CoveringEngine:
             w = tuple(a + b for a, b in zip(self.weight_of[x], self.weight_of[y]))
             relations[w].append(vec)
 
-        # super-Jacobi boundaries of basis triples:
-        #   [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]
+        # super-Jacobi boundaries of sorted basis triples (see the class docstring);
+        # ids grow with height, so a sorted triple has hx <= hy <= hz
         by_height = self.level_ids
-        for hx in range(1, h_next - 1):
-            for hy in range(1, h_next - hx):
-                hz = h_next - hx - hy
-                if hz < 1:
-                    continue
+        for hx in range(1, h_next // 3 + 1):
+            for hy in range(hx, (h_next - hx) // 2 + 1):
+                zs = by_height.get(h_next - hx - hy, [])
                 for x in by_height.get(hx, []):
                     for y in by_height.get(hy, []):
-                        for z in by_height.get(hz, []):
-                            vec = self._sym_vec_right(x, self.product(y, z))
-                            _vadd(vec, self._sym_vec_left(self.product(x, y), z), -ONE)
-                            sign = self._koszul(x, y)
-                            _vadd(vec, self._sym_vec_right(y, self.product(x, z)), -sign)
-                            push(vec)
+                        if y < x:
+                            continue
+                        for z in zs:
+                            if z >= y:
+                                push(self._jacobi_boundary(x, y, z))
         # relation elements of this height
         for nu, terms in self.relations:
             if content_height(nu) == h_next:
@@ -493,6 +510,8 @@ def z_grading_report(presentation, d, report=None, max_height=None):
     weights with d-coordinate zero; layer k > 0 collects the surviving
     weights with d-coordinate k.
     """
+    if not 1 <= d <= presentation.rank:
+        raise ValueError(f"grading node d={d} out of range 1..{presentation.rank}")
     if report is None:
         if max_height is None:
             raise ValueError("need a quotient report or a height cap")

@@ -508,7 +508,3 @@ def positive_roots(system):
             f"{system!r} generates {len(pos)} positive roots out of {len(datum.all_roots)}"
         )
     return pos
-
-
-def positive_root_set(system):
-    return set(positive_roots(system))

@@ -119,13 +119,44 @@ def _poly_gcd(a, b):
 
 
 _ONE_POLY = Poly([1])
+_FRACTION_ZERO = Fraction(0)
+
+
+def _constant_poly(q):
+    """Poly of the rational q, built without normalising."""
+    p = Poly.__new__(Poly)
+    p.coeffs = (q,) if q else ()
+    return p
+
+
+def _rational(q):
+    """Canonical Scalar of the rational q."""
+    s = Scalar.__new__(Scalar)
+    s.num, s.den = _constant_poly(q), _ONE_POLY
+    return s
+
+
+def _constant(x):
+    """The Fraction value of a rational constant Scalar, or None."""
+    if x.den is _ONE_POLY:
+        c = x.num.coeffs
+        if not c:
+            return _FRACTION_ZERO
+        if len(c) == 1:
+            return c[0]
+    return None
 
 
 class Scalar:
     """Element of Q(a) in canonical form: gcd(num, den) = 1, den monic.
 
     Rationals embed as degree-zero numerators over denominator 1, so equality
-    and hashing agree with rational equality on that subfield.
+    and hashing agree with rational equality on that subfield.  Every
+    canonical Scalar whose denominator is 1 holds the shared `_ONE_POLY`
+    object, so a rational constant is recognised by identity: its `den` is
+    `_ONE_POLY` and its numerator has one `Fraction` coefficient (none for
+    zero).  Arithmetic between two constants is plain `Fraction` arithmetic,
+    with no polynomial gcd.
     """
 
     __slots__ = ("num", "den")
@@ -136,15 +167,23 @@ class Scalar:
                 raise TypeError("cannot re-wrap a Scalar with a denominator")
             self.num, self.den = num.num, num.den
             return
-        num = num if isinstance(num, Poly) else Poly([Fraction(num)])
+        if not isinstance(num, Poly):
+            num = _constant_poly(Fraction(num))
         if den is None:
             den = _ONE_POLY
         elif not isinstance(den, Poly):
-            den = Poly([Fraction(den)])
+            den = _constant_poly(Fraction(den))
         if den.is_zero():
             raise ZeroDivisionError("zero denominator in Q(a)")
         if num.is_zero():
             self.num, self.den = Poly(), _ONE_POLY
+            return
+        if len(den.coeffs) == 1:
+            # gcd(num, d) = 1 for a constant d: the canonical form is num/d over 1
+            d = den.coeffs[0]
+            if d != 1:
+                num = _constant_poly(num.coeffs[0] / d) if len(num.coeffs) == 1 else num.scale(1 / d)
+            self.num, self.den = num, _ONE_POLY
             return
         g = _poly_gcd(num, den)
         num = num.divmod(g)[0]
@@ -153,29 +192,24 @@ class Scalar:
         if lead != 1:
             num = num.scale(1 / lead)
             den = den.scale(1 / lead)
-        self.num, self.den = num, den
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def from_fraction(q):
-        return Scalar(Poly([Fraction(q)]))
+        self.num, self.den = num, _ONE_POLY if den == _ONE_POLY else den
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.coeffs
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.num.coeffs)
 
     def is_constant(self):
-        return self.num.degree <= 0 and self.den == _ONE_POLY
+        return self.den is _ONE_POLY and len(self.num.coeffs) < 2
 
     def as_fraction(self):
-        if not self.is_constant():
+        q = _constant(self)
+        if q is None:
             raise ValueError(f"{self} is not a rational constant")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
+        return q
 
     def as_integer(self):
         q = self.as_fraction()
@@ -190,18 +224,24 @@ class Scalar:
         if isinstance(x, Scalar):
             return x
         if isinstance(x, (int, Fraction)):
-            return Scalar(x)
+            return _rational(Fraction(x))
         return NotImplemented
 
     def __add__(self, other):
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        p, q = _constant(self), _constant(other)
+        if p is not None and q is not None:
+            return _rational(p + q)
         return Scalar(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self):
+        q = _constant(self)
+        if q is not None:
+            return _rational(-q)
         s = Scalar.__new__(Scalar)
         s.num, s.den = -self.num, self.den
         return s
@@ -210,6 +250,9 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        p, q = _constant(self), _constant(other)
+        if p is not None and q is not None:
+            return _rational(p - q)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -219,6 +262,9 @@ class Scalar:
         other = Scalar._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        p, q = _constant(self), _constant(other)
+        if p is not None and q is not None:
+            return _rational(p * q)
         return Scalar(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -229,6 +275,9 @@ class Scalar:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero in Q(a)")
+        p, q = _constant(self), _constant(other)
+        if p is not None and q is not None:
+            return _rational(p / q)
         return Scalar(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -237,6 +286,9 @@ class Scalar:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero in Q(a)")
+        q = _constant(self)
+        if q is not None:
+            return _rational(1 / q)
         return Scalar(self.den, self.num)
 
     def __eq__(self, other):
@@ -246,8 +298,9 @@ class Scalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        if self.is_constant():
-            return hash(self.as_fraction())
+        q = _constant(self)
+        if q is not None:
+            return hash(q)
         return hash((self.num, self.den))
 
     # -- specialisation ----------------------------------------------------
@@ -301,6 +354,7 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
+MINUS_ONE = Scalar(-1)
 ALPHA = Scalar(Poly([0, 1]))
 
 

@@ -24,13 +24,13 @@ def reference_multiplicities(system):
     return {coords: 1 for coords in positive_roots(system).values()}
 
 
-def highest_root_height(system):
-    return max(sum(c) for c in positive_roots(system).values())
+def _height_cap(ref):
+    """Generous default: twice the highest root height plus two."""
+    return 2 * max(sum(w) for w in ref) + 2
 
 
 def default_height_cap(system):
-    """Generous default: twice the highest root height plus two."""
-    return 2 * highest_root_height(system) + 2
+    return _height_cap(reference_multiplicities(system))
 
 
 def expected_total_dimension(datum):
@@ -76,7 +76,7 @@ def verify_presentation(datum, system, max_height=None):
     weights must be exactly the positive roots with multiplicity one, and the
     total dimension must match the root count."""
     ref = reference_multiplicities(system)
-    cap = max_height or default_height_cap(system)
+    cap = _height_cap(ref) if max_height is None else max_height
     pres = presentation(datum, system)
     report = quotient_dimensions(pres, cap, excess_guard=ref)
     notes = []
@@ -130,9 +130,9 @@ def necessity_test(datum, system, relation_index, max_height=None):
         raise PreconditionViolation(
             f"element {relation_index} is a standard Serre element, not higher order"
         )
-    cap = max_height or default_height_cap(system)
-    reduced = pres.without_element(relation_index)
     ref = reference_multiplicities(system)
+    cap = _height_cap(ref) if max_height is None else max_height
+    reduced = pres.without_element(relation_index)
     report = quotient_dimensions(reduced, cap, excess_guard=ref)
     excesses = []
     for w, (_, _, q) in report.per_weight.items():
@@ -169,6 +169,8 @@ def compare_z_grading(datum, system, d, max_height=None):
     from the positive roots by the coefficient of alpha_d (rank plus both
     signs of the zero-coefficient roots at k = 0).
     """
+    if not 1 <= d <= system.rank:
+        raise ValueError(f"grading node d={d} out of range 1..{system.rank}")
     result = verify_presentation(datum, system, max_height=max_height)
     if not result.passed:
         raise PreconditionViolation(

@@ -2,6 +2,7 @@ import io
 import json
 
 import jsonschema
+import pytest
 
 from superserre.cli import build_parser, main
 
@@ -189,3 +190,27 @@ def test_single_node_diagram_ascii():
     code, text = run_cli(["diagram", "B", "--m", "0", "--n", "1"])
     assert code == 0
     assert text.strip() == "(*)"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "F4", "--max-height", "0"],
+        ["zgrading", "G3", "--d", "0"],
+        ["zgrading", "G3", "--d", "9"],
+        ["verify", "D21a", "--alpha", "1/0"],
+    ],
+)
+def test_bad_input_ends_in_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_bad_env_height_cap_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("SUPERSERRE_MAX_HEIGHT", "x")
+    assert main(["verify", "G3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "SUPERSERRE_MAX_HEIGHT" in err[0]

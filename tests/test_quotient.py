@@ -1,7 +1,10 @@
+from itertools import combinations_with_replacement, permutations
+
 import pytest
 
 from superserre.freelie import free_dimension
 from superserre.quotient import (
+    CoveringEngine,
     IdealWordEngine,
     PreconditionViolation,
     check_lowering_stability,
@@ -146,6 +149,15 @@ def test_z_grading_requires_closed_report():
         z_grading_report(pres, 1, report=rep)
 
 
+def test_z_grading_rejects_node_out_of_range():
+    datum = build_root_datum("A", m=1, n=0)
+    pres = presentation(datum, distinguished_simple_system(datum))
+    rep = quotient_dimensions(pres, 8)
+    for d in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            z_grading_report(pres, d, report=rep)
+
+
 def test_report_json_schema():
     datum = build_root_datum("A", m=1, n=0)
     pres = presentation(datum, distinguished_simple_system(datum))
@@ -203,3 +215,29 @@ def test_ideal_component_row_values():
     rows = ideal_component([{(2, 2): ONE}], (0, 2), (0, 1))
     assert len(rows) == 1 and len(rows[0]) == 1
     assert not rows[0][0].is_zero()
+
+
+@pytest.mark.parametrize("family,k,over_qa", [("F4", 0, False), ("D21a", 0, False), ("D21a", 1, True)])
+def test_jacobi_boundary_permutations_span_one_line(family, k, over_qa):
+    # every permutation of a basis triple of height 4 gives +-1 times the
+    # boundary of the sorted triple, which is why build_level visits sorted
+    # triples only; F(4) runs over Q, generic D(2,1;a) over Q(a), and its
+    # class 1 has boundaries with coefficients that are not constants
+    datum = build_root_datum(family)
+    pres = presentation(datum, enumerate_simple_systems(datum)[k])
+    engine = CoveringEngine(pres.parities, pres.e_side)
+    for h in (2, 3):
+        engine.build_level(h)
+    height = {b: h for h, ids in engine.level_ids.items() for b in ids}
+    nonzero = qa_terms = 0
+    for triple in combinations_with_replacement(sorted(height), 3):
+        if sum(height[b] for b in triple) != 4:
+            continue
+        base = engine._jacobi_boundary(*triple)
+        negated = {s: -c for s, c in base.items()}
+        nonzero += bool(base)
+        qa_terms += sum(not c.is_constant() for c in base.values())
+        for perm in set(permutations(triple)):
+            assert engine._jacobi_boundary(*perm) in (base, negated), (triple, perm)
+    assert nonzero
+    assert bool(qa_terms) == over_qa

@@ -11,6 +11,8 @@ from superserre.scalars import (
     PoleError,
     Poly,
     Scalar,
+    _ONE_POLY,
+    _poly_gcd,
     parse_scalar,
 )
 
@@ -111,3 +113,55 @@ def test_canonicalization_idempotent(a):
     again = Scalar(a.num, a.den)
     assert again == a
     assert again.num == a.num and again.den == a.den
+
+
+_fractions = st.fractions(min_value=-60, max_value=60, max_denominator=60)
+
+
+def _assert_round_trip(x):
+    parsed = parse_scalar(x.render())
+    assert parsed == x and hash(parsed) == hash(x)
+    assert parsed.render() == x.render()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fractions, _fractions)
+def test_rational_fast_path_agrees_with_fraction(p, q):
+    x, y = Scalar(p), Scalar(q)
+    results = [(x + y, p + q), (x - y, p - q), (x * y, p * q), (-x, -p)]
+    if q:
+        results += [(x / y, p / q), (y.inverse(), 1 / q)]
+    for value, expected in results:
+        assert value.as_fraction() == expected
+        assert value == Scalar(expected) and hash(value) == hash(expected)
+        assert value.den is _ONE_POLY
+        assert all(type(c) is Fraction for c in value.num.coeffs)
+        _assert_round_trip(value)
+
+
+def _assert_canonical(value, num, den):
+    """`value` is the canonical form of num/den: same element, coprime
+    numerator and denominator, monic denominator, shared unit denominator."""
+    assert value.num * den == num * value.den
+    assert value.den.coeffs[-1] == 1
+    if value.is_zero():
+        assert value.den is _ONE_POLY
+    else:
+        assert _poly_gcd(value.num, value.den) == Poly([1])
+    assert (value.den is _ONE_POLY) == (value.den == Poly([1]))
+    _assert_round_trip(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fractions, _scalars())
+def test_mixed_constant_and_qa_operands_stay_canonical(p, a):
+    c = Poly([p])
+    x = Scalar(p)
+    _assert_canonical(x + a, c * a.den + a.num, a.den)
+    _assert_canonical(a - x, a.num - c * a.den, a.den)
+    _assert_canonical(x * a, c * a.num, a.den)
+    if not a.is_zero():
+        _assert_canonical(x / a, c * a.den, a.num)
+        _assert_canonical(a.inverse(), a.den, a.num)
+    if p:
+        _assert_canonical(a / x, a.num, c * a.den)

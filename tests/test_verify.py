@@ -138,3 +138,16 @@ def test_extended_families_beyond_the_matrix():
         datum = build_root_datum(fam, **kw)
         reports = verify_all_borels(datum)
         assert all(r.passed and r.got_total == expected for r in reports), datum.name
+
+
+def test_zero_height_cap_is_rejected_not_defaulted():
+    datum = build_root_datum("A", m=1, n=1)
+    system = distinguished_simple_system(datum)
+    with pytest.raises(ValueError, match="maxHeight"):
+        verify_presentation(datum, system, max_height=0)
+    from superserre.serre import presentation
+
+    pres = presentation(datum, system)
+    idx = next(k for k, el in enumerate(pres.e_side) if el.provenance != "standard")
+    with pytest.raises(ValueError, match="maxHeight"):
+        necessity_test(datum, system, idx, max_height=0)
