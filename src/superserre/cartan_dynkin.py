@@ -89,26 +89,17 @@ class CartanData:
 
 
 def minimal_square_length(datum):
-    """l_m^2 of the root datum.
+    """l_m^2 of the root datum: the least nonzero |(beta, beta)|, which the
+    datum keeps from the norms it evaluates when it is built.
 
     For D(2,1;a) this is the minimum of the parameter-independent values
-    |(beta, beta)| > 0 (always 4, from the roots +-2e1); the same value is
-    used for specialised members so that specialising the parameter commutes
-    with every construction built on top of the Cartan matrix.
+    (always 4, from the roots +-2e1); the same value is used for specialised
+    members so that specialising the parameter commutes with every
+    construction built on top of the Cartan matrix.
     """
-    if datum.family == "D21a":
-        return Scalar(4)
-    best = None
-    for beta in datum.all_roots:
-        v = datum.form_value(beta, beta)
-        if v.is_zero():
-            continue
-        q = abs(v.as_fraction())
-        if best is None or q < best:
-            best = q
-    if best is None:
+    if datum.min_square_length is None:
         raise CartanDataError(f"{datum.name} has no non-isotropic roots")
-    return Scalar(best)
+    return Scalar(datum.min_square_length)
 
 
 def cartan_matrix(datum, system):
@@ -311,17 +302,58 @@ def diagram_to_json_dict(diag):
     return {"nodes": list(diag.nodes), "edges": edges, "labelled": diag.labelled}
 
 
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def diagram_from_json_dict(data):
+    """Inverse of `diagram_to_json_dict`; malformed input raises ValueError
+    naming the offending field."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a diagram must be a JSON object, got {type(data).__name__}")
+    nodes = data.get("nodes")
+    if not isinstance(nodes, list):
+        raise ValueError("diagram field 'nodes' must be a list of colours")
+    for k, colour in enumerate(nodes):
+        if colour not in (WHITE, GREY, BLACK):
+            raise ValueError(f"nodes[{k}] = {colour!r} is not one of {WHITE}, {GREY}, {BLACK}")
+    labelled = data.get("labelled", False)
+    if not isinstance(labelled, bool):
+        raise ValueError(f"diagram field 'labelled' must be true or false, got {labelled!r}")
+    raw_edges = data.get("edges")
+    if not isinstance(raw_edges, list):
+        raise ValueError("diagram field 'edges' must be a list of edges")
     edges = {}
-    for e in data["edges"]:
+    for k, e in enumerate(raw_edges):
+        where = f"edges[{k}]"
+        if not isinstance(e, dict):
+            raise ValueError(f"{where} must be a JSON object")
+        i, j = e.get("i"), e.get("j")
+        for name, v in (("i", i), ("j", j)):
+            if not _is_int(v) or not 0 <= v < len(nodes):
+                raise ValueError(f"{where}.{name} = {v!r} is not a node index 0..{len(nodes) - 1}")
+        if i >= j:
+            raise ValueError(f"{where} needs i < j, got i = {i}, j = {j}")
+        if (i, j) in edges:
+            raise ValueError(f"{where} repeats the edge ({i}, {j})")
+        count = e.get("count")
+        if not _is_int(count) or count not in _BAR:
+            raise ValueError(f"{where}.count = {count!r} is not 1, 2 or 3")
+        arrow = e.get("arrowTowards")
+        if arrow is not None and (not _is_int(arrow) or arrow not in (i, j)):
+            raise ValueError(f"{where}.arrowTowards = {arrow!r} is not null or an endpoint")
+        sign = e.get("sign", 0)
+        if not _is_int(sign) or sign not in (-1, 0, 1):
+            raise ValueError(f"{where}.sign = {sign!r} is not -1, 0 or 1")
         label = e.get("bLabel")
-        edges[(e["i"], e["j"])] = Edge(
-            e["count"],
-            e.get("arrowTowards"),
-            e.get("sign", 0),
-            parse_scalar(label) if label is not None else None,
-        )
-    return DynkinDiagram(data["nodes"], edges, labelled=data.get("labelled", False))
+        if label is not None and not isinstance(label, str):
+            raise ValueError(f"{where}.bLabel = {label!r} is not null or a string")
+        try:
+            b_label = parse_scalar(label) if label is not None else None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"{where}.bLabel: {exc}") from None
+        edges[(i, j)] = Edge(count, arrow, sign, b_label)
+    return DynkinDiagram(nodes, edges, labelled=labelled)
 
 
 def parse_diagram(text):

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .cartan_dynkin import build_diagram, cartan_matrix, serialize_diagram
-from .rootdata import ParameterError, build_root_datum, enumerate_simple_systems
+from .rootdata import ParameterError, SimpleSystem, build_root_datum, enumerate_simple_systems
 from .serre import presentation
 from .verify import compare_z_grading, necessity_survey, verify_presentation
 
@@ -138,9 +138,9 @@ def cmd_relations(args, out):
 
 
 def _verify_worker(payload):
-    family, m, n, alpha, index, max_height = payload
+    family, m, n, alpha, index, roots, max_height = payload
     datum = build_root_datum(family, m=m, n=n, alpha=alpha)
-    system = enumerate_simple_systems(datum)[index]
+    system = SimpleSystem(datum, roots)
     report = verify_presentation(datum, system, max_height=max_height)
     return index, report.passed, report.got_total, report.to_json()
 
@@ -149,13 +149,17 @@ def cmd_verify(args, out):
     datum = make_datum(args)
     selector = "all" if args.all else args.borel
     selected = select_systems(datum, selector)
-    jobs = args.jobs or 1
+    jobs = 1 if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    # the pool forks all its workers at once: never more than there are classes
+    jobs = min(jobs, len(selected))
     max_height = _resolve_height(args)
     results = []
-    if jobs > 1 and len(selected) > 1:
+    if jobs > 1:
         payloads = [
-            (datum.family, datum.m, datum.n, datum.alpha, k, max_height)
-            for k, _ in selected
+            (datum.family, datum.m, datum.n, datum.alpha, k, system.roots, max_height)
+            for k, system in selected
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = sorted(pool.map(_verify_worker, payloads))

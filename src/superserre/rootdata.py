@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .scalars import ALPHA, ONE, Scalar
 
@@ -111,6 +112,11 @@ class RootDatum:
 
     alpha is None for the generic D(2,1;a) (scalars live in Q(a)) and a
     Fraction for a specialised member; it is ignored for other families.
+
+    The form of every family is diagonal in the basis symbols: `form` has
+    one entry (s, s) -> (s, s) per symbol and no others.  The norms (b, b)
+    of all roots are evaluated once here, for the isotropy check and for
+    l_m^2.
     """
 
     def __init__(self, family, m, n, symbols, even_roots, odd_roots, form, alpha=None):
@@ -120,13 +126,36 @@ class RootDatum:
         self.symbols = tuple(symbols)
         self.even_roots = frozenset(even_roots)
         self.odd_roots = frozenset(odd_roots)
-        self._form = form  # dict (sym, sym) -> Scalar, symmetric closure applied
         self.alpha = alpha
-        isotropic = {b for b in self.odd_roots if self.form_value(b, b).is_zero()}
-        for b in self.even_roots:
-            if self.form_value(b, b).is_zero():
-                raise InconsistencyError(f"isotropic even root {b} in {self.name}")
+        off_diagonal = [key for key in form if key[0] != key[1]]
+        if off_diagonal:
+            raise ValueError(f"the form of {self.name} is not diagonal: {off_diagonal}")
+        self._symbol_set = frozenset(self.symbols)
+        self._rational_diagonal = {}  # symbol -> Fraction
+        self._parameter_diagonal = {}  # symbol -> non-constant Scalar (generic D(2,1;a))
+        for (s, _), value in form.items():
+            if value.is_constant():
+                self._rational_diagonal[s] = value.as_fraction()
+            else:
+                self._parameter_diagonal[s] = value
+        # In D(2,1;a) only the norms of +-2e1 do not depend on the parameter;
+        # l_m^2 is taken from them for specialised members too, so that
+        # specialising commutes with everything built on the Cartan matrix.
+        fixed = {"e1"} if family == "D21a" else self._symbol_set
+        isotropic = set()
+        least = None
+        for b in self.all_roots:
+            norm = self.form_value(b, b)
+            if norm.is_zero():
+                if b in self.even_roots:
+                    raise InconsistencyError(f"isotropic even root {b} in {self.name}")
+                isotropic.add(b)
+            elif norm.is_constant() and b.symbols() <= fixed:
+                q = abs(norm.as_fraction())
+                if least is None or q < least:
+                    least = q
         self.isotropic_roots = frozenset(isotropic)
+        self.min_square_length = least  # least fixed nonzero |(b, b)|, None if there is none
 
     @property
     def name(self):
@@ -154,17 +183,34 @@ class RootDatum:
         raise TypeError(f"{root} is not a root of {self.name}")
 
     def form_value(self, lam, mu):
-        """Bilinear extension of the tabulated symbol pairings."""
-        foreign = (lam.symbols() | mu.symbols()) - set(self.symbols)
-        if foreign:
+        """(lam, mu): one pass over the symbols of lam, looked up in mu.
+
+        The form is diagonal, so only shared symbols contribute.  Rational
+        entries are summed as one fraction in integer arithmetic, and one
+        Scalar is built at the end; only the Q(a) entries of the generic
+        D(2,1;a) are multiplied as Scalars.
+        """
+        ld, md = lam._d, mu._d
+        if not (ld.keys() <= self._symbol_set and md.keys() <= self._symbol_set):
+            foreign = (ld.keys() | md.keys()) - self._symbol_set
             raise TypeError(f"foreign basis symbols {sorted(foreign)} for {self.name}")
-        acc = Scalar(0)
-        for s, c in lam.items():
-            for t, d in mu.items():
-                v = self._form.get((s, t))
-                if v is not None:
-                    acc = acc + v * Scalar(c * d)
-        return acc
+        rational = self._rational_diagonal
+        num, den = 0, 1  # the rational part, as num/den in integers
+        parameter_part = None
+        for s, c in ld.items():
+            d = md.get(s)
+            if d is None:
+                continue
+            w = rational.get(s)
+            if w is not None:
+                pn = w.numerator * c.numerator * d.numerator
+                pd = w.denominator * c.denominator * d.denominator
+                num, den = num * pd + pn * den, den * pd
+            else:
+                term = self._parameter_diagonal[s] * (c * d)
+                parameter_part = term if parameter_part is None else parameter_part + term
+        total = Scalar(Fraction(num, den))
+        return total if parameter_part is None else total + parameter_part
 
 
 def bilinear(datum, lam, mu):
@@ -456,51 +502,83 @@ def enumerate_simple_systems(datum):
     return out
 
 
-def _solve_coordinates(system, vector):
-    """Exact coordinates of `vector` in the basis of simple roots, or None."""
-    syms = sorted({s for b in system.roots for s, _ in b.items()} | set(vector.symbols()))
-    r = system.rank
-    rows = [[b.coefficient(s) for b in system.roots] + [vector.coefficient(s)] for s in syms]
-    pivots = []
-    row = 0
-    for col in range(r):
-        p = next((k for k in range(row, len(rows)) if rows[k][col] != 0), None)
-        if p is None:
-            continue
-        rows[row], rows[p] = rows[p], rows[row]
-        pv = rows[row][col]
-        rows[row] = [x / pv for x in rows[row]]
-        for k in range(len(rows)):
-            if k != row and rows[k][col] != 0:
+class _CoordinateMap:
+    """Coordinates in one simple basis, from one elimination.
+
+    The symbols x rank matrix M of the simple roots is row-reduced once,
+    augmented with the identity, giving row operations T with T M = [I; 0].
+    T is kept as integer rows over a common denominator, so a vector's
+    coordinates are integer dot products: its first `rank` entries under T,
+    and it lies in the span exactly when the remaining entries vanish.
+    """
+
+    def __init__(self, system):
+        symbols = system.datum.symbols
+        r, n = system.rank, len(symbols)
+        rows = [
+            [b.coefficient(s) for b in system.roots] + [Fraction(int(k == i)) for k in range(n)]
+            for i, s in enumerate(symbols)
+        ]
+        for col in range(r):
+            p = next((k for k in range(col, n) if rows[k][col]), None)
+            if p is None:
+                raise InconsistencyError(f"the simple roots of {system!r} are linearly dependent")
+            rows[col], rows[p] = rows[p], rows[col]
+            pv = rows[col][col]
+            rows[col] = [x / pv for x in rows[col]]
+            for k in range(n):
                 f = rows[k][col]
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[row])]
-        pivots.append(col)
-        row += 1
-    sol = [Fraction(0)] * r
-    for idx, col in enumerate(pivots):
-        sol[col] = rows[idx][r]
-    for k in range(row, len(rows)):
-        if rows[k][r] != 0:
-            return None
-    return tuple(sol)
+                if k != col and f:
+                    rows[k] = [a - f * b for a, b in zip(rows[k], rows[col])]
+        denominator = lcm(*(x.denominator for row in rows for x in row[r:]))
+        # column of T per symbol, as integers over `denominator`
+        self._columns = {
+            s: [int(rows[k][r + i] * denominator) for k in range(n)]
+            for i, s in enumerate(symbols)
+        }
+        self._denominator = denominator
+        self._size = n
+        self.system = system
+
+    def __call__(self, vector):
+        """Integer coordinates of `vector`; InconsistencyError if it has a
+        symbol outside the datum, lies outside the span of the simple roots
+        or has a non-integral coordinate."""
+        items = vector.items()
+        scale = lcm(*(c.denominator for _, c in items))
+        acc = [0] * self._size
+        for s, c in items:
+            column = self._columns.get(s)
+            if column is None:
+                raise InconsistencyError(f"{vector} has a symbol {s!r} outside {self.system.datum.name}")
+            c = c.numerator * (scale // c.denominator)
+            acc = [a + c * t for a, t in zip(acc, column)]
+        r = self.system.rank
+        if any(acc[r:]):
+            raise InconsistencyError(f"{vector} is not in the span of {self.system!r}")
+        denominator = self._denominator * scale
+        coords = []
+        for a in acc[:r]:
+            q, rem = divmod(a, denominator)
+            if rem:
+                sol = tuple(Fraction(a, denominator) for a in acc[:r])
+                raise InconsistencyError(f"{vector} has non-integral coordinates {sol}")
+            coords.append(q)
+        return tuple(coords)
 
 
 def root_coordinates(system, root):
     """Integer coordinates of a root in the simple basis (roots span a lattice)."""
-    sol = _solve_coordinates(system, root)
-    if sol is None:
-        raise InconsistencyError(f"{root} is not in the span of {system!r}")
-    if any(c.denominator != 1 for c in sol):
-        raise InconsistencyError(f"{root} has non-integral coordinates {sol}")
-    return tuple(int(c) for c in sol)
+    return _CoordinateMap(system)(root)
 
 
 def positive_roots(system):
     """Roots that are N-combinations of the simple system; exactly half of all."""
     datum = system.datum
+    coordinates = _CoordinateMap(system)
     pos = {}
     for root in datum.all_roots:
-        coords = root_coordinates(system, root)
+        coords = coordinates(root)
         if all(c >= 0 for c in coords) and any(coords):
             pos[root] = coords
     if 2 * len(pos) != len(datum.all_roots):

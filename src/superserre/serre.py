@@ -348,8 +348,8 @@ def _match_d21a(sub, nodes):
     yield "case-14", terms, (g1, g2, g3)
 
 
-def higher_order_serre_elements(cd, diag):
-    """Elements attached to the full sub-diagrams of the fourteen patterns.
+def _higher_order_candidates(cd, diag):
+    """Matches of the fourteen patterns, in match order, not deduplicated.
 
     D(2,1;a)-type diagrams (labelled edges) carry only the labelled-triangle
     pattern; all other diagrams are matched against patterns 1-13.
@@ -364,7 +364,7 @@ def higher_order_serre_elements(cd, diag):
                 nodes = tuple(v + 1 for v in subset)
                 for case, terms, assign in _match_d21a(sub, nodes):
                     out.append(SerrePolynomial(terms, "e", case, assign, rank))
-        return _dedup(out, cd)
+        return out
 
     if rank >= 3:
         for subset, sub, connected in full_subdiagrams(diag, 3):
@@ -380,10 +380,17 @@ def higher_order_serre_elements(cd, diag):
             nodes = tuple(v + 1 for v in subset)
             for case, terms, assign in _match_4node(diag, sub, nodes):
                 out.append(SerrePolynomial(terms, "e", case, assign, rank))
-    return _dedup(out, cd)
+    return out
+
+
+def higher_order_serre_elements(cd, diag):
+    """Elements attached to the full sub-diagrams of the fourteen patterns,
+    deduplicated by expansion."""
+    return _dedup(_higher_order_candidates(cd, diag), cd)
 
 
 def _dedup(elements, cd):
+    """The first element of each expansion key, in order of first appearance."""
     seen = {}
     for el in elements:
         key = el.expansion_key(cd.parities)
@@ -439,8 +446,17 @@ class Presentation:
 
 def presentation(datum, system):
     """Full presentation: quadratic relations are implicit, Serre elements
-    are generated, structurally deduplicated and mirrored to the f side."""
+    are generated, structurally deduplicated and mirrored to the f side.
+
+    Standard and higher order elements are deduplicated in one pass, so each
+    element's expansion key is computed once.  This is the relation set of
+    deduplicating the higher order elements first: `_dedup` keeps the first
+    element of each key in order of first appearance, and an element that
+    dedup(H) drops repeats the key of an earlier element of H, so it is
+    dropped from S + H as well; hence dedup(S + dedup(H)) = dedup(S + H),
+    order included.
+    """
     cd = cartan_matrix(datum, system)
     diag = build_diagram(cd)
-    elements = standard_serre_elements(cd) + higher_order_serre_elements(cd, diag)
+    elements = standard_serre_elements(cd) + _higher_order_candidates(cd, diag)
     return Presentation(datum, system, cd, diag, _dedup(elements, cd))

@@ -39,7 +39,12 @@ def expected_total_dimension(datum):
 
 
 class VerificationReport:
-    """Comparison of a presented algebra against the reference root system."""
+    """Comparison of a presented algebra against the reference root system.
+
+    `verify_presentation` also attaches what the comparison was made from:
+    `presentation`, `quotient_report` and `reference`, the weight ->
+    multiplicity table of the positive roots.
+    """
 
     def __init__(self, datum, system, passed, mismatches, expected_total, got_total, notes=()):
         self.datum_name = datum.name
@@ -97,6 +102,7 @@ def verify_presentation(datum, system, max_height=None):
     result = VerificationReport(datum, system, passed, mismatches, expected_total, got_total, notes)
     result.quotient_report = report
     result.presentation = pres
+    result.reference = ref
     return result
 
 
@@ -121,17 +127,14 @@ class NecessityResult:
         }
 
 
-def necessity_test(datum, system, relation_index, max_height=None):
-    """True iff removing the addressed higher order element (and its mirror)
-    lets some weight exceed its reference multiplicity within the cap."""
-    pres = presentation(datum, system)
+def _necessity(pres, relation_index, ref, cap):
+    """Necessity of one higher order element of `pres`, against the
+    reference table `ref` within the height cap."""
     element = pres.e_side[relation_index]
     if element.provenance == "standard":
         raise PreconditionViolation(
             f"element {relation_index} is a standard Serre element, not higher order"
         )
-    ref = reference_multiplicities(system)
-    cap = _height_cap(ref) if max_height is None else max_height
     reduced = pres.without_element(relation_index)
     report = quotient_dimensions(reduced, cap, excess_guard=ref)
     excesses = []
@@ -143,15 +146,24 @@ def necessity_test(datum, system, relation_index, max_height=None):
     return NecessityResult(bool(excesses), first, element.provenance, element.nodes)
 
 
+def necessity_test(datum, system, relation_index, max_height=None):
+    """True iff removing the addressed higher order element (and its mirror)
+    lets some weight exceed its reference multiplicity within the cap."""
+    ref = reference_multiplicities(system)
+    cap = _height_cap(ref) if max_height is None else max_height
+    return _necessity(presentation(datum, system), relation_index, ref, cap)
+
+
 def necessity_survey(datum, system, max_height=None):
-    """Necessity of every higher order element of the presentation."""
+    """Necessity of every higher order element of the presentation; the
+    presentation and the reference table are built once for all of them."""
     pres = presentation(datum, system)
-    out = []
-    for idx, el in enumerate(pres.e_side):
-        if el.provenance == "standard":
-            continue
-        out.append(necessity_test(datum, system, idx, max_height=max_height))
-    return out
+    indices = [idx for idx, el in enumerate(pres.e_side) if el.provenance != "standard"]
+    if not indices:
+        return []
+    ref = reference_multiplicities(system)
+    cap = _height_cap(ref) if max_height is None else max_height
+    return [_necessity(pres, idx, ref, cap) for idx in indices]
 
 
 def verify_all_borels(datum, max_height=None):
@@ -178,7 +190,7 @@ def compare_z_grading(datum, system, d, max_height=None):
         )
     grading = z_grading_report(result.presentation, d, report=result.quotient_report)
     ref = {0: system.rank}
-    for coords in positive_roots(system).values():
+    for coords in result.reference:
         k = coords[d - 1]
         if k == 0:
             ref[0] += 2

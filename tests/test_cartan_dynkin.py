@@ -2,14 +2,16 @@ import json
 
 import pytest
 
-from conftest import diagram_shape, make_shape, shape_of
+from conftest import FAMILY_MATRIX, diagram_shape, make_shape, shape_of
 from superserre.cartan_dynkin import (
     BLACK,
     GREY,
     WHITE,
+    CartanDataError,
     build_diagram,
     cartan_matrix,
     full_subdiagrams,
+    minimal_square_length,
     parse_diagram,
     serialize_diagram,
 )
@@ -376,3 +378,45 @@ def test_table2_series_shapes_conform():
             (i, j), e = doubles[0]
             other = j if e.arrow_towards == i else i
             assert diag.nodes[other] == WHITE and len(diag.neighbours(other)) == 1
+
+
+def test_minimal_square_length_is_the_least_nonzero_norm():
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        norms = [datum.form_value(b, b) for b in datum.all_roots]
+        # in generic D(2,1;a) only the constant norms are parameter-free
+        brute = min(abs(v.as_fraction()) for v in norms if v and v.is_constant())
+        assert minimal_square_length(datum) == Scalar(brute), datum.name
+
+
+def test_minimal_square_length_ignores_the_specialised_parameter():
+    from fractions import Fraction
+
+    datum = build_root_datum("D21a", alpha=Fraction(1, 2))
+    assert min(abs(datum.form_value(b, b).as_fraction()) for b in datum.even_roots) == 2
+    assert minimal_square_length(datum) == Scalar(4)
+
+
+def test_minimal_square_length_needs_a_non_isotropic_root():
+    from superserre.rootdata import RootDatum, wv
+
+    odd = [wv({"e1": 1, "d1": -1}), wv({"e1": -1, "d1": 1})]
+    datum = RootDatum("A", 0, 0, ["e1", "d1"], [], odd, {("e1", "e1"): ONE, ("d1", "d1"): -ONE})
+    with pytest.raises(CartanDataError):
+        minimal_square_length(datum)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        ("{}", "nodes"),
+        ("[1]", "JSON object"),
+        ('{"nodes": ["purple"], "edges": []}', "nodes[0]"),
+        ('{"nodes": ["white"], "edges": [{"i": 0, "j": 5, "count": 1}]}', "edges[0].j"),
+    ],
+    ids=["empty-object", "list", "purple-node", "edge-off-the-diagram"],
+)
+def test_parse_diagram_rejects_malformed_input(text, field):
+    with pytest.raises(ValueError) as info:
+        parse_diagram(text)
+    assert field in str(info.value)

@@ -214,3 +214,46 @@ def test_bad_env_height_cap_names_the_variable(monkeypatch, capsys):
     assert main(["verify", "G3"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "SUPERSERRE_MAX_HEIGHT" in err[0]
+
+
+def test_jobs_never_exceed_the_number_of_classes(monkeypatch):
+    import superserre.cli as cli
+
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return [fn(p) for p in payloads]
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    code, text = run_cli(["verify", "G3", "--all", "--jobs", "500"])  # 4 classes
+    assert code == 0 and len(text.strip().splitlines()) == 4
+    assert sizes == [4]
+    code, _ = run_cli(["verify", "G3", "--borel", "1", "--jobs", "500"])
+    assert code == 0 and sizes == [4]  # one class: no pool at all
+
+
+def test_jobs_two_gives_the_same_json_as_jobs_one():
+    argv = ["verify", "A", "--m", "1", "--n", "0", "--all", "--format", "json"]
+    code1, one = run_cli(argv + ["--jobs", "1"])
+    code2, two = run_cli(argv + ["--jobs", "2"])  # 3 classes, so 2 workers
+    assert code1 == code2 == 0
+    assert json.loads(two) == json.loads(one)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(jobs, capsys):
+    assert main(["verify", "G3", "--all", "--jobs", jobs]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--jobs" in err[0]

@@ -1,16 +1,22 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import FAMILY_MATRIX
 from superserre.rootdata import (
+    InconsistencyError,
     ParameterError,
     PreconditionError,
+    SimpleSystem,
     bilinear,
     build_root_datum,
     distinguished_simple_system,
     enumerate_simple_systems,
     odd_reflection,
     positive_roots,
+    root_coordinates,
     wv,
 )
 from superserre.scalars import ALPHA, ONE, Scalar
@@ -208,3 +214,120 @@ def test_enumeration_is_order_independent():
 def test_weight_vector_json():
     v = wv({"e1": Fraction(1, 2), "d": -1})
     assert v.to_json() == {"d": "-1", "e1": "1/2"}
+
+
+def _solve_coordinates(system, vector):
+    """Oracle: exact coordinates of `vector` in the simple basis, or None,
+    by one Gauss-Jordan elimination per vector."""
+    syms = sorted({s for b in system.roots for s, _ in b.items()} | set(vector.symbols()))
+    r = system.rank
+    rows = [[b.coefficient(s) for b in system.roots] + [vector.coefficient(s)] for s in syms]
+    pivots = []
+    row = 0
+    for col in range(r):
+        p = next((k for k in range(row, len(rows)) if rows[k][col] != 0), None)
+        if p is None:
+            continue
+        rows[row], rows[p] = rows[p], rows[row]
+        pv = rows[row][col]
+        rows[row] = [x / pv for x in rows[row]]
+        for k in range(len(rows)):
+            if k != row and rows[k][col] != 0:
+                f = rows[k][col]
+                rows[k] = [a - f * b for a, b in zip(rows[k], rows[row])]
+        pivots.append(col)
+        row += 1
+    sol = [Fraction(0)] * r
+    for idx, col in enumerate(pivots):
+        sol[col] = rows[idx][r]
+    for k in range(row, len(rows)):
+        if rows[k][r] != 0:
+            return None
+    return tuple(sol)
+
+
+def test_positive_roots_match_per_root_solver_on_the_matrix():
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        for system in enumerate_simple_systems(datum):
+            expected = {}
+            for root in datum.all_roots:
+                sol = _solve_coordinates(system, root)
+                assert sol is not None and all(c.denominator == 1 for c in sol)
+                if all(c >= 0 for c in sol):
+                    expected[root] = tuple(int(c) for c in sol)
+            assert positive_roots(system) == expected, system
+
+
+def test_root_coordinates_of_simple_roots_and_sums():
+    f4 = build_root_datum("F4")
+    for system in enumerate_simple_systems(f4):
+        a = system.roots
+        assert root_coordinates(system, a[2]) == (0, 0, 1, 0)
+        assert root_coordinates(system, -a[0]) == (-1, 0, 0, 0)
+        assert root_coordinates(system, a[0] + a[1] + a[1]) == (1, 2, 0, 0)
+
+
+def test_root_coordinates_rejects_a_vector_outside_the_span():
+    a10 = build_root_datum("A", m=1, n=0)  # simple roots span coefficient sum 0
+    with pytest.raises(InconsistencyError, match="not in the span"):
+        root_coordinates(distinguished_simple_system(a10), wv({"e1": 1}))
+
+
+def test_root_coordinates_rejects_a_foreign_symbol():
+    a10 = build_root_datum("A", m=1, n=0)
+    with pytest.raises(InconsistencyError, match="outside"):
+        root_coordinates(distinguished_simple_system(a10), wv({"e1": 1, "x": -1}))
+
+
+def test_root_coordinates_rejects_half_a_root():
+    for fam, kw in [("A", dict(m=1, n=0)), ("F4", {})]:
+        system = distinguished_simple_system(build_root_datum(fam, **kw))
+        with pytest.raises(InconsistencyError, match="non-integral"):
+            root_coordinates(system, system.roots[0].scale(Fraction(1, 2)))
+
+
+def test_dependent_simple_roots_are_rejected():
+    a10 = build_root_datum("A", m=1, n=0)
+    b = distinguished_simple_system(a10).roots[0]
+    system = SimpleSystem(a10, [b, -b])
+    with pytest.raises(InconsistencyError, match="linearly dependent"):
+        positive_roots(system)
+    with pytest.raises(InconsistencyError, match="linearly dependent"):
+        root_coordinates(system, b)
+
+
+def test_a_basis_that_is_not_simple_is_rejected():
+    a10 = build_root_datum("A", m=1, n=0)
+    a1, a2 = distinguished_simple_system(a10).roots
+    # a basis of the root lattice in which a2 = (a1 + a2) - a1 is neither sign
+    with pytest.raises(InconsistencyError, match="2 positive roots out of 6"):
+        positive_roots(SimpleSystem(a10, [a1, a1 + a2]))
+
+
+_FORM_TABLES = {
+    "F4": {"e1": Scalar(2), "e2": Scalar(2), "e3": Scalar(2), "d": Scalar(-6)},
+    "D21a": {"e1": ONE, "e2": ALPHA, "d": -(ONE + ALPHA)},
+}
+_SORTED_ROOTS = {
+    fam: sorted(build_root_datum(fam).all_roots, key=repr) for fam in _FORM_TABLES
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_FORM_TABLES)), st.data())
+def test_form_value_matches_the_double_loop(fam, data):
+    datum = build_root_datum(fam)
+    roots = _SORTED_ROOTS[fam]
+    lam = data.draw(st.sampled_from(roots))
+    mu = data.draw(st.sampled_from(roots))
+    k = data.draw(st.sampled_from([Fraction(1), Fraction(-2), Fraction(1, 2)]))
+    lam = lam.scale(k)
+    table = _FORM_TABLES[fam]
+    expected = Scalar(0)
+    for s, c in lam.items():
+        for t, d in mu.items():
+            if s == t:
+                expected = expected + table[s] * Scalar(c * d)
+    assert datum.form_value(lam, mu) == expected
+    assert datum.form_value(mu, lam) == expected

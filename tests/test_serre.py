@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from superserre.cartan_dynkin import build_diagram, cartan_matrix
+from conftest import FAMILY_MATRIX
 from superserre.rootdata import (
     build_root_datum,
     distinguished_simple_system,
@@ -215,3 +216,15 @@ def test_distinguished_systems_reduce_to_the_two_patterns():
         for el in pres.higher_order:
             assert el.provenance in ("case-1", "case-2", "case-3"), el
             assert el.nodes[1] == s and el.nodes[0] == s - 1, el
+
+
+def test_one_dedup_pass_equals_deduplicating_higher_order_first():
+    from superserre.serre import _dedup
+
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        for system in enumerate_simple_systems(datum):
+            pres = presentation(datum, system)
+            cd, diag = pres.cartan, pres.diagram
+            two_pass = _dedup(standard_serre_elements(cd) + higher_order_serre_elements(cd, diag), cd)
+            assert [el.to_json() for el in pres.e_side] == [el.to_json() for el in two_pass]

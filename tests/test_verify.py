@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import FAMILY_MATRIX
 from superserre.quotient import PreconditionViolation
 from superserre.rootdata import (
     build_root_datum,
@@ -10,7 +11,9 @@ from superserre.verify import (
     compare_z_grading,
     default_height_cap,
     expected_total_dimension,
+    necessity_survey,
     necessity_test,
+    reference_multiplicities,
     verify_all_borels,
     verify_presentation,
 )
@@ -151,3 +154,25 @@ def test_zero_height_cap_is_rejected_not_defaulted():
     idx = next(k for k, el in enumerate(pres.e_side) if el.provenance != "standard")
     with pytest.raises(ValueError, match="maxHeight"):
         necessity_test(datum, system, idx, max_height=0)
+
+
+def test_necessity_survey_matches_per_element_tests():
+    from superserre.serre import presentation
+
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        for system in enumerate_simple_systems(datum)[:2]:
+            pres = presentation(datum, system)
+            expected = [
+                necessity_test(datum, system, idx).to_json()
+                for idx, el in enumerate(pres.e_side)
+                if el.provenance != "standard"
+            ]
+            assert [r.to_json() for r in necessity_survey(datum, system)] == expected
+
+
+def test_report_carries_its_reference_table():
+    datum = build_root_datum("G3")
+    for system in enumerate_simple_systems(datum):
+        report = verify_presentation(datum, system)
+        assert report.reference == reference_multiplicities(system)
