@@ -35,7 +35,7 @@ class CartanData:
         self.parities = tuple(parities)
         self.a = [[b[i][j] / d[i] for j in range(self.rank)] for i in range(self.rank)]
         self.sgn = [
-            [0 if b[i][j].is_zero() else b[i][j].sign_at_positive_sample()
+            [0 if b[i][j].is_zero() else b[i][j].sign_on_positive_a()
              for j in range(self.rank)]
             for i in range(self.rank)
         ]
@@ -177,7 +177,9 @@ class DynkinDiagram:
         return e.b_label if e else None
 
     def neighbours(self, i):
-        return [j for j in range(self.size) if j != i and self.count(i, j)]
+        return sorted(
+            b if a == i else a for (a, b), e in self.edges.items() if i in (a, b) and e.count
+        )
 
     def is_connected(self):
         if not self.nodes:

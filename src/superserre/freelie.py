@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import Echelon, axpy
 from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 
 
@@ -98,61 +99,29 @@ def expand_terms(terms, parities):
     for tree, coeff in terms.items():
         if not isinstance(coeff, Scalar):
             coeff = Scalar(coeff)
-        if coeff.is_zero():
-            continue
-        for w, c in expand_tree(tree, parities).items():
-            v = out.get(w, ZERO) + coeff * c
-            if v.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = v
+        if not coeff.is_zero():
+            axpy(out, expand_tree(tree, parities), coeff)
     return out
 
 
 def word_concat_product(x, y):
     out = {}
     for wx, cx in x.items():
-        for wy, cy in y.items():
-            w = wx + wy
-            v = out.get(w, ZERO) + cx * cy
-            if v.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = v
+        axpy(out, {wx + wy: cy for wy, cy in y.items()}, cx)
     return out
 
 
 def word_bracket(x, y, px, py):
     """Supercommutator of two word vectors of parities px, py."""
-    out = word_concat_product(x, y)
-    sign = MINUS_ONE if (px and py) else ONE
-    for w, c in word_concat_product(y, x).items():
-        v = out.get(w, ZERO) - sign * c
-        if v.is_zero():
-            out.pop(w, None)
-        else:
-            out[w] = v
-    return out
+    koszul = MINUS_ONE if (px and py) else ONE
+    return axpy(word_concat_product(x, y), word_concat_product(y, x), -koszul)
 
 
 def generator_bracket_word(i, vec, parity_i, parity_vec):
     """[e_i, vec] on word vectors: prefix minus Koszul-signed suffix."""
-    out = {}
-    sign = MINUS_ONE if (parity_i and parity_vec) else ONE
-    for w, c in vec.items():
-        u = (i,) + w
-        v = out.get(u, ZERO) + c
-        if v.is_zero():
-            out.pop(u, None)
-        else:
-            out[u] = v
-        u = w + (i,)
-        v = out.get(u, ZERO) - sign * c
-        if v.is_zero():
-            out.pop(u, None)
-        else:
-            out[u] = v
-    return out
+    koszul = MINUS_ONE if (parity_i and parity_vec) else ONE
+    out = {(i,) + w: c for w, c in vec.items()}
+    return axpy(out, {w + (i,): c for w, c in vec.items()}, -koszul)
 
 
 # -- Lyndon words and the canonical basis --------------------------------------
@@ -288,57 +257,6 @@ def free_dimension(parities, content):
 # -- per-component linear algebra -----------------------------------------------
 
 
-class _Echelon:
-    """Sparse echelon over Scalar keyed by lexicographically minimal support.
-
-    Every stored row has its pivot as the minimum of its support, so an
-    ascending reduction sweep terminates; rows optionally carry coordinate
-    bookkeeping.
-    """
-
-    def __init__(self):
-        self.rows = {}  # pivot -> (vec, coords)
-
-    def reduce(self, vec, coords):
-        while vec:
-            hits = sorted(w for w in vec if w in self.rows)
-            if not hits:
-                return
-            w = hits[0]
-            rvec, rcoords = self.rows[w]
-            c = vec[w]
-            for u, v in rvec.items():
-                nv = vec.get(u, ZERO) - c * v
-                if nv.is_zero():
-                    vec.pop(u, None)
-                else:
-                    vec[u] = nv
-            if coords is not None:
-                for j, v in rcoords.items():
-                    nv = coords.get(j, ZERO) - c * v
-                    if nv.is_zero():
-                        coords.pop(j, None)
-                    else:
-                        coords[j] = nv
-
-    def insert(self, vec, coords):
-        """Reduce and, if independent, store; returns the new pivot or None."""
-        self.reduce(vec, coords)
-        if not vec:
-            return None
-        pivot = min(vec)
-        inv = vec[pivot].inverse()
-        vec = {w: c * inv for w, c in vec.items()}
-        if coords is not None:
-            coords = {j: c * inv for j, c in coords.items()}
-        self.rows[pivot] = (vec, coords)
-        return pivot
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
 class FreeComponent:
     """One multidegree component with its canonical basis and solver."""
 
@@ -349,7 +267,7 @@ class FreeComponent:
         self.content = tuple(content)
         self.parity = content_parity(content, parities)
         self.basis = super_lyndon_basis(self.content, self.parities)
-        self._echelon = _Echelon()
+        self._echelon = Echelon()
         for k, tree in enumerate(self.basis):
             vec = {w: Scalar(c) for w, c in expand_tree(tree, self.parities).items()}
             if self._echelon.insert(vec, {k: ONE}) is None:
@@ -419,14 +337,7 @@ class LiePolynomial:
     def __add__(self, other):
         if other.component is not self.component:
             raise GradingError("cannot add across multidegrees")
-        coords = dict(self.coords)
-        for j, c in other.coords.items():
-            v = coords.get(j, ZERO) + c
-            if v.is_zero():
-                coords.pop(j, None)
-            else:
-                coords[j] = v
-        return LiePolynomial(self.component, coords)
+        return LiePolynomial(self.component, axpy(dict(self.coords), other.coords))
 
     def scale(self, k):
         k = k if isinstance(k, Scalar) else Scalar(k)
@@ -517,15 +428,6 @@ def lower_terms(cd, i, terms):
                 acc = acc + cd.a[i - 1][j] * nu[j]
         return acc if p_i else -acc
 
-    def add(out, tree, c):
-        if c.is_zero():
-            return
-        v = out.get(tree, ZERO) + c
-        if v.is_zero():
-            out.pop(tree, None)
-        else:
-            out[tree] = v
-
     memo = {}
 
     def go(tree):
@@ -540,16 +442,13 @@ def lower_terms(cd, i, terms):
         du, hu = go(u)
         dv, hv = go(v)
         pu = content_parity(tree_content(u, r), parities)
-        out = {}
-        for t, c in du.items():
-            add(out, (t, v), c)
+        out = {(t, v): c for t, c in du.items()}
         if not hu.is_zero():
-            add(out, v, hu * kappa(tree_content(v, r)))
+            axpy(out, {v: kappa(tree_content(v, r))}, hu)
         sign = MINUS_ONE if (p_i and pu) else ONE
-        for t, c in dv.items():
-            add(out, (u, t), sign * c)
+        axpy(out, {(u, t): c for t, c in dv.items()}, sign)
         if not hv.is_zero():
-            add(out, u, -(sign * hv * kappa(tree_content(u, r))))
+            axpy(out, {u: kappa(tree_content(u, r))}, -(sign * hv))
         res = (out, ZERO)
         memo[tree] = res
         return res
@@ -559,12 +458,7 @@ def lower_terms(cd, i, terms):
     for tree, coeff in terms.items():
         coeff = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
         d, h = go(tree)
-        for t, c in d.items():
-            v = out.get(t, ZERO) + coeff * c
-            if v.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = v
+        axpy(out, d, coeff)
         h_coeff = h_coeff + coeff * h
     return out, h_coeff
 
@@ -625,6 +519,9 @@ def span_dimension_by_identities(parities, content):
 
     Antisymmetry instances are folded into a signed union-find over monomial
     trees; Jacobi instances become sparse rows whose exact rank is subtracted.
+    The rank comes from a plain `Fraction` elimination written out here, not
+    from `linalg.Echelon`: this oracle is what the echelon-based ranks are
+    checked against, so it must not share their code.
     """
     h = content_height(content)
     r = len(content)

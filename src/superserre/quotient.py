@@ -16,12 +16,14 @@ Two engines agree on every weight:
   quotient coordinates, so components stay tiny even when the ambient free
   components are huge.  Reported ideal ranks are free dimension minus
   quotient dimension.
+
+Both engines eliminate with `linalg.Echelon` and accumulate with
+`linalg.axpy`, the same core as the free-Lie normal forms.
 """
 
 from __future__ import annotations
 
 from .freelie import (
-    _Echelon,
     component,
     content_height,
     content_parity,
@@ -31,15 +33,13 @@ from .freelie import (
     lower_terms,
     tree_content,
 )
+from .linalg import Echelon, axpy
+from .rootdata import PreconditionError
 from .scalars import MINUS_ONE, ONE, Scalar, ZERO
 
 
 class EngineError(RuntimeError):
     """Internal consistency violation in the quotient engine."""
-
-
-class PreconditionViolation(ValueError):
-    """An operation was called outside its stated precondition."""
 
 
 def _unit(r, i):
@@ -76,7 +76,7 @@ class IdealWordEngine:
         got = self._memo.get(nu)
         if got is not None:
             return got
-        ech = _Echelon()
+        ech = Echelon()
         if content_height(nu) >= 2:
             for i in range(1, self.r + 1):
                 if nu[i - 1] == 0:
@@ -86,9 +86,9 @@ class IdealWordEngine:
                 p_mu = content_parity(mu, self.parities)
                 for vec, _ in sub.rows.values():
                     row = generator_bracket_word(i, vec, self.parities[i - 1], p_mu)
-                    ech.insert(row, None)
+                    ech.insert(row)
             for vec in self.by_weight.get(nu, ()):
-                ech.insert(dict(vec), None)
+                ech.insert(dict(vec))
         self._memo[nu] = ech
         return ech
 
@@ -111,72 +111,6 @@ def ideal_component(elements, nu, parities):
 
 
 # -- covering engine -------------------------------------------------------------
-
-
-class _SymEchelon:
-    """Relation echelon over integer-indexed candidate symbols.
-
-    Stored rows have support >= their pivot, so the ascending reduction
-    sweep terminates; `read_off` resolves every pivot into an expression in
-    non-pivot symbols.
-    """
-
-    def __init__(self):
-        self.rows = {}
-
-    def insert(self, row):
-        while row:
-            hits = sorted(s for s in row if s in self.rows)
-            if not hits:
-                break
-            s = hits[0]
-            c = row[s]
-            for q, v in self.rows[s].items():
-                nv = row.get(q, ZERO) - c * v
-                if nv.is_zero():
-                    row.pop(q, None)
-                else:
-                    row[q] = nv
-        if not row:
-            return None
-        p = min(row)
-        inv = row[p].inverse()
-        self.rows[p] = {q: c * inv for q, c in row.items()}
-        return p
-
-    def read_off(self):
-        expr = {}
-        for p in sorted(self.rows, reverse=True):
-            acc = {}
-            for q, c in self.rows[p].items():
-                if q == p:
-                    continue
-                sub = expr.get(q)
-                if sub is None:
-                    v = acc.get(q, ZERO) - c
-                    if v.is_zero():
-                        acc.pop(q, None)
-                    else:
-                        acc[q] = v
-                else:
-                    for s, w in sub.items():
-                        v = acc.get(s, ZERO) - c * w
-                        if v.is_zero():
-                            acc.pop(s, None)
-                        else:
-                            acc[s] = v
-            expr[p] = acc
-        return expr
-
-
-def _vadd(dst, src, c=ONE):
-    for k, v in src.items():
-        nv = dst.get(k, ZERO) + c * v
-        if nv.is_zero():
-            dst.pop(k, None)
-        else:
-            dst[k] = nv
-    return dst
 
 
 class GradedQuotientReport:
@@ -302,7 +236,7 @@ class CoveringEngine:
             out = {}
             for x, cx in self.rho(u).items():
                 for y, cy in self.rho(v).items():
-                    _vadd(out, self.product(x, y), cx * cy)
+                    axpy(out, self.product(x, y), cx * cy)
         self._rho_memo[tree] = out
         return out
 
@@ -322,13 +256,13 @@ class CoveringEngine:
     def _sym_vec_right(self, x, yvec):
         out = {}
         for y, c in yvec.items():
-            _vadd(out, self._sym(x, y), c)
+            axpy(out, self._sym(x, y), c)
         return out
 
     def _sym_vec_left(self, xvec, y):
         out = {}
         for x, c in xvec.items():
-            _vadd(out, self._sym(x, y), c)
+            axpy(out, self._sym(x, y), c)
         return out
 
     def rho_pair(self, terms):
@@ -339,14 +273,14 @@ class CoveringEngine:
             u, v = tree  # relation elements have height >= 2
             for x, cx in self.rho(u).items():
                 vec = self._sym_vec_right(x, self.rho(v))
-                _vadd(out, vec, coeff * cx)
+                axpy(out, vec, coeff * cx)
         return out
 
     def _jacobi_boundary(self, x, y, z):
         """Pair-symbol vector of [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]."""
         vec = self._sym_vec_right(x, self.product(y, z))
-        _vadd(vec, self._sym_vec_left(self.product(x, y), z), MINUS_ONE)
-        _vadd(vec, self._sym_vec_right(y, self.product(x, z)), -self._koszul(x, y))
+        axpy(vec, self._sym_vec_left(self.product(x, y), z), MINUS_ONE)
+        axpy(vec, self._sym_vec_right(y, self.product(x, z)), -self._koszul(x, y))
         return vec
 
     # -- level construction -------------------------------------------------------
@@ -400,7 +334,7 @@ class CoveringEngine:
         for w in sorted(symbols):
             syms = symbols[w]
             index = {s: k for k, s in enumerate(syms)}
-            ech = _SymEchelon()
+            ech = Echelon()
             for vec in relations[w]:
                 row = {index[s]: c for s, c in vec.items()}
                 ech.insert(row)
@@ -488,7 +422,7 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
 def total_dimension(report, rank):
     """2 * dim n+ + rank; the report must be closed."""
     if not report.closed:
-        raise PreconditionViolation("total dimension needs a closed report")
+        raise PreconditionError("total dimension needs a closed report")
     return 2 * report.positive_dimension + rank
 
 
@@ -517,7 +451,7 @@ def z_grading_report(presentation, d, report=None, max_height=None):
             raise ValueError("need a quotient report or a height cap")
         report = quotient_dimensions(presentation, max_height)
     if not report.closed:
-        raise PreconditionViolation("z-grading needs a closed quotient report")
+        raise PreconditionError("z-grading needs a closed quotient report")
     r = presentation.rank
     dims = {0: r}
     for nu, (_, _, q) in report.per_weight.items():
@@ -620,11 +554,11 @@ def check_lowering_stability(presentation):
                 entries.append(StabilityEntry(idx, el.provenance, i, True, "zero"))
                 continue
             nu = _weight_sub(el.content, i)
-            ech = _Echelon()
+            ech = Echelon()
             for t in by_weight.get(nu, []):
-                ech.insert(expand_terms(t.terms, parities), None)
+                ech.insert(expand_terms(t.terms, parities))
             residual = dict(vec)
-            ech.reduce(residual, None)
+            ech.reduce(residual)
             if not residual:
                 entries.append(StabilityEntry(idx, el.provenance, i, True, "span"))
                 continue
@@ -634,7 +568,7 @@ def check_lowering_stability(presentation):
                 continue
             image = {}
             for tree, coeff in lowered.items():
-                _vadd(image, engine.rho(tree), coeff)
+                axpy(image, engine.rho(tree), coeff)
             how = "ideal" if not image else "violation"
             entries.append(StabilityEntry(idx, el.provenance, i, not image, how))
     return StabilityReport(entries)

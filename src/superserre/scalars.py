@@ -317,23 +317,25 @@ class Scalar:
             )
         return self.num.evaluate(a0) / d
 
-    def sign_at_positive_sample(self):
-        """Sign in {-1, 0, +1} taken at a positive sample value of `a`.
+    def sign_on_positive_a(self):
+        """Sign in {-1, 0, +1} that this function keeps for every a > 0.
 
-        All Gram-matrix entries arising here keep a constant sign on a > 0,
-        so any positive sample gives the same answer; samples are advanced
-        past accidental zeros of non-zero functions.
+        The sign is proved, not sampled, by Descartes' rule of signs with no
+        sign change: a polynomial whose nonzero coefficients all share one
+        sign has that sign at every a > 0.  When the numerator and the
+        denominator each pass this test the quotient's sign is theirs
+        multiplied; otherwise raises ValueError, since the sign may vary.
         """
         if self.is_zero():
             return 0
-        for a0 in (Fraction(1), Fraction(2), Fraction(3), Fraction(5)):
-            d = self.den.evaluate(a0)
-            if d == 0:
-                continue
-            v = self.num.evaluate(a0) / d
-            if v != 0:
-                return 1 if v > 0 else -1
-        raise ValueError(f"could not determine the sign of {self}")
+        sign = 1
+        for poly in (self.num, self.den):
+            signs = {c > 0 for c in poly.coeffs if c}
+            if len(signs) != 1:
+                raise ValueError(f"the sign of {self.render()} is not constant on a > 0")
+            if not signs.pop():
+                sign = -sign
+        return sign
 
     # -- text form ---------------------------------------------------------
 

@@ -6,12 +6,9 @@ a second presentation, so the two sides of every comparison are independent.
 
 from __future__ import annotations
 
-from .quotient import (
-    PreconditionViolation,
-    quotient_dimensions,
-    z_grading_report,
-)
+from .quotient import quotient_dimensions, z_grading_report
 from .rootdata import (
+    PreconditionError,
     distinguished_simple_system,
     enumerate_simple_systems,
     positive_roots,
@@ -132,7 +129,7 @@ def _necessity(pres, relation_index, ref, cap):
     reference table `ref` within the height cap."""
     element = pres.e_side[relation_index]
     if element.provenance == "standard":
-        raise PreconditionViolation(
+        raise PreconditionError(
             f"element {relation_index} is a standard Serre element, not higher order"
         )
     reduced = pres.without_element(relation_index)
@@ -185,7 +182,7 @@ def compare_z_grading(datum, system, d, max_height=None):
         raise ValueError(f"grading node d={d} out of range 1..{system.rank}")
     result = verify_presentation(datum, system, max_height=max_height)
     if not result.passed:
-        raise PreconditionViolation(
+        raise PreconditionError(
             f"z-grading comparison requires a passing verification for {datum.name}"
         )
     grading = z_grading_report(result.presentation, d, report=result.quotient_report)

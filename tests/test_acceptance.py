@@ -17,13 +17,13 @@ from superserre.cartan_dynkin import (
     serialize_diagram,
 )
 from superserre.freelie import (
-    _Echelon,
     _all_words,
     expand_terms,
     free_dimension,
     left_normed_tree,
     span_dimension_by_identities,
 )
+from superserre.linalg import Echelon
 from superserre.quotient import check_lowering_stability
 from superserre.rootdata import build_root_datum, enumerate_simple_systems
 from superserre.scalars import ONE
@@ -221,9 +221,9 @@ def test_criterion_7_free_lie_kernel_oracle():
             for parities in parity_choices:
                 brute = span_dimension_by_identities(parities, content)
                 counted = free_dimension(parities, content)
-                ech = _Echelon()
+                ech = Echelon()
                 for w in _all_words(content):
-                    ech.insert(expand_terms({left_normed_tree(w): ONE}, parities), None)
+                    ech.insert(expand_terms({left_normed_tree(w): ONE}, parities))
                 assert brute == counted == ech.rank, (parities, content)
                 checks += 1
     _report(7, f"free Lie kernel oracle: {checks} multidegrees of height <= 6, "

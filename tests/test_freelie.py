@@ -6,7 +6,6 @@ import pytest
 from superserre.cartan_dynkin import cartan_matrix
 from superserre.freelie import (
     GradingError,
-    _Echelon,
     _all_words,
     bracket,
     expand_terms,
@@ -20,6 +19,7 @@ from superserre.freelie import (
     span_dimension_by_identities,
     tree_render,
 )
+from superserre.linalg import Echelon
 from superserre.rootdata import build_root_datum, distinguished_simple_system
 from superserre.scalars import ONE, Scalar, ZERO
 
@@ -165,9 +165,9 @@ def test_span_of_left_normed_equals_free_dimension():
         for parities in product((0, 1), repeat=r):
             contents = [c for c in product(range(5), repeat=r) if 1 <= sum(c) <= 4]
             for content in rng.sample(contents, 5):
-                ech = _Echelon()
+                ech = Echelon()
                 for w in _all_words(content):
-                    ech.insert(expand_terms({left_normed_tree(w): ONE}, parities), None)
+                    ech.insert(expand_terms({left_normed_tree(w): ONE}, parities))
                 assert ech.rank == free_dimension(parities, content), (parities, content)
 
 

@@ -1,0 +1,123 @@
+"""Properties of the sparse linear-algebra core on random sparse rows."""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from superserre.linalg import Echelon, axpy
+from superserre.scalars import ONE, Poly, Scalar, ZERO
+
+KEYS = range(6)
+
+_small = st.integers(min_value=-3, max_value=3)
+_q = st.builds(Fraction, _small, st.integers(min_value=1, max_value=3)).map(Scalar)
+
+
+@st.composite
+def _qa(draw):
+    num = Poly([draw(_small) for _ in range(2)])
+    den = Poly([draw(_small) for _ in range(2)])
+    return Scalar(num, den if den else Poly([1]))
+
+
+def _vectors(scalars):
+    """Sparse vectors over KEYS with no stored zero."""
+    return st.dictionaries(st.sampled_from(KEYS), scalars, max_size=len(KEYS)).map(
+        lambda d: {k: v for k, v in d.items() if not v.is_zero()}
+    )
+
+
+def _combine(pairs):
+    """Dense sum of c * vec over (c, vec) pairs, as a dict with zeros dropped."""
+    out = {k: ZERO for k in KEYS}
+    for c, vec in pairs:
+        for k, v in vec.items():
+            out[k] = out[k] + c * v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def _substitute(vec, expr):
+    """vec with every pivot key replaced by its read-off expression."""
+    out = {}
+    for k, v in vec.items():
+        axpy(out, expr.get(k, {k: ONE}), v)
+    return out
+
+
+def _dense_rank(rows):
+    """Rank by textbook Gaussian elimination on dense Fraction rows."""
+    m = [[row.get(k, ZERO).as_fraction() for k in KEYS] for row in rows]
+    rank = 0
+    for col in KEYS:
+        piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        for i in range(len(m)):
+            if i != rank and m[i][col]:
+                f = m[i][col] / m[rank][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _echelon_of(rows):
+    ech = Echelon()
+    for j, row in enumerate(rows):
+        ech.insert(dict(row), {j: ONE})
+    return ech
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(_vectors(_q), _vectors(_q), _q),
+    st.tuples(_vectors(_qa()), _vectors(_qa()), _qa()),
+))
+def test_axpy_is_the_dense_sum_without_zeros(args):
+    dst, src, c = args
+    expected = _combine([(ONE, dst), (c, src)])
+    got = axpy(dict(dst), src, c)
+    assert got == expected
+    assert not any(v.is_zero() for v in got.values())
+    assert axpy(dict(dst), src) == _combine([(ONE, dst), (ONE, src)])
+    assert axpy(dict(src), src, -ONE) == {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_vectors(_q), max_size=8))
+def test_rank_over_q_matches_dense_gaussian_elimination(rows):
+    assert _echelon_of(rows).rank == _dense_rank(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.lists(_vectors(_q), max_size=6), st.lists(_vectors(_qa()), max_size=4)))
+def test_read_off_annihilates_every_inserted_row(rows):
+    ech = _echelon_of(rows)
+    expr = ech.read_off()
+    assert set(expr) == set(ech.rows)
+    for q in {k for e in expr.values() for k in e}:
+        assert q not in expr
+    for row in rows:
+        assert _substitute(row, expr) == {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.lists(_vectors(_q), max_size=6), st.lists(_q, min_size=6, max_size=6), _vectors(_q)),
+    st.tuples(st.lists(_vectors(_qa()), max_size=4), st.lists(_qa(), min_size=4, max_size=4),
+              _vectors(_qa())),
+))
+def test_reduce_coordinates_rebuild_the_vector(args):
+    rows, weights, extra = args
+    ech = _echelon_of(rows)
+    in_span = _combine(list(zip(weights, rows)))
+    for vec, spanned in ((in_span, True), (_combine([(ONE, in_span), (ONE, extra)]), False)):
+        residual, coords = dict(vec), {}
+        ech.reduce(residual, coords)
+        # coords holds minus the combination of inserted rows that was subtracted
+        rebuilt = _combine([(ONE, residual)] + [(-c, rows[j]) for j, c in coords.items()])
+        assert rebuilt == vec
+        assert not any(k in ech.rows for k in residual)
+        if spanned:
+            assert residual == {}

@@ -6,7 +6,6 @@ from superserre.freelie import free_dimension
 from superserre.quotient import (
     CoveringEngine,
     IdealWordEngine,
-    PreconditionViolation,
     check_lowering_stability,
     ideal_component,
     quotient_dimensions,
@@ -14,6 +13,7 @@ from superserre.quotient import (
     z_grading_report,
 )
 from superserre.rootdata import (
+    PreconditionError,
     build_root_datum,
     distinguished_simple_system,
     enumerate_simple_systems,
@@ -65,7 +65,7 @@ def test_total_dimension_requires_closure():
     rep = quotient_dimensions(pres, 2)  # too small a cap to close
     assert not rep.closed
     assert rep.total_dim is None
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(PreconditionError):
         total_dimension(rep, 2)
 
 
@@ -145,7 +145,7 @@ def test_z_grading_requires_closed_report():
     datum = build_root_datum("A", m=1, n=0)
     pres = presentation(datum, distinguished_simple_system(datum))
     rep = quotient_dimensions(pres, 2)
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(PreconditionError):
         z_grading_report(pres, 1, report=rep)
 
 

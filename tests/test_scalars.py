@@ -78,10 +78,20 @@ def test_render_and_parse_round_trip():
     assert (-(ONE + ALPHA) / ALPHA).render() == "-(1+a)/a"
 
 
-def test_sign_at_positive_sample():
-    assert (ALPHA * 2).sign_at_positive_sample() == 1
-    assert (-(ONE + ALPHA)).sign_at_positive_sample() == -1
-    assert Scalar(0).sign_at_positive_sample() == 0
+def test_sign_on_positive_a():
+    assert (ALPHA * 2).sign_on_positive_a() == 1
+    assert (-(ONE + ALPHA)).sign_on_positive_a() == -1
+    assert Scalar(0).sign_on_positive_a() == 0
+    assert Scalar(Fraction(-3, 4)).sign_on_positive_a() == -1
+    assert (-(ONE + ALPHA) / ALPHA).sign_on_positive_a() == -1
+    assert (ALPHA / (ALPHA * ALPHA + 2)).sign_on_positive_a() == 1
+
+
+def test_sign_on_positive_a_refuses_a_sign_change():
+    # a - 2 is negative on (0, 2) and positive beyond; sampling at a = 1 said -1
+    for x in (ALPHA - 2, ONE / (ALPHA - 2), (ALPHA + 1) / (ALPHA * ALPHA - 3)):
+        with pytest.raises(ValueError, match="not constant"):
+            x.sign_on_positive_a()
 
 
 _small = st.integers(min_value=-4, max_value=4)

@@ -1,8 +1,8 @@
 import pytest
 
 from conftest import FAMILY_MATRIX
-from superserre.quotient import PreconditionViolation
 from superserre.rootdata import (
+    PreconditionError,
     build_root_datum,
     distinguished_simple_system,
     enumerate_simple_systems,
@@ -98,7 +98,7 @@ def test_necessity_examples():
 def test_necessity_rejects_standard_elements():
     datum = build_root_datum("A", m=1, n=0)
     system = distinguished_simple_system(datum)
-    with pytest.raises(PreconditionViolation):
+    with pytest.raises(PreconditionError):
         necessity_test(datum, system, 0)
 
 
