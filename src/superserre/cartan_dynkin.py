@@ -10,6 +10,7 @@ glyphs alone do not determine.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 from .scalars import Scalar, parse_scalar
 from .rootdata import InconsistencyError
@@ -182,17 +183,7 @@ class DynkinDiagram:
         )
 
     def is_connected(self):
-        if not self.nodes:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for u in self.neighbours(v):
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == self.size
+        return _is_connected([self.neighbours(v) for v in range(self.size)], range(self.size))
 
     def __eq__(self, other):
         return (
@@ -206,14 +197,13 @@ class DynkinDiagram:
         return f"DynkinDiagram(nodes={list(self.nodes)}, edges={self.edges})"
 
 
-def build_diagram(cd, family=None):
+def build_diagram(cd):
     """Decorated Dynkin diagram of a Cartan datum.
 
     For D(2,1;a) the nodes are joined by one line wherever a_ij != 0 and the
     line carries the Gram entry normalised so that the shortest parameter-free
     root has square length 2 (the convention of the reference tables).
     """
-    family = family or cd.family
     r = cd.rank
     colors = []
     for i in range(1, r + 1):
@@ -224,7 +214,7 @@ def build_diagram(cd, family=None):
         else:
             colors.append(WHITE)
     edges = {}
-    if family == "D21a":
+    if cd.family == "D21a":
         scale = Scalar(2) / cd.lm2
         for i in range(r):
             for j in range(i + 1, r):
@@ -259,29 +249,41 @@ def build_diagram(cd, family=None):
     return DynkinDiagram(colors, edges, labelled=False)
 
 
-def full_subdiagrams(diag, k):
-    """All k-node full sub-diagrams (induced edges, arrows and labels kept).
+def _is_connected(neighbours, subset):
+    """Whether the nodes of `subset` are connected through edges among them;
+    `neighbours[v]` lists the nodes that share an edge with node v."""
+    rest = set(subset)
+    stack = [rest.pop()] if rest else []
+    while stack:
+        reached = rest.intersection(neighbours[stack.pop()])
+        rest -= reached
+        stack.extend(reached)
+    return not rest
 
-    Returns triples (node subset, induced diagram, connected flag); node
-    subsets are 0-based and sorted, disconnected subsets are included.
+
+def full_subdiagrams(diag, k):
+    """All connected k-node full sub-diagrams (induced edges, arrows and
+    labels kept), as pairs (node subset, induced diagram).
+
+    Node subsets are 0-based and sorted, in lexicographic order.  Higher
+    order Serre elements attach to connected sub-diagrams only, so a subset
+    is tested for connectedness before its induced diagram is built.
     """
     if k > diag.size:
         raise ValueError(f"k = {k} exceeds the diagram size {diag.size}")
-    from itertools import combinations
-
+    neighbours = [diag.neighbours(v) for v in range(diag.size)]
     out = []
     for subset in combinations(range(diag.size), k):
+        if not _is_connected(neighbours, subset):
+            continue
         relabel = {v: t for t, v in enumerate(subset)}
-        nodes = [diag.nodes[v] for v in subset]
         edges = {}
-        for (i, j), e in diag.edges.items():
-            if i in relabel and j in relabel:
-                a, bb = relabel[i], relabel[j]
+        for (a, i), (b, j) in combinations(enumerate(subset), 2):
+            e = diag.edges.get((i, j))
+            if e is not None:
                 arrow = relabel[e.arrow_towards] if e.arrow_towards is not None else None
-                key = (min(a, bb), max(a, bb))
-                edges[key] = Edge(e.count, arrow, e.sign, e.b_label)
-        sub = DynkinDiagram(nodes, edges, labelled=diag.labelled)
-        out.append((subset, sub, sub.is_connected()))
+                edges[(a, b)] = Edge(e.count, arrow, e.sign, e.b_label)
+        out.append((subset, DynkinDiagram([diag.nodes[v] for v in subset], edges, diag.labelled)))
     return out
 
 

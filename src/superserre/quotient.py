@@ -437,23 +437,19 @@ class ZGradingReport:
         return {"d": self.d, "dims": {str(k): v for k, v in sorted(self.dims.items())}}
 
 
-def z_grading_report(presentation, d, report=None, max_height=None):
-    """Layer dimensions for the grading with deg(e_d) = -deg(f_d) = 1.
+def z_grading_report(report, d):
+    """Layer dimensions for the grading with deg(e_d) = -deg(f_d) = 1, read
+    off a closed quotient report.
 
     Layer 0 contains the Cartan subalgebra and both signs of the positive
     weights with d-coordinate zero; layer k > 0 collects the surviving
     weights with d-coordinate k.
     """
-    if not 1 <= d <= presentation.rank:
-        raise ValueError(f"grading node d={d} out of range 1..{presentation.rank}")
-    if report is None:
-        if max_height is None:
-            raise ValueError("need a quotient report or a height cap")
-        report = quotient_dimensions(presentation, max_height)
+    if not 1 <= d <= report.rank:
+        raise ValueError(f"grading node d={d} out of range 1..{report.rank}")
     if not report.closed:
         raise PreconditionError("z-grading needs a closed quotient report")
-    r = presentation.rank
-    dims = {0: r}
+    dims = {0: report.rank}
     for nu, (_, _, q) in report.per_weight.items():
         if q == 0:
             continue

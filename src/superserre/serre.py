@@ -9,10 +9,12 @@ indices in emitted elements are 1-based generator indices.
 from __future__ import annotations
 
 import json
+from itertools import permutations
 
 from .cartan_dynkin import BLACK, GREY, WHITE, build_diagram, cartan_matrix, full_subdiagrams
 from .freelie import expand_terms, tree_content, tree_render
-from .scalars import ONE, Scalar
+from .rootdata import PreconditionError
+from .scalars import MINUS_ONE, ONE, Scalar
 
 
 class SerrePolynomial:
@@ -42,38 +44,29 @@ class SerrePolynomial:
         return SerrePolynomial(self.terms, side, self.provenance, self.nodes, self.rank)
 
     def expansion_key(self, parities):
-        vec = expand_terms(self.terms, parities)
-        return tuple(sorted((w, c.render()) for w, c in vec.items()))
+        """Hashable form of the element's expansion into free-Lie words.
+
+        A Scalar is canonical, so two expansions are equal exactly when
+        their (word, coefficient) sets are.
+        """
+        return frozenset(expand_terms(self.terms, parities).items())
 
     def render(self, fmt="text"):
         letter = self.side
-        if fmt == "latex":
-            parts = []
-            for t in sorted(self.terms, key=repr):
-                c = self.terms[t]
-                body = tree_render(t, letter).replace(f"{letter}", f"{letter}_")
-                if c == ONE:
-                    parts.append(body)
-                elif c == Scalar(-1):
-                    parts.append("-" + body)
-                else:
-                    parts.append(f"({c.render()})" + body)
-            out = parts[0]
-            for p in parts[1:]:
-                out += p if p.startswith("-") else "+" + p
-            return out
-        parts = []
+        latex = fmt == "latex"
+        out = ""
         for t in sorted(self.terms, key=repr):
             c = self.terms[t]
+            body = tree_render(t, letter)
+            if latex:
+                body = body.replace(letter, f"{letter}_")
             if c == ONE:
-                parts.append(tree_render(t, letter))
-            elif c == Scalar(-1):
-                parts.append("-" + tree_render(t, letter))
+                part = body
+            elif c == MINUS_ONE:
+                part = "-" + body
             else:
-                parts.append(f"({c.render()})*" + tree_render(t, letter))
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
+                part = f"({c.render()})" + ("" if latex else "*") + body
+            out += part if not out or part.startswith("-") else "+" + part
         return out
 
     def to_json(self):
@@ -135,8 +128,9 @@ def _quartic(t, j, k):
     return {(t, (j, (t, k))): ONE}
 
 
-def _match_3node(diag, sub, nodes):
-    """Yield (case name, element terms dict) for one 3-node full sub-diagram.
+def _match_3node(sub, nodes):
+    """Yield (case name, element terms dict, nodes) for one connected 3-node
+    full sub-diagram.
 
     `nodes` are the original 1-based generator indices; `sub` uses local
     indices 0,1,2 in the same order.
@@ -144,10 +138,6 @@ def _match_3node(diag, sub, nodes):
     c = sub.nodes
     cnt = sub.count
     arrow = sub.arrow
-
-    def gen(local):
-        return nodes[local]
-
     for t in range(3):
         if c[t] != GREY:
             continue
@@ -156,20 +146,20 @@ def _match_3node(diag, sub, nodes):
             # chain j - t - k, no j-k edge
             if cnt(j, k) != 0:
                 continue
+            gj, gt, gk = nodes[j], nodes[t], nodes[k]
             if cnt(j, t) == 1 and cnt(t, k) == 1 and c[j] in _CROSS and c[k] in _CROSS:
                 if sub.sign(j, t) * sub.sign(t, k) == -1 and j < k:
-                    yield "case-1", _quartic(gen(t), gen(j), gen(k)), (gen(j), gen(t), gen(k))
+                    yield "case-1", _quartic(gt, gj, gk), (gj, gt, gk)
             if cnt(j, t) == 1 and cnt(t, k) == 2 and c[j] in _CROSS and arrow(t, k) == k:
                 if c[k] == WHITE:
-                    yield "case-2", _quartic(gen(t), gen(j), gen(k)), (gen(j), gen(t), gen(k))
+                    yield "case-2", _quartic(gt, gj, gk), (gj, gt, gk)
                 elif c[k] == BLACK:
-                    yield "case-3", _quartic(gen(t), gen(j), gen(k)), (gen(j), gen(t), gen(k))
+                    yield "case-3", _quartic(gt, gj, gk), (gj, gt, gk)
             if cnt(j, t) == 1 and cnt(t, k) == 2 and c[j] == GREY and c[k] == WHITE and arrow(t, k) == t:
-                jt = (gen(j), gen(t))
-                yield "case-4", {(jt, (jt, (gen(t), gen(k)))): ONE}, (gen(j), gen(t), gen(k))
+                yield "case-4", {((gj, gt), ((gj, gt), (gt, gk))): ONE}, (gj, gt, gk)
             if cnt(j, t) == 2 and cnt(t, k) == 2 and c[j] == GREY and c[k] == WHITE and arrow(t, k) == t:
                 # white k => grey t = grey j (the renormalised sl(1|3) shape)
-                yield "case-9", _quartic(gen(t), gen(j), gen(k)), (gen(k), gen(t), gen(j))
+                yield "case-9", _quartic(gt, gj, gk), (gk, gt, gj)
 
     # triangle patterns
     if all(cnt(a, b) for a in range(3) for b in range(a + 1, 3)):
@@ -185,18 +175,18 @@ def _match_3node(diag, sub, nodes):
                     and cnt(i, s) == 1
                     and cnt(t, s) == 2
                 ):
-                    gi, gt, gs = gen(i), gen(t), gen(s)
-                    yield "case-6", {(gt, (gs, gi)): ONE, (gs, (gt, gi)): Scalar(-1)}, (gi, gt, gs)
+                    gi, gt, gs = nodes[i], nodes[t], nodes[s]
+                    yield "case-6", {(gt, (gs, gi)): ONE, (gs, (gt, gi)): MINUS_ONE}, (gi, gt, gs)
                     break
         if counts == [1, 2, 3] and all(col == GREY for col in c):
             # roles by edge multiplicities: i on {1,2}, j on {1,3}, k on {2,3}
-            for i, j, k in _permutations3():
+            for i, j, k in permutations(range(3)):
                 if cnt(i, j) == 1 and cnt(i, k) == 2 and cnt(j, k) == 3:
-                    gi, gj, gk = gen(i), gen(j), gen(k)
+                    gi, gj, gk = nodes[i], nodes[j], nodes[k]
                     yield "case-10", {(gi, (gk, gj)): Scalar(2), (gj, (gk, gi)): Scalar(3)}, (gi, gj, gk)
                     break
         if counts == [1, 2, 3] and sorted(c) == sorted([WHITE, GREY, GREY]):
-            for n1, n2, n3 in _permutations3():
+            for n1, n2, n3 in permutations(range(3)):
                 if (
                     c[n1] == WHITE
                     and c[n2] == GREY
@@ -205,7 +195,7 @@ def _match_3node(diag, sub, nodes):
                     and cnt(n1, n3) == 2
                     and cnt(n2, n3) == 3
                 ):
-                    g1, g2, g3 = gen(n1), gen(n2), gen(n3)
+                    g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
                     yield "case-13", {(g2, (g3, g1)): ONE, (g3, (g2, g1)): Scalar(-2)}, (g1, g2, g3)
                     break
 
@@ -224,7 +214,7 @@ def _match_3node(diag, sub, nodes):
                 and cnt(n2, n3) == 3
                 and arrow(n2, n3) == n2
             ):
-                g1, g2, g3 = gen(n1), gen(n2), gen(n3)
+                g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
                 e12 = (g1, g2)
                 yield "case-11", {(e12, (e12, (e12, (g2, g3)))): ONE}, (g1, g2, g3)
             if (
@@ -235,88 +225,61 @@ def _match_3node(diag, sub, nodes):
                 and cnt(n2, n3) == 3
                 and arrow(n2, n3) == n2
             ):
-                g1, g2, g3 = gen(n1), gen(n2), gen(n3)
+                g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
                 yield (
                     "case-12",
                     {
                         ((g2, g1), (g3, (g2, g1))): ONE,
-                        ((g2, g3), ((g1, g1), g2)): Scalar(-1),
+                        ((g2, g3), ((g1, g1), g2)): MINUS_ONE,
                     },
                     (g1, g2, g3),
                 )
 
 
-def _permutations3():
-    from itertools import permutations
+def _is_path(sub, order):
+    """Whether every edge of `sub` joins two nodes adjacent in `order`.
 
-    return permutations(range(3))
+    A connected sub-diagram passes exactly when it is the path
+    order[0] - order[1] - ... - order[-1].
+    """
+    chain = {frozenset(p) for p in zip(order, order[1:])}
+    return all(frozenset(ij) in chain for ij, e in sub.edges.items() if e.count)
 
 
-def _match_4node(diag, sub, nodes):
+def _match_4node(sub, nodes):
+    """Yield (case name, element terms dict, nodes) for one connected 4-node
+    full sub-diagram, which matches only as a path.
+
+    Each ordering yields at most one element per case, and distinct
+    orderings give distinct node tuples, so no element repeats.  Cases 7
+    and 8 give the grey node edges of multiplicities {3, 2} and {3, 1},
+    case 5 gives it {1, 2}, so no sub-diagram matches both kinds, and one
+    pass over the orderings yields them in the same order as a pass per kind.
+    """
     c = sub.nodes
     cnt = sub.count
     arrow = sub.arrow
-
-    def gen(local):
-        return nodes[local]
-
-    from itertools import permutations
-
-    seen = set()
     for perm in permutations(range(4)):
+        colours = tuple(c[v] for v in perm)
+        chain_78 = colours == (WHITE, GREY, WHITE, WHITE)
+        chain_5 = colours[0] in _CROSS and colours[1:] == (WHITE, GREY, WHITE)
+        if not (chain_78 or chain_5) or not _is_path(sub, perm):
+            continue
         n1, n2, n3, n4 = perm
-        if (c[n1], c[n2], c[n3], c[n4]) != (WHITE, GREY, WHITE, WHITE):
-            continue
-        nz = {frozenset(p) for p in ((n1, n2), (n2, n3), (n3, n4))}
-        extra = any(
-            cnt(a, b)
-            for a in range(4)
-            for b in range(a + 1, 4)
-            if frozenset((a, b)) not in nz
-        )
-        if extra:
-            continue
-        if cnt(n1, n2) == 3 and arrow(n1, n2) == n2:
-            g1, g2, g3, g4 = gen(n1), gen(n2), gen(n3), gen(n4)
+        g1, g2, g3, g4 = (nodes[v] for v in perm)
+        if chain_78 and cnt(n1, n2) == 3 and arrow(n1, n2) == n2:
             if cnt(n2, n3) == 2 and arrow(n2, n3) == n2 and cnt(n3, n4) == 1:
-                key = ("case-7", g1, g2, g3, g4)
-                if key not in seen:
-                    seen.add(key)
-                    e = ((g1, g2), (g2, g3))
-                    yield "case-7", {(e, (e, (g2, (g3, g4)))): ONE}, (g1, g2, g3, g4)
+                e = ((g1, g2), (g2, g3))
+                yield "case-7", {(e, (e, (g2, (g3, g4)))): ONE}, (g1, g2, g3, g4)
             if cnt(n2, n3) == 1 and cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
-                key = ("case-8", g1, g2, g3, g4)
-                if key not in seen:
-                    seen.add(key)
-                    a12, a23, a34 = (g1, g2), (g2, g3), (g3, g4)
-                    yield (
-                        "case-8",
-                        {(a12, (a23, a34)): ONE, (a23, (a12, a34)): Scalar(-1)},
-                        (g1, g2, g3, g4),
-                    )
-
-    # case 5: chain i - j - t <= k with t grey
-    for perm in permutations(range(4)):
-        i, j, t, k = perm
-        if not (c[i] in _CROSS and c[j] == WHITE and c[t] == GREY and c[k] == WHITE):
-            continue
-        nz = {frozenset(p) for p in ((i, j), (j, t), (t, k))}
-        extra = any(
-            cnt(a, b)
-            for a in range(4)
-            for b in range(a + 1, 4)
-            if frozenset((a, b)) not in nz
-        )
-        if extra:
-            continue
-        if cnt(i, j) == 1 and cnt(j, t) == 1 and cnt(t, k) == 2 and arrow(t, k) == t:
-            gi, gj, gt, gk = gen(i), gen(j), gen(t), gen(k)
-            jt = (gj, gt)
-            yield (
-                "case-5",
-                {((gi, jt), (jt, (gt, gk))): ONE},
-                (gi, gj, gt, gk),
-            )
+                a12, a23, a34 = (g1, g2), (g2, g3), (g3, g4)
+                terms = {(a12, (a23, a34)): ONE, (a23, (a12, a34)): MINUS_ONE}
+                yield "case-8", terms, (g1, g2, g3, g4)
+        # case 5: chain i - j - t <= k with t grey
+        elif chain_5 and cnt(n1, n2) == 1 and cnt(n2, n3) == 1:
+            if cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
+                jt = (g2, g3)
+                yield "case-5", {((g1, jt), (jt, (g3, g4))): ONE}, (g1, g2, g3, g4)
 
 
 def _match_d21a(sub, nodes):
@@ -327,12 +290,10 @@ def _match_d21a(sub, nodes):
     parameter.  The parameter is read off the matched labels, so generating
     relations commutes with specialising it to a rational value.
     """
-    if sub.size != 3 or any(col != GREY for col in sub.nodes):
+    if any(col != GREY for col in sub.nodes):
         return
     if not all(sub.count(a, b) == 1 for a in range(3) for b in range(a + 1, 3)):
         return
-    from itertools import permutations
-
     matches = []
     for n1, n2, n3 in permutations(range(3)):
         if sub.b_label(n1, n2) != ONE:
@@ -352,34 +313,18 @@ def _higher_order_candidates(cd, diag):
     """Matches of the fourteen patterns, in match order, not deduplicated.
 
     D(2,1;a)-type diagrams (labelled edges) carry only the labelled-triangle
-    pattern; all other diagrams are matched against patterns 1-13.
+    pattern; all other diagrams are matched against patterns 1-13.  Every
+    pattern is a connected sub-diagram, so only connected ones are matched.
     """
     out = []
-    rank = cd.rank
-    if diag.labelled:
-        if rank >= 3:
-            for subset, sub, connected in full_subdiagrams(diag, 3):
-                if not connected:
-                    continue
-                nodes = tuple(v + 1 for v in subset)
-                for case, terms, assign in _match_d21a(sub, nodes):
-                    out.append(SerrePolynomial(terms, "e", case, assign, rank))
-        return out
-
-    if rank >= 3:
-        for subset, sub, connected in full_subdiagrams(diag, 3):
-            if not connected:
-                continue
+    matchers = ((3, _match_d21a),) if diag.labelled else ((3, _match_3node), (4, _match_4node))
+    for size, match in matchers:
+        if size > cd.rank:
+            break
+        for subset, sub in full_subdiagrams(diag, size):
             nodes = tuple(v + 1 for v in subset)
-            for case, terms, assign in _match_3node(diag, sub, nodes):
-                out.append(SerrePolynomial(terms, "e", case, assign, rank))
-    if rank >= 4:
-        for subset, sub, connected in full_subdiagrams(diag, 4):
-            if not connected:
-                continue
-            nodes = tuple(v + 1 for v in subset)
-            for case, terms, assign in _match_4node(diag, sub, nodes):
-                out.append(SerrePolynomial(terms, "e", case, assign, rank))
+            for case, terms, assign in match(sub, nodes):
+                out.append(SerrePolynomial(terms, "e", case, assign, cd.rank))
     return out
 
 
@@ -417,8 +362,13 @@ class Presentation:
         return [el for el in self.e_side if el.provenance != "standard"]
 
     def without_element(self, index):
-        """Presentation with one e-side element (and its mirror) removed."""
-        e_side = [el for k, el in enumerate(self.e_side) if k != index]
+        """Presentation with one e-side element (and its mirror) removed;
+        `index` must address an element, counted from 0."""
+        if not 0 <= index < len(self.e_side):
+            raise PreconditionError(
+                f"element index {index} is outside 0..{len(self.e_side) - 1}"
+            )
+        e_side = self.e_side[:index] + self.e_side[index + 1:]
         return Presentation(self.datum, self.system, self.cartan, self.diagram, e_side)
 
     def to_json(self):

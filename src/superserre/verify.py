@@ -127,12 +127,12 @@ class NecessityResult:
 def _necessity(pres, relation_index, ref, cap):
     """Necessity of one higher order element of `pres`, against the
     reference table `ref` within the height cap."""
+    reduced = pres.without_element(relation_index)
     element = pres.e_side[relation_index]
     if element.provenance == "standard":
         raise PreconditionError(
             f"element {relation_index} is a standard Serre element, not higher order"
         )
-    reduced = pres.without_element(relation_index)
     report = quotient_dimensions(reduced, cap, excess_guard=ref)
     excesses = []
     for w, (_, _, q) in report.per_weight.items():
@@ -185,7 +185,7 @@ def compare_z_grading(datum, system, d, max_height=None):
         raise PreconditionError(
             f"z-grading comparison requires a passing verification for {datum.name}"
         )
-    grading = z_grading_report(result.presentation, d, report=result.quotient_report)
+    grading = z_grading_report(result.quotient_report, d)
     ref = {0: system.rank}
     for coords in result.reference:
         k = coords[d - 1]

@@ -199,9 +199,7 @@ def test_criterion_6_table_regeneration():
         for s in enumerate_simple_systems(f4)
         if sorted(e.count for e in build_diagram(cartan_matrix(f4, s)).edges.values()) == [1, 2, 2, 3]
     )
-    shapes = {
-        diagram_shape(sub) for _, sub, connected in full_subdiagrams(target, 3) if connected
-    }
+    shapes = {diagram_shape(sub) for _, sub in full_subdiagrams(target, 3)}
     assert make_shape([WHITE, GREY, GREY], [(0, 1, 2, 1, None), (1, 2, 2, None, None)]) in shapes
     _report(6, f"golden diagram tables regenerated byte-identically "
                f"({sum(len(v) for v in regenerated.values())} diagrams) "

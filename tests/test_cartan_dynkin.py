@@ -1,4 +1,6 @@
 import json
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -263,14 +265,14 @@ def test_nonstandard_subdiagram_extraction():
             break
     assert target is not None
     subs = full_subdiagrams(target, 3)
-    shapes = {diagram_shape(sub) for _, sub, connected in subs if connected}
+    shapes = {diagram_shape(sub) for _, sub in subs}
     wanted = make_shape([WHITE, GREY, GREY], [(0, 1, 2, 1, None), (1, 2, 2, None, None)])
     assert wanted in shapes
     # the triple-edge grey pair survives inside every 3-subset containing it
     pair = next(
         (i, j) for (i, j), e in target.edges.items() if e.count == 3
     )
-    for subset, sub, _ in subs:
+    for subset, sub in subs:
         if pair[0] in subset and pair[1] in subset:
             a, b = subset.index(pair[0]), subset.index(pair[1])
             assert sub.count(a, b) == 3
@@ -281,19 +283,56 @@ def test_full_subdiagrams_counts_and_trivial():
     diag = build_diagram(cartan_matrix(datum, distinguished_simple_system(datum)))
     subs = full_subdiagrams(diag, 3)
     assert len(subs) == 1
-    subset, sub, connected = subs[0]
-    assert subset == (0, 1, 2) and connected
+    subset, sub = subs[0]
+    assert subset == (0, 1, 2)
     assert sub.nodes == diag.nodes and sub.edges == diag.edges
     with pytest.raises(ValueError):
         full_subdiagrams(diag, 4)
 
 
-def test_full_subdiagrams_disconnected_flagged():
-    datum = build_root_datum("A", m=2, n=1)
-    diag = build_diagram(cartan_matrix(datum, distinguished_simple_system(datum)))
-    subs = full_subdiagrams(diag, 3)
-    assert any(not connected for _, _, connected in subs)
-    assert any(connected for _, _, connected in subs)
+def _connected_subsets(diag, k):
+    """Brute force: every k-subset whose induced edges connect it."""
+    out = []
+    for subset in combinations(range(diag.size), k):
+        seen, frontier = {subset[0]}, [subset[0]]
+        while frontier:
+            v = frontier.pop()
+            for i, j in diag.edges:
+                for a, b in ((i, j), (j, i)):
+                    if a == v and b in subset and b not in seen:
+                        seen.add(b)
+                        frontier.append(b)
+        if len(seen) == k:
+            out.append(subset)
+    return out
+
+
+def test_full_subdiagrams_are_the_connected_subsets():
+    disconnected_seen = False
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        for system in enumerate_simple_systems(datum):
+            diag = build_diagram(cartan_matrix(datum, system))
+            for k in (3, 4):
+                if k > diag.size:
+                    continue
+                subs = full_subdiagrams(diag, k)
+                wanted = _connected_subsets(diag, k)
+                assert [subset for subset, _ in subs] == wanted, (datum.name, k)
+                disconnected_seen |= len(wanted) < comb(diag.size, k)
+                for subset, sub in subs:
+                    assert list(sub.nodes) == [diag.nodes[v] for v in subset]
+                    assert sub.labelled == diag.labelled
+                    for (a, i), (b, j) in combinations(enumerate(subset), 2):
+                        e, f = diag.edge(i, j), sub.edge(a, b)
+                        assert (e is None) == (f is None)
+                        if e is not None:
+                            arrow = None if e.arrow_towards is None else subset.index(e.arrow_towards)
+                            assert (f.count, f.arrow_towards, f.sign, f.b_label) == (
+                                e.count, arrow, e.sign, e.b_label
+                            )
+    # the matrix has disconnected subsets, so the filter is exercised
+    assert disconnected_seen
 
 
 def test_serialize_round_trip_and_formats():

@@ -133,7 +133,7 @@ def test_z_grading_d_series_g3_vanishes():
     pres = presentation(datum, system)
     rep = quotient_dimensions(pres, 14)
     (s,) = pres.cartan.theta
-    grading = z_grading_report(pres, s, report=rep)
+    grading = z_grading_report(rep, s)
     assert grading.dims.get(2, 0) > 0
     assert grading.dims.get(3, 0) == 0
     # mirror symmetry built in: dims are for k >= 0, layer 0 counts both signs
@@ -146,7 +146,7 @@ def test_z_grading_requires_closed_report():
     pres = presentation(datum, distinguished_simple_system(datum))
     rep = quotient_dimensions(pres, 2)
     with pytest.raises(PreconditionError):
-        z_grading_report(pres, 1, report=rep)
+        z_grading_report(rep, 1)
 
 
 def test_z_grading_rejects_node_out_of_range():
@@ -155,7 +155,7 @@ def test_z_grading_rejects_node_out_of_range():
     rep = quotient_dimensions(pres, 8)
     for d in (0, 3):
         with pytest.raises(ValueError, match="out of range"):
-            z_grading_report(pres, d, report=rep)
+            z_grading_report(rep, d)
 
 
 def test_report_json_schema():

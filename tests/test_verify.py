@@ -102,6 +102,24 @@ def test_necessity_rejects_standard_elements():
         necessity_test(datum, system, 0)
 
 
+def test_necessity_rejects_an_index_outside_the_elements():
+    # -1 used to address the last element in `e_side` but delete nothing
+    # in `without_element`, so the last element read as unnecessary
+    from superserre.serre import presentation
+
+    f4 = build_root_datum("F4")
+    system = enumerate_simple_systems(f4)[5]
+    pres = presentation(f4, system)
+    last = len(pres.e_side) - 1
+    assert pres.e_side[last].provenance != "standard"
+    assert necessity_test(f4, system, last).necessary
+    for idx in (-1, last + 1):
+        with pytest.raises(PreconditionError, match="outside"):
+            pres.without_element(idx)
+        with pytest.raises(PreconditionError, match="outside"):
+            necessity_test(f4, system, idx)
+
+
 def test_compare_z_grading_all_nodes_agree():
     # the grading comparison holds for every admissible d, not just the
     # ones used in the reference computations
