@@ -13,12 +13,11 @@ from .rootdata import (
     positive_roots,
 )
 from .cartan_dynkin import build_diagram, cartan_matrix, full_subdiagrams, parse_diagram, serialize_diagram
-from .freelie import bracket, free_dimension, lower_terms, normalize
+from .freelie import free_dimension, lower_terms
 from .serre import Presentation, SerrePolynomial, higher_order_serre_elements, presentation, standard_serre_elements
 from .quotient import (
     GradedQuotientReport,
     check_lowering_stability,
-    ideal_component,
     quotient_dimensions,
     total_dimension,
     z_grading_report,
@@ -50,8 +49,6 @@ __all__ = [
     "full_subdiagrams",
     "serialize_diagram",
     "parse_diagram",
-    "normalize",
-    "bracket",
     "free_dimension",
     "lower_terms",
     "SerrePolynomial",
@@ -60,7 +57,6 @@ __all__ = [
     "higher_order_serre_elements",
     "presentation",
     "GradedQuotientReport",
-    "ideal_component",
     "quotient_dimensions",
     "total_dimension",
     "z_grading_report",

@@ -1,12 +1,20 @@
-"""The free Lie superalgebra on generators e_1..e_r over Q or Q(a).
+"""The free Lie superalgebra on generators e_1..e_r over Q or Q(a), as far
+as the checker needs it.
 
 Bracket monomials are binary trees whose leaves are 1-based generator
-indices.  Each multidegree component is finite dimensional; its canonical
-basis consists of the standard bracketings of Lyndon words together with the
-squares [u, u] of odd Lyndon monomials.  Normal forms are computed through
-the faithful expansion into the free associative superalgebra (words with
-integer coefficients), which turns equality checks and basis coordinates
-into exact linear algebra on small components.
+indices.  The module provides:
+
+* the faithful word expansion into the free associative superalgebra
+  (`expand_tree`, `expand_terms`, `generator_bracket_word`): a Lie element
+  is zero exactly when its expansion is, so the word expansion decides
+  equality and carries the word-space engine's linear algebra;
+* the dimension of every multidegree component (`free_dimension`), counted
+  by the Witt formula for Lyndon words plus the squares of odd elements of
+  half the multidegree;
+* the lowering operators ad f_i on the positive part (`lower_terms`);
+* a brute-force dimension oracle (`span_dimension_by_identities`) that
+  counts bracket monomials modulo the defining identities alone, against
+  which `free_dimension` and the echelon-based ranks are checked.
 """
 
 from __future__ import annotations
@@ -14,12 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import Echelon, axpy
+from .linalg import axpy
 from .scalars import MINUS_ONE, ONE, Scalar, ZERO
-
-
-class GradingError(ValueError):
-    """Raised when an expression mixes multidegrees."""
 
 
 # -- trees ------------------------------------------------------------------
@@ -104,19 +108,6 @@ def expand_terms(terms, parities):
     return out
 
 
-def word_concat_product(x, y):
-    out = {}
-    for wx, cx in x.items():
-        axpy(out, {wx + wy: cy for wy, cy in y.items()}, cx)
-    return out
-
-
-def word_bracket(x, y, px, py):
-    """Supercommutator of two word vectors of parities px, py."""
-    koszul = MINUS_ONE if (px and py) else ONE
-    return axpy(word_concat_product(x, y), word_concat_product(y, x), -koszul)
-
-
 def generator_bracket_word(i, vec, parity_i, parity_vec):
     """[e_i, vec] on word vectors: prefix minus Koszul-signed suffix."""
     koszul = MINUS_ONE if (parity_i and parity_vec) else ONE
@@ -124,7 +115,7 @@ def generator_bracket_word(i, vec, parity_i, parity_vec):
     return axpy(out, {w + (i,): c for w, c in vec.items()}, -koszul)
 
 
-# -- Lyndon words and the canonical basis --------------------------------------
+# -- words and dimension formulas ----------------------------------------------
 
 
 def _all_words(content):
@@ -151,47 +142,10 @@ def _all_words(content):
         out.append(tuple(word))
 
 
-def _is_lyndon(word):
-    # strictly smallest among its rotations (hence aperiodic)
-    n = len(word)
-    for k in range(1, n):
-        if word[k:] + word[:k] <= word:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def lyndon_words(content):
-    return tuple(w for w in _all_words(content) if _is_lyndon(w))
-
-
-def standard_bracketing(word):
-    """Standard factorization bracketing of a Lyndon word."""
-    if len(word) == 1:
-        return word[0]
-    for k in range(1, len(word)):
-        if _is_lyndon(word[k:]):
-            return (standard_bracketing(word[:k]), standard_bracketing(word[k:]))
-    raise AssertionError(f"no standard factorization for {word}")
-
-
 def _halved(content):
     if any(k & 1 for k in content):
         return None
     return tuple(k // 2 for k in content)
-
-
-def super_lyndon_basis(content, parities):
-    """Canonical basis trees: standard bracketings of Lyndon words plus the
-    squares [u, u] of odd-parity Lyndon monomials of half the multidegree."""
-    trees = [standard_bracketing(w) for w in lyndon_words(content)]
-    half = _halved(content)
-    if half is not None and any(half):
-        for w in lyndon_words(half):
-            if content_parity(half, parities) == 1:
-                t = standard_bracketing(w)
-                trees.append((t, t))
-    return trees
 
 
 def _mobius(n):
@@ -252,157 +206,6 @@ def free_dimension(parities, content):
     Lyndon words of the content plus, when the half content is odd, Lyndon
     words of the half content (the squares)."""
     return _free_dimension_cached(tuple(parities), tuple(content))
-
-
-# -- per-component linear algebra -----------------------------------------------
-
-
-class FreeComponent:
-    """One multidegree component with its canonical basis and solver."""
-
-    def __init__(self, parities, content):
-        if content_height(content) < 1:
-            raise GradingError("components exist for height >= 1 only")
-        self.parities = tuple(parities)
-        self.content = tuple(content)
-        self.parity = content_parity(content, parities)
-        self.basis = super_lyndon_basis(self.content, self.parities)
-        self._echelon = Echelon()
-        for k, tree in enumerate(self.basis):
-            vec = {w: Scalar(c) for w, c in expand_tree(tree, self.parities).items()}
-            if self._echelon.insert(vec, {k: ONE}) is None:
-                raise AssertionError(f"dependent canonical basis at {content}")
-        if len(self.basis) != free_dimension(self.parities, self.content):
-            raise AssertionError(f"basis size mismatch at {content}")
-
-    @property
-    def dimension(self):
-        return len(self.basis)
-
-    def coordinates_of_word_vector(self, vec):
-        """Coordinates over the canonical basis of a Lie element given by its
-        associative expansion; raises if the vector is not a Lie element."""
-        vec = dict(vec)
-        coords = {}
-        self._echelon.reduce(vec, coords)
-        if vec:
-            raise ValueError(f"vector is not in the Lie component {self.content}")
-        return {j: -c for j, c in coords.items() if not c.is_zero()}
-
-    def normalize_terms(self, terms):
-        r = len(self.content)
-        for tree in terms:
-            if tree_content(tree, r) != self.content:
-                raise GradingError(
-                    f"term {tree_render(tree)} has multidegree "
-                    f"{tree_content(tree, r)}, expected {self.content}"
-                )
-        vec = expand_terms(terms, self.parities)
-        return LiePolynomial(self, self.coordinates_of_word_vector(vec))
-
-
-_component_cache = {}
-
-
-def component(parities, content):
-    key = (tuple(parities), tuple(content))
-    comp = _component_cache.get(key)
-    if comp is None:
-        comp = _component_cache[key] = FreeComponent(*key)
-    return comp
-
-
-class LiePolynomial:
-    """Exact combination of canonical basis monomials of one multidegree."""
-
-    __slots__ = ("component", "coords")
-
-    def __init__(self, comp, coords):
-        self.component = comp
-        self.coords = {j: c for j, c in coords.items() if not c.is_zero()}
-
-    @property
-    def content(self):
-        return self.component.content
-
-    def is_zero(self):
-        return not self.coords
-
-    def terms(self):
-        return {self.component.basis[j]: c for j, c in self.coords.items()}
-
-    def expand(self):
-        return expand_terms(self.terms(), self.component.parities)
-
-    def __add__(self, other):
-        if other.component is not self.component:
-            raise GradingError("cannot add across multidegrees")
-        return LiePolynomial(self.component, axpy(dict(self.coords), other.coords))
-
-    def scale(self, k):
-        k = k if isinstance(k, Scalar) else Scalar(k)
-        return LiePolynomial(self.component, {j: c * k for j, c in self.coords.items()})
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LiePolynomial)
-            and self.component is other.component
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.component.content, tuple(sorted(self.coords.items()))))
-
-    def __repr__(self):
-        if not self.coords:
-            return "0"
-        parts = []
-        for j in sorted(self.coords):
-            c = self.coords[j]
-            parts.append(f"({c.render()})*{tree_render(self.component.basis[j])}")
-        return " + ".join(parts)
-
-
-def normalize(terms, parities):
-    """Canonical form of a homogeneous bracket expression.
-
-    `terms` maps trees to coefficients (Scalar, int or Fraction); all trees
-    must share one multidegree.
-    """
-    clean = {}
-    for t, c in terms.items():
-        c = c if isinstance(c, Scalar) else Scalar(c)
-        if not c.is_zero():
-            clean[t] = c
-    if not clean:
-        raise GradingError("cannot normalize the empty expression without a multidegree")
-    r = len(parities)
-    contents = {tree_content(t, r) for t in clean}
-    if len(contents) > 1:
-        raise GradingError(f"inhomogeneous expression: multidegrees {sorted(contents)}")
-    return component(parities, contents.pop()).normalize_terms(clean)
-
-
-def bracket(x, y):
-    """Super bracket of two LiePolynomials; multidegrees add."""
-    comp_x, comp_y = x.component, y.component
-    if comp_x.parities != comp_y.parities:
-        raise GradingError("mismatched generator parities")
-    nu = tuple(a + b for a, b in zip(comp_x.content, comp_y.content))
-    target = component(comp_x.parities, nu)
-    vec = word_bracket(x.expand(), y.expand(), comp_x.parity, comp_y.parity)
-    return LiePolynomial(target, target.coordinates_of_word_vector(vec))
-
-
-def generator(parities, i):
-    comp = component(parities, tuple(1 if j == i - 1 else 0 for j in range(len(parities))))
-    return LiePolynomial(comp, {0: ONE})
 
 
 # -- lowering operators ----------------------------------------------------------

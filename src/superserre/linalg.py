@@ -3,8 +3,8 @@
 A vector is a dict key -> Scalar that stores no zero entry; keys are any
 totally ordered values (word tuples, symbol indices, basis ids).  `axpy`
 is the one accumulation step, and `Echelon` the one elimination, behind the
-free-Lie normal forms, the word-space ideal engine and the relation
-echelons of the covering engine.
+word expansion, the word-space ideal engine, the relation echelons of the
+covering engine and the lowering-stability spans.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ Two engines agree on every weight:
 * `IdealWordEngine` spans the ideal generated by the relation set inside the
   free Lie superalgebra directly (left-normed ad-words on generators acting
   on the relation elements), with exact linear algebra on the associative
-  word expansion of each multidegree component.  This is the reference
-  implementation behind `ideal_component`; it is quadratic in the component
-  sizes and is used on small weights and in cross-validation tests.
+  word expansion of each multidegree component.  It is quadratic in the
+  component sizes, so it serves as the reference that the covering engine
+  is cross-validated against on small weights.
 
 * `quotient_dimensions` runs a graded covering construction: each height
   level of the quotient is built from the previous one by imposing the
@@ -18,13 +18,12 @@ Two engines agree on every weight:
   quotient dimension.
 
 Both engines eliminate with `linalg.Echelon` and accumulate with
-`linalg.axpy`, the same core as the free-Lie normal forms.
+`linalg.axpy`.
 """
 
 from __future__ import annotations
 
 from .freelie import (
-    component,
     content_height,
     content_parity,
     expand_terms,
@@ -35,7 +34,7 @@ from .freelie import (
 )
 from .linalg import Echelon, axpy
 from .rootdata import PreconditionError
-from .scalars import MINUS_ONE, ONE, Scalar, ZERO
+from .scalars import MINUS_ONE, ONE, Scalar
 
 
 class EngineError(RuntimeError):
@@ -96,20 +95,6 @@ class IdealWordEngine:
         return self.echelon(nu).rank
 
 
-def ideal_component(elements, nu, parities):
-    """Matrix whose rows span the nu-component of the ideal generated by the
-    given homogeneous elements, written in the canonical basis of the free
-    component (one dense row per spanning vector)."""
-    engine = IdealWordEngine(parities, elements)
-    ech = engine.echelon(tuple(nu))
-    comp = component(parities, tuple(nu))
-    rows = []
-    for vec, _ in ech.rows.values():
-        coords = comp.coordinates_of_word_vector(vec)
-        rows.append([coords.get(k, ZERO) for k in range(comp.dimension)])
-    return rows
-
-
 # -- covering engine -------------------------------------------------------------
 
 
@@ -122,6 +107,7 @@ class GradedQuotientReport:
         self.max_height_reached = max_height_reached
         self.closed = closed
         self.warning = warning
+        self.engine = None  # the CoveringEngine that built the levels
 
     @property
     def positive_dimension(self):
@@ -378,6 +364,9 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
     stop as soon as some weight exceeds its allowance (the quotient can only
     keep growing above a strict excess, so callers comparing against
     reference multiplicities lose nothing by stopping there).
+
+    The report keeps the engine, whose levels up to `max_height_reached`
+    stay available for rewriting (`CoveringEngine.rho`).
     """
     if max_height < 1:
         raise ValueError("maxHeight must be >= 1")
@@ -416,7 +405,9 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
             f"no closure within the height cap {max_height}: "
             "the presented algebra may be infinite dimensional"
         )
-    return GradedQuotientReport(r, per_weight, h, closed, warning)
+    report = GradedQuotientReport(r, per_weight, h, closed, warning)
+    report.engine = engine
+    return report
 
 
 def total_dimension(report, rank):
@@ -534,13 +525,8 @@ def check_lowering_stability(presentation):
             if lowered:
                 max_h = max(max_h, content_height(el.content) - 1)
 
-    engine = CoveringEngine(parities, presentation.e_side)
-    closed = False
-    h = 1
-    while h < max_h and not closed:
-        h += 1
-        dims = engine.build_level(h)
-        closed = not any(dims.values())
+    levels = quotient_dimensions(presentation, max_h)
+    engine, closed = levels.engine, levels.closed
 
     for idx, el in enumerate(presentation.e_side):
         for i in range(1, r + 1):

@@ -47,7 +47,11 @@ class SerrePolynomial:
         """Hashable form of the element's expansion into free-Lie words.
 
         A Scalar is canonical, so two expansions are equal exactly when
-        their (word, coefficient) sets are.
+        their (word, coefficient) sets are.  The element's own terms would
+        not do as a key: distinct bracket monomials can be the same Lie
+        element.  For odd e_i and e_j, [e_i, e_j] = [e_j, e_i], and two
+        non-adjacent isotropic nodes emit both as standard elements; keyed
+        by expansion, the second is dropped.
         """
         return frozenset(expand_terms(self.terms, parities).items())
 
@@ -355,7 +359,12 @@ class Presentation:
         self.rank = cd.rank
         self.parities = cd.parities
         self.e_side = list(e_side)
-        self.f_side = [el.mirrored() for el in self.e_side]
+
+    @property
+    def f_side(self):
+        """The mirrors of the e-side elements, built when read: the engines
+        read the e side only."""
+        return [el.mirrored() for el in self.e_side]
 
     @property
     def higher_order(self):

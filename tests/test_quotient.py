@@ -2,12 +2,11 @@ from itertools import combinations_with_replacement, permutations
 
 import pytest
 
-from superserre.freelie import free_dimension
+from superserre.freelie import expand_terms, free_dimension
 from superserre.quotient import (
     CoveringEngine,
     IdealWordEngine,
     check_lowering_stability,
-    ideal_component,
     quotient_dimensions,
     total_dimension,
     z_grading_report,
@@ -24,13 +23,12 @@ from superserre.serre import presentation
 
 def test_ideal_component_examples():
     # S = {[e2,e2]} with e2 odd kills the square at (0,2)
-    rows = ideal_component([{(2, 2): ONE}], (0, 2), (0, 1))
-    assert len(rows) == 1
+    assert IdealWordEngine((0, 1), [{(2, 2): ONE}]).rank((0, 2)) == 1
     # S = {[e1,[e1,e2]]}: the whole (3,1) component dies
-    rows = ideal_component([{(1, (1, 2)): ONE}], (3, 1), (0, 0))
-    assert len(rows) == free_dimension((0, 0), (3, 1))
+    engine = IdealWordEngine((0, 0), [{(1, (1, 2)): ONE}])
+    assert engine.rank((3, 1)) == free_dimension((0, 0), (3, 1))
     # S empty
-    assert ideal_component([], (2, 1), (0, 0)) == []
+    assert IdealWordEngine((0, 0), []).rank((2, 1)) == 0
 
 
 def test_quotient_dimensions_a10():
@@ -42,6 +40,8 @@ def test_quotient_dimensions_a10():
     assert rep.positive_dimension == 3
     assert rep.total_dim == 8
     assert total_dimension(rep, 2) == 8
+    # the report keeps the engine that built its levels
+    assert rep.engine.completed == rep.max_height_reached
 
 
 def test_quotient_dimensions_a11_center_survives():
@@ -211,10 +211,13 @@ def test_engine_determinism():
 
 
 def test_ideal_component_row_values():
-    # at (0,2) the single ideal row spans the line of the square monomial
-    rows = ideal_component([{(2, 2): ONE}], (0, 2), (0, 1))
-    assert len(rows) == 1 and len(rows[0]) == 1
-    assert not rows[0][0].is_zero()
+    # at (0,2) the single ideal row spans the line of the square monomial,
+    # which is the whole one-dimensional free component
+    parities = (0, 1)
+    ech = IdealWordEngine(parities, [{(2, 2): ONE}]).echelon((0, 2))
+    assert ech.rank == 1 == free_dimension(parities, (0, 2))
+    (row, _), = ech.rows.values()
+    assert set(row) == set(expand_terms({(2, 2): ONE}, parities)) == {(2, 2)}
 
 
 @pytest.mark.parametrize("family,k,over_qa", [("F4", 0, False), ("D21a", 0, False), ("D21a", 1, True)])
