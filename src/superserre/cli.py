@@ -66,16 +66,21 @@ def select_systems(datum, selector):
 
 
 def _resolve_height(args):
-    """--max-height, else $SUPERSERRE_MAX_HEIGHT, else None (the default cap)."""
+    """--max-height, else $SUPERSERRE_MAX_HEIGHT, else None (the default cap);
+    a value below 1 is a usage error naming where it came from."""
     if args.max_height is not None:
-        return args.max_height
-    env = os.environ.get(ENV_MAX_HEIGHT)
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError:
-        raise UsageError(f"{ENV_MAX_HEIGHT} must be an integer, got {env!r}") from None
+        source, height = "--max-height", args.max_height
+    else:
+        env = os.environ.get(ENV_MAX_HEIGHT)
+        if not env:
+            return None
+        try:
+            source, height = ENV_MAX_HEIGHT, int(env)
+        except ValueError:
+            raise UsageError(f"{ENV_MAX_HEIGHT} must be an integer, got {env!r}") from None
+    if height < 1:
+        raise UsageError(f"{source} must be at least 1, got {height}")
+    return height
 
 
 def cmd_borels(args, out):
@@ -147,6 +152,8 @@ def _verify_worker(payload):
 
 def cmd_verify(args, out):
     datum = make_datum(args)
+    if args.all and args.borel is not None:
+        raise UsageError("--all and --borel exclude each other")
     selector = "all" if args.all else args.borel
     selected = select_systems(datum, selector)
     jobs = 1 if args.jobs is None else args.jobs
@@ -195,10 +202,9 @@ def cmd_zgrading(args, out):
     datum = make_datum(args)
     if args.d is None:
         raise UsageError("zgrading needs --d (1-based node index)")
+    max_height = _resolve_height(args)
     for k, system in select_systems(datum, args.borel):
-        table = compare_z_grading(
-            datum, system, args.d, max_height=_resolve_height(args)
-        )
+        table = compare_z_grading(datum, system, args.d, max_height=max_height)
         if args.format == "json":
             payload = {
                 "borel": k,
@@ -218,10 +224,9 @@ def cmd_zgrading(args, out):
 def cmd_necessity(args, out):
     datum = make_datum(args)
     exit_code = 0
+    max_height = _resolve_height(args)
     for k, system in select_systems(datum, args.borel):
-        survey = necessity_survey(
-            datum, system, max_height=_resolve_height(args)
-        )
+        survey = necessity_survey(datum, system, max_height=max_height)
         if args.format == "json":
             print(
                 json.dumps(
@@ -250,17 +255,21 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json"), default_format="text"):
+    def common(p, formats=("text", "json"), default_format="text", borel=True, height=False):
+        """The options every subcommand shares, plus --borel and --max-height
+        for the subcommands that read them."""
         p.add_argument("family", help="A, B, C, D, F4, G3 or D21a")
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--alpha", default=None, help="rational value for D21a, e.g. 2 or -1/2")
-        p.add_argument("--borel", default=None, help="class index, 'all' or 'distinguished'")
+        if borel:
+            p.add_argument("--borel", default=None, help="class index, 'all' or 'distinguished'")
         p.add_argument("--format", choices=formats, default=default_format)
-        p.add_argument("--max-height", type=int, default=None)
+        if height:
+            p.add_argument("--max-height", type=int, default=None)
 
     p = sub.add_parser("borels", help="list the conjugacy classes of Borel subalgebras")
-    common(p)
+    common(p, borel=False)
     p.set_defaults(fn=cmd_borels)
 
     p = sub.add_parser("cartan", help="emit Cartan data")
@@ -276,18 +285,18 @@ def build_parser():
     p.set_defaults(fn=cmd_relations)
 
     p = sub.add_parser("verify", help="verify the presentation against the root system")
-    common(p)
+    common(p, height=True)
     p.add_argument("--all", action="store_true", help="verify every Borel class")
     p.add_argument("--jobs", type=int, default=None, help="parallel workers for --all")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("zgrading", help="Z-grading layer dimensions at a node")
-    common(p)
+    common(p, height=True)
     p.add_argument("--d", type=int, default=None, help="1-based node index")
     p.set_defaults(fn=cmd_zgrading)
 
     p = sub.add_parser("necessity", help="necessity of each higher order element")
-    common(p)
+    common(p, height=True)
     p.set_defaults(fn=cmd_necessity)
     return parser
 

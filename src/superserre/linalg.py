@@ -1,26 +1,54 @@
-"""Sparse exact linear algebra over the Scalar field.
+"""Sparse exact linear algebra over Q and Q(a).
 
-A vector is a dict key -> Scalar that stores no zero entry; keys are any
-totally ordered values (word tuples, symbol indices, basis ids).  `axpy`
+A vector is a dict key -> coefficient that stores no zero entry; keys are
+any totally ordered values (word tuples, pair symbols, basis ids).  `axpy`
 is the one accumulation step, and `Echelon` the one elimination, behind the
 word expansion, the word-space ideal engine, the relation echelons of the
 covering engine and the lowering-stability spans.
+
+Coefficients are exact and may be of any type closed under the field
+operations with Python's operators: native `int` and `Fraction`, or
+`Scalar` for Q(a).  The types mix: a `Scalar` meets an `int` or a
+`Fraction` through its coercion.  Zero is tested with `not c`.  No float
+ever arises: the one inversion, `_reciprocal`, never divides an `int` with
+`/`.
 """
 
 from __future__ import annotations
 
-from .scalars import ONE, ZERO
+from fractions import Fraction
+
+from .scalars import ONE
 
 
-def axpy(dst, src, c=ONE):
-    """dst += c * src in place, dropping entries that cancel; returns dst."""
+def axpy(dst, src, c=1):
+    """dst += c * src in place, dropping entries that cancel; returns dst.
+
+    The `int` 1 and the shared `Scalar` ONE skip the multiplication."""
+    unit = c is ONE or (type(c) is int and c == 1)
     for k, v in src.items():
-        nv = dst.get(k, ZERO) + (v if c is ONE else c * v)
-        if nv.is_zero():
-            dst.pop(k, None)
+        if not unit:
+            v = c * v
+        old = dst.get(k)
+        if old is not None:
+            v = old + v
+        if v:
+            dst[k] = v
         else:
-            dst[k] = nv
+            dst.pop(k, None)
     return dst
+
+
+def _reciprocal(c):
+    """1 / c exactly, in c's own type where possible.
+
+    A bare `1 / c` turns an `int` into a float, so an `int` goes through
+    `Fraction(1, c)`, and the units 1 and -1 stay `int`.  `Fraction` and
+    `Scalar` invert exactly with `/`.
+    """
+    if type(c) is int:
+        return c if c == 1 or c == -1 else Fraction(1, c)
+    return 1 / c
 
 
 class Echelon:
@@ -60,10 +88,11 @@ class Echelon:
         if not vec:
             return None
         pivot = min(vec)
-        inv = vec[pivot].inverse()
-        vec = {k: c * inv for k, c in vec.items()}
-        if coords is not None:
-            coords = {j: c * inv for j, c in coords.items()}
+        inv = _reciprocal(vec[pivot])
+        if not (type(inv) is int and inv == 1):
+            vec = {k: c * inv for k, c in vec.items()}
+            if coords is not None:
+                coords = {j: c * inv for j, c in coords.items()}
         self.rows[pivot] = (vec, coords)
         return pivot
 
@@ -75,6 +104,6 @@ class Echelon:
             acc = {}
             for q, c in self.rows[p][0].items():
                 if q != p:
-                    axpy(acc, expr.get(q, {q: ONE}), -c)
+                    axpy(acc, expr.get(q, {q: 1}), -c)
             expr[p] = acc
         return expr

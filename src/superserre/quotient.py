@@ -14,14 +14,20 @@ Two engines agree on every weight:
   rewritten relation elements together with the super-Jacobi consistency
   relations and even-square constraints.  All linear algebra happens in
   quotient coordinates, so components stay tiny even when the ambient free
-  components are huge.  Reported ideal ranks are free dimension minus
-  quotient dimension.
+  components are huge, and only at live weights: reachable from the level
+  below and not yet of full relation rank.  Over Q it runs on native `int`
+  and `Fraction` coefficients.  Reported ideal ranks are free dimension
+  minus quotient dimension.
 
 Both engines eliminate with `linalg.Echelon` and accumulate with
-`linalg.axpy`.
+`linalg.axpy`; the word-space engine stays on `Scalar` coefficients, so the
+two do not share a coefficient path.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from operator import add
 
 from .freelie import (
     content_height,
@@ -34,7 +40,7 @@ from .freelie import (
 )
 from .linalg import Echelon, axpy
 from .rootdata import PreconditionError
-from .scalars import MINUS_ONE, ONE, Scalar
+from .scalars import Scalar
 
 
 class EngineError(RuntimeError):
@@ -49,6 +55,18 @@ def _weight_sub(nu, i):
     out = list(nu)
     out[i - 1] -= 1
     return tuple(out)
+
+
+def _native(c):
+    """A relation coefficient as the covering engine stores it: a rational
+    constant as `int` when integral, else `Fraction`; a coefficient that
+    involves the parameter a as its `Scalar`."""
+    if isinstance(c, Scalar):
+        if not c.is_constant():
+            return c
+        c = c.as_fraction()
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 # -- reference engine: ideal spanned inside the free algebra -------------------
@@ -157,20 +175,28 @@ class CoveringEngine:
     J(x, x, z) = 0 for even x.  The relation row space, hence the set of
     non-pivot symbols and the read-off products, is the same as with all
     ordered triples.
+
+    Coefficients are exact and native where they can be: relation
+    coefficients that are rational constants become `int` or `Fraction`
+    here, so a presentation without the parameter a runs on Python's own
+    rationals, and only coefficients that involve a stay `Scalar` (mixed
+    rows go through `Scalar`'s coercion).  See `linalg` for why no float
+    arises.
     """
 
     def __init__(self, parities, elements):
         self.parities = tuple(parities)
         self.r = len(self.parities)
-        self.relations = []
+        self.relations_at = {}  # height -> [(weight, terms)], native coefficients
         for el in elements:
             terms = el.terms if hasattr(el, "terms") else dict(el)
             nu = tree_content(next(iter(terms)), self.r)
-            self.relations.append((nu, terms))
+            terms = {tree: _native(c) for tree, c in terms.items()}
+            self.relations_at.setdefault(content_height(nu), []).append((nu, terms))
         self.weight_of = []
         self.parity_of = []
-        self.basis_at = {}  # weight -> list of ids
-        self.level_ids = {}  # height -> list of ids
+        self.level_ids = {}  # height -> list of ids, ordered by weight then id
+        self.weight_groups = {}  # height -> [(weight, ids)] in the same order
         self.products = {}  # canonical (x, y) with x <= y -> vec over ids
         self._rho_memo = {}
         self.completed = 0
@@ -180,22 +206,22 @@ class CoveringEngine:
         bid = len(self.weight_of)
         self.weight_of.append(weight)
         self.parity_of.append(parity)
-        self.basis_at.setdefault(weight, []).append(bid)
         return bid
 
     def _init_level1(self):
-        ids = [
-            self._new_basis(_unit(self.r, i), self.parities[i - 1])
-            for i in range(1, self.r + 1)
-        ]
-        self.level_ids[1] = ids
+        groups = []
+        for i in range(1, self.r + 1):
+            w = _unit(self.r, i)
+            groups.append((w, [self._new_basis(w, self.parities[i - 1])]))
+        self.weight_groups[1] = groups
+        self.level_ids[1] = [b for _, ids in groups for b in ids]
         self.completed = 1
 
     def _height(self, bid):
         return content_height(self.weight_of[bid])
 
     def _koszul(self, x, y):
-        return MINUS_ONE if (self.parity_of[x] and self.parity_of[y]) else ONE
+        return -1 if (self.parity_of[x] and self.parity_of[y]) else 1
 
     def product(self, x, y):
         """[x, y] in basis coordinates; total height must be completed."""
@@ -216,7 +242,7 @@ class CoveringEngine:
         if got is not None:
             return got
         if isinstance(tree, int):
-            out = {self.level_ids[1][tree - 1]: ONE}
+            out = {self.level_ids[1][tree - 1]: 1}
         else:
             u, v = tree
             out = {}
@@ -233,9 +259,9 @@ class CoveringEngine:
         if x == y:
             if self.parity_of[x] == 0:
                 return {}
-            return {(x, x): ONE}
+            return {(x, x): 1}
         if x < y:
-            return {(x, y): ONE}
+            return {(x, y): 1}
         sign = self._koszul(x, y)
         return {(y, x): -sign}
 
@@ -254,100 +280,138 @@ class CoveringEngine:
     def rho_pair(self, terms):
         """Pair-symbol vector of a relation element at the current level."""
         out = {}
-        for tree, coeff in terms.items():
-            coeff = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
-            u, v = tree  # relation elements have height >= 2
+        for (u, v), coeff in terms.items():  # relation elements have height >= 2
+            rv = self.rho(v)
             for x, cx in self.rho(u).items():
-                vec = self._sym_vec_right(x, self.rho(v))
-                axpy(out, vec, coeff * cx)
+                axpy(out, self._sym_vec_right(x, rv), coeff * cx)
         return out
 
     def _jacobi_boundary(self, x, y, z):
         """Pair-symbol vector of [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]."""
         vec = self._sym_vec_right(x, self.product(y, z))
-        axpy(vec, self._sym_vec_left(self.product(x, y), z), MINUS_ONE)
+        axpy(vec, self._sym_vec_left(self.product(x, y), z), -1)
         axpy(vec, self._sym_vec_right(y, self.product(x, z)), -self._koszul(x, y))
         return vec
 
     # -- level construction -------------------------------------------------------
 
-    def build_level(self, h_next):
-        """Construct level h_next = completed + 1; returns per-weight new dims."""
-        if h_next != self.completed + 1:
-            raise EngineError("levels must be built in order")
-        # pair symbols (x, y), x < y or x = y odd, of total height h_next
+    def _pair_symbols(self, h_next):
+        """Weight -> sorted pair symbols (x, y), x < y or x = y odd, of total
+        height h_next."""
         symbols = {}
+        weight_of = self.weight_of
         for hx in range(1, h_next // 2 + 1):
             hy = h_next - hx
             for x in self.level_ids.get(hx, []):
+                wx = weight_of[x]
                 for y in self.level_ids.get(hy, []):
                     if hx == hy and y < x:
                         continue
                     if x == y and self.parity_of[x] == 0:
                         continue
-                    w = tuple(a + b for a, b in zip(self.weight_of[x], self.weight_of[y]))
-                    symbols.setdefault(w, []).append((x, y))
-        for w in symbols:
-            symbols[w].sort()
-        relations = {w: [] for w in symbols}
+                    symbols.setdefault(tuple(map(add, wx, weight_of[y])), []).append((x, y))
+        for syms in symbols.values():
+            syms.sort()
+        return symbols
 
-        def push(vec):
-            if not vec:
-                return
-            x, y = next(iter(vec))
-            w = tuple(a + b for a, b in zip(self.weight_of[x], self.weight_of[y]))
-            relations[w].append(vec)
+    def build_level(self, h_next):
+        """Construct level h_next = completed + 1; returns per-weight new dims.
+
+        Every weight that carries pair symbols gets an entry, but only live
+        weights get linear algebra.  Two kinds of weight are dead:
+
+        * Unreachable.  The presented algebra is generated in degree 1, so
+          L_{h+1} = sum_i [e_i, L_h]: its component at weight w is spanned by
+          the brackets [e_i, b] with b a basis element of weight w - alpha_i
+          at level h.  If no w - alpha_i carries a basis element, the
+          component is zero.  This uses only the grading of the presented
+          algebra, never the root system it is compared with.
+        * Saturated.  Relation rows go into one echelon per weight as they
+          are made, relation elements first and then Jacobi boundaries; a
+          triple's weight is tested before its boundary is computed.  Once a
+          weight's rank equals its number of pair symbols, its rows span the
+          whole pair space, whose reduced echelon form is unique: every
+          symbol is a pivot and reads off as zero, whatever rows follow.
+
+        A dead weight gets dimension 0 and the product {} for each of its
+        pair symbols, with no Jacobi boundary computed and no relation
+        element rewritten for it.  That is what the full computation yields:
+        the read-off of a live weight depends only on its row space (the
+        pivots are the least keys of the span's vectors), not on the order
+        in which rows arrive.
+        """
+        if h_next != self.completed + 1:
+            raise EngineError("levels must be built in order")
+        symbols = self._pair_symbols(h_next)
+        below = {w for w, _ in self.weight_groups[h_next - 1]}
+        live = {
+            w: Echelon()
+            for w in symbols
+            if any(w[i] and _weight_sub(w, i + 1) in below for i in range(self.r))
+        }
+
+        def insert(w, vec):
+            ech = live[w]
+            ech.insert(vec)
+            if ech.rank == len(symbols[w]):
+                del live[w]
+
+        for nu, terms in self.relations_at.get(h_next, ()):
+            if nu in live:
+                insert(nu, self.rho_pair(terms))
 
         # super-Jacobi boundaries of sorted basis triples (see the class docstring);
         # ids grow with height, so a sorted triple has hx <= hy <= hz
-        by_height = self.level_ids
+        weight_of, level_ids = self.weight_of, self.level_ids
         for hx in range(1, h_next // 3 + 1):
             for hy in range(hx, (h_next - hx) // 2 + 1):
-                zs = by_height.get(h_next - hx - hy, [])
-                for x in by_height.get(hx, []):
-                    for y in by_height.get(hy, []):
+                z_groups = self.weight_groups.get(h_next - hx - hy, ())
+                for x in level_ids.get(hx, []):
+                    wx = weight_of[x]
+                    for y in level_ids.get(hy, []):
+                        if not live:
+                            break
                         if y < x:
                             continue
-                        for z in zs:
-                            if z >= y:
-                                push(self._jacobi_boundary(x, y, z))
-        # relation elements of this height
-        for nu, terms in self.relations:
-            if content_height(nu) == h_next:
-                push(self.rho_pair(terms))
+                        wxy = tuple(map(add, wx, weight_of[y]))
+                        for wz, zs in z_groups:
+                            w = tuple(map(add, wxy, wz))
+                            if w not in live:
+                                continue
+                            for z in zs:
+                                if z >= y:
+                                    insert(w, self._jacobi_boundary(x, y, z))
+                                    if w not in live:
+                                        break
 
         new_dims = {}
+        groups = []
         for w in sorted(symbols):
             syms = symbols[w]
-            index = {s: k for k, s in enumerate(syms)}
-            ech = Echelon()
-            for vec in relations[w]:
-                row = {index[s]: c for s, c in vec.items()}
-                ech.insert(row)
+            ech = live.get(w)
+            if ech is None:
+                for s in syms:
+                    self.products[s] = {}
+                new_dims[w] = 0
+                continue
             expr = ech.read_off()
-            new_ids = {}
             parity = content_parity(w, self.parities)
-            for k in range(len(syms)):
-                if k not in expr:
-                    new_ids[k] = self._new_basis(w, parity)
-            for k, (x, y) in enumerate(syms):
-                if k in expr:
-                    value = {new_ids[q]: c for q, c in expr[k].items()}
+            new_id = {s: self._new_basis(w, parity) for s in syms if s not in expr}
+            for s in syms:
+                if s in expr:
+                    self.products[s] = {new_id[q]: c for q, c in expr[s].items()}
                 else:
-                    value = {new_ids[k]: ONE}
-                self.products[(x, y)] = value
-            dim = len(new_ids)
+                    self.products[s] = {new_id[s]: 1}
+            dim = len(new_id)
             new_dims[w] = dim
             if dim > free_dimension(self.parities, w):
                 raise EngineError(
                     f"covering produced dimension {dim} > free dimension at {w}"
                 )
-        self.level_ids[h_next] = [
-            bid
-            for w in sorted(new_dims)
-            for bid in self.basis_at.get(w, [])
-            if self._height(bid) == h_next
-        ]
+            if dim:
+                groups.append((w, list(new_id.values())))
+        self.weight_groups[h_next] = groups
+        self.level_ids[h_next] = [b for _, ids in groups for b in ids]
         self.completed = h_next
         return new_dims
 
@@ -355,10 +419,13 @@ class CoveringEngine:
 def quotient_dimensions(presentation, max_height, excess_guard=None):
     """Iterate heights until an entire level dies or the cap is reached.
 
-    At each height the engine visits exactly the multidegrees reachable from
-    surviving lower weights; the report keeps, per visited multidegree with a
+    At each height the engine does linear algebra only at the multidegrees
+    reachable from surviving weights one level down (w - alpha_i survives
+    for some i) and not yet saturated (see `CoveringEngine.build_level`).
+    The report keeps, per multidegree that carries pair symbols and a
     nonzero free component, the free dimension, the ideal rank and the
-    quotient dimension.
+    quotient dimension; a skipped multidegree is reported with quotient
+    dimension 0 and the whole free dimension as ideal rank.
 
     `excess_guard` optionally maps weights to allowed dimensions: the levels
     stop as soon as some weight exceeds its allowance (the quotient can only

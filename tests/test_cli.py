@@ -257,3 +257,41 @@ def test_jobs_below_one_is_a_usage_error(jobs, capsys):
     assert main(["verify", "G3", "--all", "--jobs", jobs]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "--jobs" in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["borels", "F4", "--borel", "banana"],  # borels lists every class
+        ["cartan", "F4", "--max-height", "0"],  # no quotient run to cap
+        ["relations", "G3", "--max-height", "5"],
+    ],
+)
+def test_options_a_subcommand_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_all_with_borel_is_a_usage_error(capsys):
+    assert main(["verify", "F4", "--all", "--borel", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "--all" in err[0] and "--borel" in err[0]
+
+
+@pytest.mark.parametrize("command", [["verify", "G3"], ["necessity", "F4"], ["zgrading", "G3", "--d", "1"]])
+def test_height_below_one_names_the_option(command, capsys):
+    assert main(command + ["--max-height", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--max-height" in err[0]
+
+
+def test_env_height_below_one_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("SUPERSERRE_MAX_HEIGHT", "0")
+    assert main(["verify", "G3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "SUPERSERRE_MAX_HEIGHT" in err[0]

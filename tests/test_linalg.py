@@ -1,4 +1,6 @@
-"""Properties of the sparse linear-algebra core on random sparse rows."""
+"""Properties of the sparse linear-algebra core on random sparse rows, over
+Q as `Scalar`, over Q as native `int`/`Fraction`, over Q(a), and on rows
+that mix native rationals with Q(a) `Scalar`s."""
 
 from fractions import Fraction
 
@@ -11,7 +13,9 @@ from superserre.scalars import ONE, Poly, Scalar, ZERO
 KEYS = range(6)
 
 _small = st.integers(min_value=-3, max_value=3)
-_q = st.builds(Fraction, _small, st.integers(min_value=1, max_value=3)).map(Scalar)
+_fraction = st.builds(Fraction, _small, st.integers(min_value=1, max_value=3))
+_q = _fraction.map(Scalar)
+_native = st.one_of(_small, _fraction)  # int and Fraction coefficients
 
 
 @st.composite
@@ -24,7 +28,7 @@ def _qa(draw):
 def _vectors(scalars):
     """Sparse vectors over KEYS with no stored zero."""
     return st.dictionaries(st.sampled_from(KEYS), scalars, max_size=len(KEYS)).map(
-        lambda d: {k: v for k, v in d.items() if not v.is_zero()}
+        lambda d: {k: v for k, v in d.items() if v}
     )
 
 
@@ -34,7 +38,15 @@ def _combine(pairs):
     for c, vec in pairs:
         for k, v in vec.items():
             out[k] = out[k] + c * v
-    return {k: v for k, v in out.items() if not v.is_zero()}
+    return {k: v for k, v in out.items() if v}
+
+
+def _as_fraction(c):
+    return c.as_fraction() if isinstance(c, Scalar) else Fraction(c)
+
+
+def _no_float(vec):
+    return all(type(v) in (int, Fraction, Scalar) for v in vec.values())
 
 
 def _substitute(vec, expr):
@@ -47,7 +59,7 @@ def _substitute(vec, expr):
 
 def _dense_rank(rows):
     """Rank by textbook Gaussian elimination on dense Fraction rows."""
-    m = [[row.get(k, ZERO).as_fraction() for k in KEYS] for row in rows]
+    m = [[_as_fraction(row.get(k, 0)) for k in KEYS] for row in rows]
     rank = 0
     for col in KEYS:
         piv = next((i for i in range(rank, len(m)) if m[i][col]), None)
@@ -65,33 +77,41 @@ def _dense_rank(rows):
 def _echelon_of(rows):
     ech = Echelon()
     for j, row in enumerate(rows):
-        ech.insert(dict(row), {j: ONE})
+        ech.insert(dict(row), {j: 1})
     return ech
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.one_of(
     st.tuples(_vectors(_q), _vectors(_q), _q),
+    st.tuples(_vectors(_native), _vectors(_native), _native),
     st.tuples(_vectors(_qa()), _vectors(_qa()), _qa()),
+    st.tuples(_vectors(_native), _vectors(_qa()), _native),
 ))
 def test_axpy_is_the_dense_sum_without_zeros(args):
     dst, src, c = args
     expected = _combine([(ONE, dst), (c, src)])
     got = axpy(dict(dst), src, c)
     assert got == expected
-    assert not any(v.is_zero() for v in got.values())
+    assert all(got.values()) and _no_float(got)
     assert axpy(dict(dst), src) == _combine([(ONE, dst), (ONE, src)])
+    assert axpy(dict(src), src, -1) == {}
     assert axpy(dict(src), src, -ONE) == {}
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(_vectors(_q), max_size=8))
+@given(st.one_of(st.lists(_vectors(_q), max_size=8), st.lists(_vectors(_native), max_size=8)))
 def test_rank_over_q_matches_dense_gaussian_elimination(rows):
     assert _echelon_of(rows).rank == _dense_rank(rows)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(st.lists(_vectors(_q), max_size=6), st.lists(_vectors(_qa()), max_size=4)))
+@given(st.one_of(
+    st.lists(_vectors(_q), max_size=6),
+    st.lists(_vectors(_native), max_size=6),
+    st.lists(_vectors(_qa()), max_size=4),
+    st.lists(_vectors(st.one_of(_native, _qa())), max_size=4),
+))
 def test_read_off_annihilates_every_inserted_row(rows):
     ech = _echelon_of(rows)
     expr = ech.read_off()
@@ -100,6 +120,34 @@ def test_read_off_annihilates_every_inserted_row(rows):
         assert q not in expr
     for row in rows:
         assert _substitute(row, expr) == {}
+    assert all(_no_float(vec) for vec, _ in ech.rows.values())
+    assert all(_no_float(e) for e in expr.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_vectors(_native), max_size=6))
+def test_native_rows_stay_native(rows):
+    # over Q the echelon never leaves int and Fraction: no float, no Scalar
+    ech = _echelon_of(rows)
+    for vec, coords in ech.rows.values():
+        for v in list(vec.values()) + list(coords.values()):
+            assert type(v) in (int, Fraction)
+    for e in ech.read_off().values():
+        assert all(type(v) in (int, Fraction) for v in e.values())
+
+
+def test_native_pivots_are_exact():
+    # an int pivot is inverted as a Fraction, never as a float
+    ech = Echelon()
+    assert ech.insert({0: 3, 1: 1}) == 0
+    (vec, _), = ech.rows.values()
+    assert vec == {0: 1, 1: Fraction(1, 3)}
+    assert all(type(v) is Fraction for v in vec.values())
+    # unit pivots keep the row on int; a negative unit flips its sign
+    ech.insert({2: -1, 3: 4})
+    assert ech.rows[2][0] == {2: 1, 3: -4}
+    assert all(type(v) is int for v in ech.rows[2][0].values())
+    assert ech.read_off() == {0: {1: Fraction(-1, 3)}, 2: {3: 4}}
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,9 @@
+from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from superserre.freelie import expand_terms, free_dimension
 from superserre.quotient import (
@@ -17,7 +20,7 @@ from superserre.rootdata import (
     distinguished_simple_system,
     enumerate_simple_systems,
 )
-from superserre.scalars import ONE
+from superserre.scalars import ONE, Scalar
 from superserre.serre import presentation
 
 
@@ -239,8 +242,66 @@ def test_jacobi_boundary_permutations_span_one_line(family, k, over_qa):
         base = engine._jacobi_boundary(*triple)
         negated = {s: -c for s, c in base.items()}
         nonzero += bool(base)
-        qa_terms += sum(not c.is_constant() for c in base.values())
+        qa_terms += sum(isinstance(c, Scalar) and not c.is_constant() for c in base.values())
         for perm in set(permutations(triple)):
             assert engine._jacobi_boundary(*perm) in (base, negated), (triple, perm)
     assert nonzero
     assert bool(qa_terms) == over_qa
+
+
+def _coefficients(engine):
+    return [c for vec in engine.products.values() for c in vec.values()]
+
+
+def test_engine_coefficients_are_native_rationals_over_q():
+    # a presentation without the parameter runs on int and Fraction only
+    datum = build_root_datum("F4")
+    for system in enumerate_simple_systems(datum):
+        rep = quotient_dimensions(presentation(datum, system), 26)
+        coeffs = _coefficients(rep.engine)
+        assert rep.closed and coeffs
+        assert all(type(c) in (int, Fraction) for c in coeffs)
+
+
+def test_engine_coefficients_keep_the_parameter_as_scalar():
+    # generic D(2,1;a) class 1 has products that depend on a; no coefficient
+    # of any class is ever a float
+    datum = build_root_datum("D21a")
+    for k, system in enumerate(enumerate_simple_systems(datum)):
+        rep = quotient_dimensions(presentation(datum, system), 10)
+        coeffs = _coefficients(rep.engine)
+        assert all(type(c) in (int, Fraction, Scalar) for c in coeffs)
+        if k == 1:
+            assert any(isinstance(c, Scalar) and not c.is_constant() for c in coeffs)
+
+
+def _deletion_cases():
+    cases = []
+    for fam, kw, k in (("A", dict(m=1, n=1), None), ("B", dict(m=1, n=1), None),
+                       ("G3", {}, [0, 1]), ("D21a", {}, None)):
+        datum = build_root_datum(fam, **kw)
+        systems = enumerate_simple_systems(datum)
+        for idx in range(len(systems)) if k is None else k:
+            cases.append(presentation(datum, systems[idx]))
+    return cases
+
+
+_DELETION_CASES = _deletion_cases()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_single_deletion_ranks_match_the_word_engine(data):
+    # deleting any one element (a standard one included) and stopping at a
+    # low height: the covering engine's ideal ranks, live or skipped weights
+    # alike, equal the word engine's ranks of the reduced relation set, over
+    # Q (A(1,1), B(1,1), G(3)) and over Q(a) (generic D(2,1;a))
+    pres = data.draw(st.sampled_from(_DELETION_CASES))
+    k = data.draw(st.integers(min_value=0, max_value=len(pres.e_side) - 1))
+    h = data.draw(st.integers(min_value=2, max_value=5))
+    reduced = pres.without_element(k)
+    rep = quotient_dimensions(reduced, h)
+    word = IdealWordEngine(reduced.parities, reduced.e_side)
+    for nu, (free, ideal_rank, q) in rep.per_weight.items():
+        assert word.rank(nu) == ideal_rank, (nu, k)
+        assert free - ideal_rank == q
