@@ -27,6 +27,15 @@ class UsageError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors (an unknown option, a bad choice, a
+    missing argument) end like every other bad input: one `error:` line
+    from `main` and exit code 2, with no usage block."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def make_datum(args):
     family = args.family
     if family in ("A", "B", "D"):
@@ -248,7 +257,7 @@ def cmd_necessity(args, out):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superserre",
         description="Cartan matrices, Dynkin diagrams and verified Serre presentations "
         "of the simple contragredient Lie superalgebras.",
@@ -303,8 +312,8 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.fn(args, sys.stdout)
     except (UsageError, ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -268,10 +268,22 @@ def test_jobs_below_one_is_a_usage_error(jobs, capsys):
     ],
 )
 def test_options_a_subcommand_does_not_read_are_refused(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "unrecognized arguments" in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["verify"], ["frobnicate", "F4"], ["cartan", "F4", "--format", "yaml"]]
+)
+def test_parser_errors_end_in_one_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_verify_all_with_borel_is_a_usage_error(capsys):
