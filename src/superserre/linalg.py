@@ -83,7 +83,10 @@ class Echelon:
                 axpy(coords, rcoords, c)
 
     def insert(self, vec, coords=None):
-        """Reduce and, if independent, store; returns the new pivot or None."""
+        """Reduce and, if independent, store; returns the new pivot or None.
+
+        `vec` is reduced in place and, when its pivot is already the `int`
+        1, stored as it is, so the caller must not reuse it."""
         self.reduce(vec, coords)
         if not vec:
             return None

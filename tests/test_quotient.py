@@ -276,13 +276,16 @@ def test_engine_coefficients_keep_the_parameter_as_scalar():
 
 
 def _deletion_cases():
+    """Every class of A(1,1), B(1,1) and generic D(2,1;a), and G(3) classes
+    0 and 1."""
     cases = []
-    for fam, kw, k in (("A", dict(m=1, n=1), None), ("B", dict(m=1, n=1), None),
-                       ("G3", {}, [0, 1]), ("D21a", {}, None)):
+    for fam, kw, selection in (("A", dict(m=1, n=1), None), ("B", dict(m=1, n=1), None),
+                               ("G3", {}, [0, 1]), ("D21a", {}, None)):
         datum = build_root_datum(fam, **kw)
         systems = enumerate_simple_systems(datum)
-        for idx in range(len(systems)) if k is None else k:
-            cases.append(presentation(datum, systems[idx]))
+        if selection is not None:
+            systems = [systems[k] for k in selection]
+        cases.extend(presentation(datum, system) for system in systems)
     return cases
 
 
