@@ -10,9 +10,10 @@ glyphs alone do not determine.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import combinations
 
-from .scalars import Scalar, parse_scalar
+from .scalars import Scalar, native, parse_scalar
 from .rootdata import InconsistencyError
 
 WHITE, GREY, BLACK = "white", "grey", "black"
@@ -41,6 +42,13 @@ class CartanData:
             for i in range(self.rank)
         ]
         self._validate()
+
+    @cached_property
+    def native_a(self):
+        """A with every entry converted by `scalars.native`: `int` or
+        `Fraction`, `Scalar` only where the parameter a appears.  Built on
+        first read, once per Cartan datum, for the lowering operators."""
+        return [[native(x) for x in row] for row in self.a]
 
     def is_isotropic(self, i):
         """1-based index; isotropic simple roots have b_ii = 0."""

@@ -36,8 +36,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the family options each family reads; any other one given is refused
+_FAMILY_OPTIONS = {
+    "A": ("m", "n"), "B": ("m", "n"), "C": ("n",), "D": ("m", "n"),
+    "F4": (), "G3": (), "D21a": ("alpha",),
+}
+
+
 def make_datum(args):
     family = args.family
+    if family not in _FAMILY_OPTIONS:
+        raise UsageError(f"unknown family {family!r}; use A, B, C, D, F4, G3 or D21a")
+    for option in ("m", "n", "alpha"):
+        if getattr(args, option) is not None and option not in _FAMILY_OPTIONS[family]:
+            raise UsageError(f"family {family} does not take --{option}")
     if family in ("A", "B", "D"):
         if args.m is None or args.n is None:
             raise UsageError(f"family {family} needs --m and --n")
@@ -48,15 +60,13 @@ def make_datum(args):
         return build_root_datum("C", n=args.n)
     if family in ("F4", "G3"):
         return build_root_datum(family)
-    if family == "D21a":
-        alpha = None
-        if args.alpha not in (None, "generic"):
-            try:
-                alpha = Fraction(args.alpha)
-            except (ValueError, ZeroDivisionError):
-                raise UsageError(f"--alpha must be a rational number, got {args.alpha!r}") from None
-        return build_root_datum("D21a", alpha=alpha)
-    raise UsageError(f"unknown family {family!r}; use A, B, C, D, F4, G3 or D21a")
+    alpha = None
+    if args.alpha not in (None, "generic"):
+        try:
+            alpha = Fraction(args.alpha)
+        except (ValueError, ZeroDivisionError):
+            raise UsageError(f"--alpha must be a rational number, got {args.alpha!r}") from None
+    return build_root_datum("D21a", alpha=alpha)
 
 
 def select_systems(datum, selector):

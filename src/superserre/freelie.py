@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import axpy
-from .scalars import MINUS_ONE, ONE, Scalar, ZERO
+from .scalars import MINUS_ONE, ONE
 
 
 # -- trees ------------------------------------------------------------------
@@ -77,15 +77,17 @@ def expand_tree(tree, parities):
     Returns a dict word-tuple -> int; the supercommutator [x, y] is
     xy - (-1)^{|x||y|} yx with parities read off the leaf content.
     """
+    return _expand(tree, parities)[0]
+
+
+def _expand(tree, parities):
+    """(expand_tree(tree), parity of tree), the parity carried up the tree."""
     if is_leaf(tree):
-        return {(tree,): 1}
-    left = expand_tree(tree[0], parities)
-    right = expand_tree(tree[1], parities)
+        return {(tree,): 1}, parities[tree - 1]
+    left, pl = _expand(tree[0], parities)
+    right, pr = _expand(tree[1], parities)
     if not left or not right:
-        return {}
-    r = len(parities)
-    pl = content_parity(tree_content(tree[0], r), parities)
-    pr = content_parity(tree_content(tree[1], r), parities)
+        return {}, pl ^ pr
     sign = -1 if (pl and pr) else 1
     out = {}
     for wl, cl in left.items():
@@ -94,16 +96,19 @@ def expand_tree(tree, parities):
             out[w] = out.get(w, 0) + cl * cr
             w = wr + wl
             out[w] = out.get(w, 0) - sign * cl * cr
-    return {w: c for w, c in out.items() if c}
+    return {w: c for w, c in out.items() if c}, pl ^ pr
 
 
 def expand_terms(terms, parities):
-    """Expansion of a Scalar-linear combination of trees; dict word -> Scalar."""
+    """Expansion of a linear combination of trees; dict word -> coefficient.
+
+    The coefficients are the terms' own times the integers of `expand_tree`,
+    so they keep the terms' type: native `int`/`Fraction` stay native and
+    `Scalar` stays `Scalar`.  (`axpy` does not multiply by the shared `ONE`,
+    so a term with that coefficient contributes the expansion's `int`s.)"""
     out = {}
     for tree, coeff in terms.items():
-        if not isinstance(coeff, Scalar):
-            coeff = Scalar(coeff)
-        if not coeff.is_zero():
+        if coeff:
             axpy(out, expand_tree(tree, parities), coeff)
     return out
 
@@ -214,54 +219,53 @@ def free_dimension(parities, content):
 def lower_terms(cd, i, terms):
     """Action of ad f_i on a positive-part element of the auxiliary algebra.
 
-    `terms` maps trees to Scalars (one common multidegree).  Returns a pair
-    (dict tree -> Scalar at multidegree nu - alpha_i, cartan coefficient).
+    `terms` maps trees to coefficients (one common multidegree).  Returns a
+    pair (dict tree -> coefficient at multidegree nu - alpha_i, cartan
+    coefficient), and keeps the coefficient type: the Cartan entries are
+    read from `cd.native_a`, so native `int`/`Fraction` terms give native
+    values (`Scalar` only where an entry involves a), and `Scalar` terms
+    give `Scalar` values.
     Convention: [f_i, e_j] = delta_ij H_i with [H_i, y] =
     -(-1)^{p_i} (sum_j a_ij nu(y)_j) y, so that lower(i, e_i) = (0, 1) and
     lower(i, [e_i, e_j]) = (-a_ij e_j, 0) for even e_i.
     """
     parities = cd.parities
-    r = cd.rank
     p_i = parities[i - 1]
-
-    def kappa(nu):
-        acc = ZERO
-        for j in range(r):
-            if nu[j]:
-                acc = acc + cd.a[i - 1][j] * nu[j]
-        return acc if p_i else -acc
+    row = cd.native_a[i - 1]
 
     memo = {}
 
     def go(tree):
+        """(ad f_i tree as a dict, its H_i coefficient, its parity, and
+        kappa = sum_j a_ij nu_j over its content nu, which is additive)."""
         got = memo.get(tree)
         if got is not None:
             return got
         if is_leaf(tree):
-            res = ({}, ONE if tree == i else ZERO)
+            res = ({}, 1 if tree == i else 0, parities[tree - 1], row[tree - 1])
             memo[tree] = res
             return res
         u, v = tree
-        du, hu = go(u)
-        dv, hv = go(v)
-        pu = content_parity(tree_content(u, r), parities)
+        du, hu, pu, ku = go(u)
+        dv, hv, pv, kv = go(v)
         out = {(t, v): c for t, c in du.items()}
-        if not hu.is_zero():
-            axpy(out, {v: kappa(tree_content(v, r))}, hu)
-        sign = MINUS_ONE if (p_i and pu) else ONE
+        if hu:
+            axpy(out, {v: kv if p_i else -kv}, hu)
+        sign = -1 if (p_i and pu) else 1
         axpy(out, {(u, t): c for t, c in dv.items()}, sign)
-        if not hv.is_zero():
-            axpy(out, {u: kappa(tree_content(u, r))}, -(sign * hv))
-        res = (out, ZERO)
+        if hv:
+            axpy(out, {u: ku if p_i else -ku}, -sign * hv)
+        res = (out, 0, pu ^ pv, ku + kv)
         memo[tree] = res
         return res
 
     out = {}
-    h_coeff = ZERO
+    h_coeff = 0
     for tree, coeff in terms.items():
-        coeff = coeff if isinstance(coeff, Scalar) else Scalar(coeff)
-        d, h = go(tree)
-        axpy(out, d, coeff)
+        d, h, _, _ = go(tree)
+        # multiply out (axpy would pass a shared ONE through), so the values
+        # carry the coefficients' type
+        axpy(out, {t: coeff * c for t, c in d.items()})
         h_coeff = h_coeff + coeff * h
     return out, h_coeff
 

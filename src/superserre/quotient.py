@@ -26,7 +26,6 @@ two do not share a coefficient path.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add
 
 from .freelie import (
@@ -40,7 +39,7 @@ from .freelie import (
 )
 from .linalg import Echelon, axpy
 from .rootdata import PreconditionError
-from .scalars import Scalar
+from .scalars import native
 
 
 class EngineError(RuntimeError):
@@ -55,18 +54,6 @@ def _weight_sub(nu, i):
     out = list(nu)
     out[i - 1] -= 1
     return tuple(out)
-
-
-def _native(c):
-    """A relation coefficient as the covering engine stores it: a rational
-    constant as `int` when integral, else `Fraction`; a coefficient that
-    involves the parameter a as its `Scalar`."""
-    if isinstance(c, Scalar):
-        if not c.is_constant():
-            return c
-        c = c.as_fraction()
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 # -- reference engine: ideal spanned inside the free algebra -------------------
@@ -191,7 +178,7 @@ class CoveringEngine:
         for el in elements:
             terms = el.terms if hasattr(el, "terms") else dict(el)
             nu = tree_content(next(iter(terms)), self.r)
-            terms = {tree: _native(c) for tree, c in terms.items()}
+            terms = {tree: native(c) for tree, c in terms.items()}
             self.relations_at.setdefault(content_height(nu), []).append((nu, terms))
         self.weight_of = []
         self.parity_of = []
@@ -566,58 +553,81 @@ class StabilityReport:
 def check_lowering_stability(presentation):
     """Machine check that the lowering operators keep the relation set inside
     the ideal it generates: for every e-side element s and every i, the
-    positive part of [f_i, s] lies in the Scalar span of the e-side elements
-    of the matching weight (zero counts) or, failing that, in that weight's
-    component of the ideal generated by the e side.
+    positive part of [f_i, s] is zero, or lies in the span of the e-side
+    elements of its weight nu = wt(s) - alpha_i, or, failing both, lies in
+    the nu component of the ideal generated by the e side.
 
-    The second case occurs for quartic elements over an isotropic node t,
+    The third case occurs for quartic elements over an isotropic node t,
     where lowering produces a multiple of [e_t, [e_t, e_k]] =
     [[e_t, e_t], e_k] / 2, an ideal element that is not itself in the
     emitted relation set.
+
+    Coefficients are converted once by `scalars.native` (the element terms
+    here, the Cartan rows in `CartanData.native_a`), so over Q the whole
+    check runs on `int` and `Fraction`.  It makes two passes:
+
+    1. Every (element, i) entry is lowered and expanded into words.  An
+       empty expansion is `zero`.  Otherwise the residual is reduced by the
+       echelon of the e-side elements of weight nu, built once per weight
+       and shared by every entry that lands there; an empty residual is
+       `span`.  Any other entry is pending.
+    2. Only if some entry is pending, the covering engine is built once, by
+       `quotient_dimensions(presentation, h)` with h the greatest height of
+       a pending weight nu, and the pending entries are resolved in their
+       original order: a weight above the closure of a closed report is
+       `ideal` (every level above a zero level is zero, the algebra being
+       generated in degree 1); otherwise the lowered element is rewritten
+       in basis coordinates, `ideal` if that image is zero, `violation` if
+       not.
+
+    The cap h changes no verdict.  Level k of the engine depends only on
+    the relation elements and on levels 1..k-1, never on the cap, which
+    only says where the loop stops; so every level that is built is the
+    same under any cap.  With cap h the loop either closes at some height
+    c <= h, exactly as under any larger cap, or builds every level up to
+    h; either way every pending weight of height at most h is either above
+    a closure or has all the levels its rewriting needs.  A class with no
+    pending entry builds no engine.
     """
     cd = presentation.cartan
     parities = presentation.parities
     r = presentation.rank
-    entries = []
+    terms_of = [{tree: native(c) for tree, c in el.terms.items()} for el in presentation.e_side]
     by_weight = {}
-    for el in presentation.e_side:
-        by_weight.setdefault(el.content, []).append(el)
+    for idx, el in enumerate(presentation.e_side):
+        by_weight.setdefault(el.content, []).append(idx)
+    spans = {}  # weight -> Echelon of the e-side elements of that weight
 
-    lowered_all = {}
-    max_h = 1
+    entries = []
+    pending = []  # (position in entries, element index, provenance, i, lowered, weight)
     for idx, el in enumerate(presentation.e_side):
         for i in range(1, r + 1):
-            lowered, _ = lower_terms(cd, i, el.terms)
-            lowered_all[(idx, i)] = lowered
-            if lowered:
-                max_h = max(max_h, content_height(el.content) - 1)
-
-    levels = quotient_dimensions(presentation, max_h)
-    engine, closed = levels.engine, levels.closed
-
-    for idx, el in enumerate(presentation.e_side):
-        for i in range(1, r + 1):
-            lowered = lowered_all[(idx, i)]
-            vec = expand_terms(lowered, parities)
-            if not vec:
+            lowered, _ = lower_terms(cd, i, terms_of[idx])
+            residual = expand_terms(lowered, parities)
+            if not residual:
                 entries.append(StabilityEntry(idx, el.provenance, i, True, "zero"))
                 continue
             nu = _weight_sub(el.content, i)
-            ech = Echelon()
-            for t in by_weight.get(nu, []):
-                ech.insert(expand_terms(t.terms, parities))
-            residual = dict(vec)
+            ech = spans.get(nu)
+            if ech is None:
+                ech = spans[nu] = Echelon()
+                for k in by_weight.get(nu, ()):
+                    ech.insert(expand_terms(terms_of[k], parities))
             ech.reduce(residual)
             if not residual:
                 entries.append(StabilityEntry(idx, el.provenance, i, True, "span"))
                 continue
-            if content_height(nu) > engine.completed and closed:
-                # all levels above the closure are zero
-                entries.append(StabilityEntry(idx, el.provenance, i, True, "ideal"))
-                continue
+            pending.append((len(entries), idx, el.provenance, i, lowered, nu))
+            entries.append(None)
+
+    if pending:
+        levels = quotient_dimensions(presentation, max(content_height(p[-1]) for p in pending))
+        engine, closed = levels.engine, levels.closed
+        for pos, idx, provenance, i, lowered, nu in pending:
             image = {}
-            for tree, coeff in lowered.items():
-                axpy(image, engine.rho(tree), coeff)
+            if not closed or content_height(nu) <= engine.completed:
+                for tree, coeff in lowered.items():
+                    axpy(image, engine.rho(tree), coeff)
             how = "ideal" if not image else "violation"
-            entries.append(StabilityEntry(idx, el.provenance, i, not image, how))
+            entries[pos] = StabilityEntry(idx, provenance, i, not image, how)
     return StabilityReport(entries)

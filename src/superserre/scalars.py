@@ -360,6 +360,21 @@ MINUS_ONE = Scalar(-1)
 ALPHA = Scalar(Poly([0, 1]))
 
 
+def native(c):
+    """An exact coefficient in the cheapest type that holds it: a rational
+    constant as `int` when integral, else `Fraction`; a coefficient that
+    involves the parameter a stays its `Scalar`.  The covering engine and
+    the lowering-stability check convert their inputs with this once, so a
+    presentation without the parameter runs on Python's own rationals."""
+    if isinstance(c, Scalar):
+        if not c.is_constant():
+            return c
+        c = c.as_fraction()
+    else:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 def _needs_parens(p):
     return sum(1 for c in p.coeffs if c != 0) > 1
 
