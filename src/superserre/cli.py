@@ -1,7 +1,8 @@
 """Command line front end.
 
 Families on the command line: A, B, C, D (with --m/--n as the family needs),
-F4, G3 and D21a (with an optional rational --alpha).  Numeric output is
+F4, G3 and D21a (with an optional rational --alpha); a family option the
+family does not read is refused, never ignored.  Numeric output is
 exact everywhere: fractions and parameter expressions are rendered as
 strings, so golden files are stable.
 """

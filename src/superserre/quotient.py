@@ -19,6 +19,9 @@ Two engines agree on every weight:
   and `Fraction` coefficients.  Reported ideal ranks are free dimension
   minus quotient dimension.
 
+`check_lowering_stability` runs on the same native coefficients and builds a
+covering engine only when some lowered element needs one.
+
 Both engines eliminate with `linalg.Echelon` and accumulate with
 `linalg.axpy`; the word-space engine stays on `Scalar` coefficients, so the
 two do not share a coefficient path.

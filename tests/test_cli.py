@@ -273,6 +273,13 @@ def test_jobs_below_one_is_a_usage_error(jobs, capsys):
         (["verify"], "required"),
         (["frobnicate", "F4"], "invalid choice"),
         (["cartan", "F4", "--format", "yaml"], "invalid choice"),
+        (["relations", "B", "--m", "1", "--n", "1", "--alpha", "2"], "--alpha"),  # D21a only
+        (["verify", "A", "--m", "1", "--n", "0", "--alpha", "generic"], "--alpha"),
+        (["borels", "G3", "--m", "2"], "--m"),  # F4, G3 and D21a take no --m/--n
+        (["cartan", "F4", "--n", "1"], "--n"),
+        (["necessity", "D21a", "--alpha", "2", "--m", "1"], "--m"),
+        (["diagram", "D21a", "--n", "1"], "--n"),
+        (["verify", "C", "--m", "1", "--n", "3"], "--m"),  # C reads --n only
     ],
 )
 def test_refused_input_names_its_cause(argv, cause, capsys):

@@ -1,0 +1,156 @@
+"""Lowering stability: coefficient types of the lowering operators, and the
+rule that the covering engine is built only where a residual survives."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import superserre.quotient as quotient
+from superserre.freelie import expand_terms, lower_terms
+from superserre.quotient import check_lowering_stability
+from superserre.rootdata import build_root_datum, enumerate_simple_systems
+from superserre.scalars import Scalar, native
+from superserre.serre import presentation
+
+
+def _presentation(family, k, **kw):
+    datum = build_root_datum(family, **kw)
+    return presentation(datum, enumerate_simple_systems(datum)[k])
+
+
+def _types(values):
+    return {type(c) for c in values}
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_native_terms_lower_and_expand_natively(k):
+    # over Q, native terms in give int/Fraction out: no Scalar, no float
+    pres = _presentation("F4", k)
+    lowered_any = False
+    for el in pres.e_side:
+        terms = {tree: native(c) for tree, c in el.terms.items()}
+        for i in range(1, pres.rank + 1):
+            lowered, h = lower_terms(pres.cartan, i, terms)
+            words = expand_terms(lowered, pres.parities)
+            lowered_any = lowered_any or bool(lowered)
+            assert type(h) in (int, Fraction)
+            assert _types(lowered.values()) | _types(words.values()) <= {int, Fraction}
+    assert lowered_any
+
+
+def test_scalar_terms_lower_to_scalars():
+    pres = _presentation("F4", 3)
+    for el in pres.e_side:
+        for i in range(1, pres.rank + 1):
+            lowered, h = lower_terms(pres.cartan, i, el.terms)
+            assert isinstance(h, Scalar)
+            assert _types(lowered.values()) <= {Scalar}
+
+
+def _lower_reference(cd, i, tree):
+    """ad f_i on one tree, straight from the convention in `lower_terms`'s
+    docstring, on the Scalar Cartan entries `cd.a`: (word expansion of the
+    positive part, H_i coefficient)."""
+    r, parities = cd.rank, cd.parities
+    p_i = parities[i - 1]
+
+    def content(t):
+        return [t == j for j in range(1, r + 1)] if isinstance(t, int) else [
+            a + b for a, b in zip(content(t[0]), content(t[1]))
+        ]
+
+    def kappa(t):
+        acc = sum((cd.a[i - 1][j] * n for j, n in enumerate(content(t))), Scalar(0))
+        return acc if p_i else -acc
+
+    def parity(t):
+        return sum(n for n, p in zip(content(t), parities) if p) & 1
+
+    def go(t):
+        if isinstance(t, int):
+            return {}, Scalar(1 if t == i else 0)
+        u, v = t
+        (du, hu), (dv, hv) = go(u), go(v)
+        sign = -1 if (p_i and parity(u)) else 1
+        out = {}
+        for tree, c in du.items():
+            out[(tree, v)] = out.get((tree, v), 0) + c
+        for tree, c in dv.items():
+            out[(u, tree)] = out.get((u, tree), 0) + sign * c
+        out[v] = out.get(v, 0) + hu * kappa(v)
+        out[u] = out.get(u, 0) - sign * hv * kappa(u)
+        return out, Scalar(0)
+
+    d, h = go(tree)
+    return expand_terms(d, parities), h
+
+
+def _trees(r):
+    leaves = st.integers(min_value=1, max_value=r)
+    return st.recursive(leaves, lambda sub: st.tuples(sub, sub), max_leaves=6)
+
+
+_coefficients = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+# F(4) runs over Q; generic D(2,1;a) class 1 has Cartan entries in Q(a)
+_CASES = {("F4", 0): _presentation("F4", 0).cartan, ("D21a", 1): _presentation("D21a", 1).cartan}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_CASES)), st.data())
+def test_native_and_scalar_lowerings_agree(case, data):
+    cd = _CASES[case]
+    i = data.draw(st.integers(min_value=1, max_value=cd.rank), label="i")
+    terms = data.draw(st.dictionaries(_trees(cd.rank), _coefficients, min_size=1, max_size=3), label="terms")
+    native_out, native_h = lower_terms(cd, i, terms)
+    scalar_out, scalar_h = lower_terms(cd, i, {t: Scalar(c) for t, c in terms.items()})
+    assert native_out == scalar_out and native_h == scalar_h
+    assert float not in _types(native_out.values()) | {type(native_h)}
+    assert _types(scalar_out.values()) <= {Scalar}
+    # both agree with the convention applied directly, tree by tree
+    words, h = {}, Scalar(0)
+    for tree, c in terms.items():
+        w, ht = _lower_reference(cd, i, tree)
+        for word, x in w.items():
+            words[word] = words.get(word, 0) + c * x
+        h = h + c * ht
+    words = {w: x for w, x in words.items() if x}
+    assert expand_terms(native_out, cd.parities) == words and native_h == h
+
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """Counts CoveringEngine constructions."""
+    count = [0]
+    init = quotient.CoveringEngine.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(quotient.CoveringEngine, "__init__", counting_init)
+    return count
+
+
+_A11 = dict(m=1, n=1)
+
+
+@pytest.mark.parametrize("family,kw,k", [("A", _A11, 2), ("G3", {}, 0), ("F4", {}, 0), ("D21a", {}, 1)])
+def test_no_engine_when_every_entry_is_zero_or_span(family, kw, k, engine_builds):
+    rep = check_lowering_stability(_presentation(family, k, **kw))
+    assert rep.ok and rep.entries
+    assert {e.how for e in rep.entries} <= {"zero", "span"}
+    assert engine_builds[0] == 0
+
+
+@pytest.mark.parametrize("family,kw,k", [("A", _A11, 0), ("G3", {}, 1), ("F4", {}, 3)])
+def test_one_engine_when_an_entry_needs_the_ideal(family, kw, k, engine_builds):
+    rep = check_lowering_stability(_presentation(family, k, **kw))
+    assert rep.ok and any(e.how == "ideal" for e in rep.entries)
+    assert engine_builds[0] == 1
