@@ -67,12 +67,7 @@ class CartanData:
                 for j in range(r):
                     if j == i:
                         continue
-                    try:
-                        v = self.a[i][j].as_integer()
-                    except ValueError:
-                        raise CartanDataError(
-                            f"a_{i+1}{j+1} = {self.a[i][j]} is not an integer"
-                        ) from None
+                    v = self.a_integer(i + 1, j + 1)
                     if v > 0:
                         raise CartanDataError(f"a_{i+1}{j+1} = {v} is positive")
 

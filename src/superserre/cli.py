@@ -281,7 +281,7 @@ def build_parser():
         p.add_argument("family", help="A, B, C, D, F4, G3 or D21a")
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
-        p.add_argument("--alpha", default=None, help="rational value for D21a, e.g. 2 or -1/2")
+        p.add_argument("--alpha", default=None, help="rational value for D21a, e.g. 2 or --alpha=-1/2")
         if borel:
             p.add_argument("--borel", default=None, help="class index, 'all' or 'distinguished'")
         p.add_argument("--format", choices=formats, default=default_format)

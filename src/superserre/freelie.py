@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import axpy
-from .scalars import MINUS_ONE, ONE
 
 
 # -- trees ------------------------------------------------------------------
@@ -103,9 +102,8 @@ def expand_terms(terms, parities):
     """Expansion of a linear combination of trees; dict word -> coefficient.
 
     The coefficients are the terms' own times the integers of `expand_tree`,
-    so they keep the terms' type: native `int`/`Fraction` stay native and
-    `Scalar` stays `Scalar`.  (`axpy` does not multiply by the shared `ONE`,
-    so a term with that coefficient contributes the expansion's `int`s.)"""
+    so they keep the terms' type: native `int`/`Fraction`, as a
+    `SerrePolynomial` holds them, stay native and `Scalar` stays `Scalar`."""
     out = {}
     for tree, coeff in terms.items():
         if coeff:
@@ -115,7 +113,7 @@ def expand_terms(terms, parities):
 
 def generator_bracket_word(i, vec, parity_i, parity_vec):
     """[e_i, vec] on word vectors: prefix minus Koszul-signed suffix."""
-    koszul = MINUS_ONE if (parity_i and parity_vec) else ONE
+    koszul = -1 if (parity_i and parity_vec) else 1
     out = {(i,) + w: c for w, c in vec.items()}
     return axpy(out, {w + (i,): c for w, c in vec.items()}, -koszul)
 
@@ -222,9 +220,9 @@ def lower_terms(cd, i, terms):
     `terms` maps trees to coefficients (one common multidegree).  Returns a
     pair (dict tree -> coefficient at multidegree nu - alpha_i, cartan
     coefficient), and keeps the coefficient type: the Cartan entries are
-    read from `cd.native_a`, so native `int`/`Fraction` terms give native
-    values (`Scalar` only where an entry involves a), and `Scalar` terms
-    give `Scalar` values.
+    read from `cd.native_a`, so native `int`/`Fraction` terms, as a
+    `SerrePolynomial` holds them, give native values (`Scalar` only where a
+    term or an entry involves a), and `Scalar` terms give `Scalar` values.
     Convention: [f_i, e_j] = delta_ij H_i with [H_i, y] =
     -(-1)^{p_i} (sum_j a_ij nu(y)_j) y, so that lower(i, e_i) = (0, 1) and
     lower(i, [e_i, e_j]) = (-a_ij e_j, 0) for even e_i.
@@ -263,9 +261,7 @@ def lower_terms(cd, i, terms):
     h_coeff = 0
     for tree, coeff in terms.items():
         d, h, _, _ = go(tree)
-        # multiply out (axpy would pass a shared ONE through), so the values
-        # carry the coefficients' type
-        axpy(out, {t: coeff * c for t, c in d.items()})
+        axpy(out, d, coeff)
         h_coeff = h_coeff + coeff * h
     return out, h_coeff
 

@@ -8,24 +8,24 @@ covering engine and the lowering-stability spans.
 
 Coefficients are exact and may be of any type closed under the field
 operations with Python's operators: native `int` and `Fraction`, or
-`Scalar` for Q(a).  The types mix: a `Scalar` meets an `int` or a
-`Fraction` through its coercion.  Zero is tested with `not c`.  No float
-ever arises: the one inversion, `_reciprocal`, never divides an `int` with
-`/`.
+`Scalar` for Q(a).  The module names no coefficient type of its own: the
+relation elements arrive with native coefficients (`SerrePolynomial`
+converts them once), and only coefficients that involve a are `Scalar`,
+which meets an `int` or a `Fraction` through its coercion.  Zero is tested
+with `not c`.  No float ever arises: the one inversion, `_reciprocal`,
+never divides an `int` with `/`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE
-
 
 def axpy(dst, src, c=1):
     """dst += c * src in place, dropping entries that cancel; returns dst.
 
-    The `int` 1 and the shared `Scalar` ONE skip the multiplication."""
-    unit = c is ONE or (type(c) is int and c == 1)
+    The `int` 1 skips the multiplication."""
+    unit = type(c) is int and c == 1
     for k, v in src.items():
         if not unit:
             v = c * v

@@ -15,16 +15,21 @@ Two engines agree on every weight:
   relations and even-square constraints.  All linear algebra happens in
   quotient coordinates, so components stay tiny even when the ambient free
   components are huge, and only at live weights: reachable from the level
-  below and not yet of full relation rank.  Over Q it runs on native `int`
-  and `Fraction` coefficients.  Reported ideal ranks are free dimension
-  minus quotient dimension.
+  below and not yet of full relation rank.  Reported ideal ranks are free
+  dimension minus quotient dimension.
 
-`check_lowering_stability` runs on the same native coefficients and builds a
-covering engine only when some lowered element needs one.
+`check_lowering_stability` builds a covering engine only when some lowered
+element needs one.
 
-Both engines eliminate with `linalg.Echelon` and accumulate with
-`linalg.axpy`; the word-space engine stays on `Scalar` coefficients, so the
-two do not share a coefficient path.
+Both engines and the stability check read the relation terms as
+`SerrePolynomial` holds them, native `int` and `Fraction` over Q and
+`Scalar` only where a appears, and eliminate with `linalg.Echelon`.
+Sharing that arithmetic costs the cross-check nothing: it compares two
+constructions of the ideal (ad-word spans in the free algebra against
+levels built in quotient coordinates), not two number types;
+`tests/test_linalg.py` checks the echelon on native and on `Scalar` rows
+against a dense `Fraction` elimination; and generic D(2,1;a) still runs
+both engines on `Scalar`.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from .freelie import (
 )
 from .linalg import Echelon, axpy
 from .rootdata import PreconditionError
-from .scalars import native
 
 
 class EngineError(RuntimeError):
@@ -64,7 +68,7 @@ def _weight_sub(nu, i):
 
 class IdealWordEngine:
     """Left-normed ad-word spans of the ideal, one word-space echelon per
-    multidegree.  Exact over the Scalar field; intended for small weights."""
+    multidegree.  Exact on any `linalg` coefficients; for small weights."""
 
     def __init__(self, parities, elements):
         self.parities = tuple(parities)
@@ -166,22 +170,19 @@ class CoveringEngine:
     non-pivot symbols and the read-off products, is the same as with all
     ordered triples.
 
-    Coefficients are exact and native where they can be: relation
-    coefficients that are rational constants become `int` or `Fraction`
-    here, so a presentation without the parameter a runs on Python's own
-    rationals, and only coefficients that involve a stay `Scalar` (mixed
-    rows go through `Scalar`'s coercion).  See `linalg` for why no float
-    arises.
+    Coefficients are the relation terms' own: a presentation without the
+    parameter a runs on Python's own rationals, and only coefficients that
+    involve a are `Scalar` (mixed rows go through `Scalar`'s coercion).
+    See `linalg` for why no float arises.
     """
 
     def __init__(self, parities, elements):
         self.parities = tuple(parities)
         self.r = len(self.parities)
-        self.relations_at = {}  # height -> [(weight, terms)], native coefficients
+        self.relations_at = {}  # height -> [(weight, terms)]
         for el in elements:
             terms = el.terms if hasattr(el, "terms") else dict(el)
             nu = tree_content(next(iter(terms)), self.r)
-            terms = {tree: native(c) for tree, c in terms.items()}
             self.relations_at.setdefault(content_height(nu), []).append((nu, terms))
         self.weight_of = []
         self.parity_of = []
@@ -565,9 +566,9 @@ def check_lowering_stability(presentation):
     [[e_t, e_t], e_k] / 2, an ideal element that is not itself in the
     emitted relation set.
 
-    Coefficients are converted once by `scalars.native` (the element terms
-    here, the Cartan rows in `CartanData.native_a`), so over Q the whole
-    check runs on `int` and `Fraction`.  It makes two passes:
+    The element terms arrive native (`SerrePolynomial`) and the Cartan rows
+    are read from `CartanData.native_a`, so over Q the whole check runs on
+    `int` and `Fraction`.  It makes two passes:
 
     1. Every (element, i) entry is lowered and expanded into words.  An
        empty expansion is `zero`.  Otherwise the residual is reduced by the
@@ -595,17 +596,16 @@ def check_lowering_stability(presentation):
     cd = presentation.cartan
     parities = presentation.parities
     r = presentation.rank
-    terms_of = [{tree: native(c) for tree, c in el.terms.items()} for el in presentation.e_side]
-    by_weight = {}
-    for idx, el in enumerate(presentation.e_side):
-        by_weight.setdefault(el.content, []).append(idx)
+    by_weight = {}  # weight -> terms of the e-side elements of that weight
+    for el in presentation.e_side:
+        by_weight.setdefault(el.content, []).append(el.terms)
     spans = {}  # weight -> Echelon of the e-side elements of that weight
 
     entries = []
     pending = []  # (position in entries, element index, provenance, i, lowered, weight)
     for idx, el in enumerate(presentation.e_side):
         for i in range(1, r + 1):
-            lowered, _ = lower_terms(cd, i, terms_of[idx])
+            lowered, _ = lower_terms(cd, i, el.terms)
             residual = expand_terms(lowered, parities)
             if not residual:
                 entries.append(StabilityEntry(idx, el.provenance, i, True, "zero"))
@@ -614,8 +614,8 @@ def check_lowering_stability(presentation):
             ech = spans.get(nu)
             if ech is None:
                 ech = spans[nu] = Echelon()
-                for k in by_weight.get(nu, ()):
-                    ech.insert(expand_terms(terms_of[k], parities))
+                for terms in by_weight.get(nu, ()):
+                    ech.insert(expand_terms(terms, parities))
             ech.reduce(residual)
             if not residual:
                 entries.append(StabilityEntry(idx, el.provenance, i, True, "span"))

@@ -1,9 +1,10 @@
 """Exact field arithmetic over Q and over Q(a), the rational functions in one
 indeterminate `a`.
 
-Everything downstream (Gram matrices, Cartan matrices, relation coefficients,
-linear algebra) is computed in this field, so there is no floating point
-anywhere in the package.  Plain rationals are the degree-zero special case.
+Gram and Cartan matrices are computed in this field.  Relation coefficients
+and the linear algebra on them use `native`: a rational constant becomes an
+`int` or a `Fraction`, and only values that involve a stay `Scalar`.  There
+is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -356,16 +357,15 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-MINUS_ONE = Scalar(-1)
 ALPHA = Scalar(Poly([0, 1]))
 
 
 def native(c):
     """An exact coefficient in the cheapest type that holds it: a rational
     constant as `int` when integral, else `Fraction`; a coefficient that
-    involves the parameter a stays its `Scalar`.  The covering engine and
-    the lowering-stability check convert their inputs with this once, so a
-    presentation without the parameter runs on Python's own rationals."""
+    involves the parameter a stays its `Scalar`.  `SerrePolynomial` and
+    `CartanData.native_a` convert with this once, so a presentation
+    without the parameter runs on Python's own rationals."""
     if isinstance(c, Scalar):
         if not c.is_constant():
             return c

@@ -14,21 +14,24 @@ from itertools import permutations
 from .cartan_dynkin import BLACK, GREY, WHITE, build_diagram, cartan_matrix, full_subdiagrams
 from .freelie import expand_terms, tree_content, tree_render
 from .rootdata import PreconditionError
-from .scalars import MINUS_ONE, ONE, Scalar
+from .scalars import Scalar, native
 
 
 class SerrePolynomial:
-    """Homogeneous Scalar combination of bracket words on one side (e or f)."""
+    """Homogeneous combination of bracket words on one side (e or f), its
+    coefficients converted once by `scalars.native`: `int` or `Fraction`,
+    `Scalar` only where the parameter a appears.  Every consumer reads the
+    terms as they are."""
 
     __slots__ = ("terms", "side", "provenance", "nodes", "rank")
 
     def __init__(self, terms, side, provenance, nodes, rank):
-        self.terms = {t: (c if isinstance(c, Scalar) else Scalar(c)) for t, c in terms.items()}
+        self.terms = {t: native(c) for t, c in terms.items()}
         self.side = side
         self.provenance = provenance
         self.nodes = tuple(nodes)
         self.rank = rank
-        if not self.terms or all(c.is_zero() for c in self.terms.values()):
+        if not any(self.terms.values()):
             raise ValueError("a Serre element must be nonzero")
         contents = {tree_content(t, rank) for t in self.terms}
         if len(contents) != 1:
@@ -46,12 +49,12 @@ class SerrePolynomial:
     def expansion_key(self, parities):
         """Hashable form of the element's expansion into free-Lie words.
 
-        A Scalar is canonical, so two expansions are equal exactly when
-        their (word, coefficient) sets are.  The element's own terms would
+        Coefficients are canonical (native rationals, `Scalar` only in
+        lowest terms and where a appears), so two expansions are equal
+        exactly when their (word, coefficient) sets are.  The terms would
         not do as a key: distinct bracket monomials can be the same Lie
         element.  For odd e_i and e_j, [e_i, e_j] = [e_j, e_i], and two
-        non-adjacent isotropic nodes emit both as standard elements; keyed
-        by expansion, the second is dropped.
+        non-adjacent isotropic nodes emit both; the second is dropped.
         """
         return frozenset(expand_terms(self.terms, parities).items())
 
@@ -64,12 +67,12 @@ class SerrePolynomial:
             body = tree_render(t, letter)
             if latex:
                 body = body.replace(letter, f"{letter}_")
-            if c == ONE:
+            if c == 1:
                 part = body
-            elif c == MINUS_ONE:
+            elif c == -1:
                 part = "-" + body
             else:
-                part = f"({c.render()})" + ("" if latex else "*") + body
+                part = f"({Scalar(c).render()})" + ("" if latex else "*") + body
             out += part if not out or part.startswith("-") else "+" + part
         return out
 
@@ -85,7 +88,7 @@ class SerrePolynomial:
             "nodes": list(self.nodes),
             "multidegree": list(self.content),
             "terms": [
-                {"coefficient": c.render(), "word": tree_json(t)}
+                {"coefficient": Scalar(c).render(), "word": tree_json(t)}
                 for t, c in sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
             ],
         }
@@ -114,12 +117,12 @@ def standard_serre_elements(cd):
             iso = cd.is_isotropic(i)
             if not iso:
                 n = 1 - cd.a_integer(i, j)
-                out.append(SerrePolynomial({ad_power(i, j, n): ONE}, "e", "standard", (i, j), r))
+                out.append(SerrePolynomial({ad_power(i, j, n): 1}, "e", "standard", (i, j), r))
             elif cd.a[i - 1][j - 1].is_zero():
-                out.append(SerrePolynomial({(i, j): ONE}, "e", "standard", (i, j), r))
+                out.append(SerrePolynomial({(i, j): 1}, "e", "standard", (i, j), r))
     for t in range(1, r + 1):
         if cd.is_isotropic(t):
-            out.append(SerrePolynomial({(t, t): ONE}, "e", "standard", (t,), r))
+            out.append(SerrePolynomial({(t, t): 1}, "e", "standard", (t,), r))
     return out
 
 
@@ -129,7 +132,7 @@ _CROSS = (WHITE, GREY)  # "x" nodes in the reference tables are white or grey
 
 
 def _quartic(t, j, k):
-    return {(t, (j, (t, k))): ONE}
+    return {(t, (j, (t, k))): 1}
 
 
 def _match_3node(sub, nodes):
@@ -160,7 +163,7 @@ def _match_3node(sub, nodes):
                 elif c[k] == BLACK:
                     yield "case-3", _quartic(gt, gj, gk), (gj, gt, gk)
             if cnt(j, t) == 1 and cnt(t, k) == 2 and c[j] == GREY and c[k] == WHITE and arrow(t, k) == t:
-                yield "case-4", {((gj, gt), ((gj, gt), (gt, gk))): ONE}, (gj, gt, gk)
+                yield "case-4", {((gj, gt), ((gj, gt), (gt, gk))): 1}, (gj, gt, gk)
             if cnt(j, t) == 2 and cnt(t, k) == 2 and c[j] == GREY and c[k] == WHITE and arrow(t, k) == t:
                 # white k => grey t = grey j (the renormalised sl(1|3) shape)
                 yield "case-9", _quartic(gt, gj, gk), (gk, gt, gj)
@@ -180,14 +183,14 @@ def _match_3node(sub, nodes):
                     and cnt(t, s) == 2
                 ):
                     gi, gt, gs = nodes[i], nodes[t], nodes[s]
-                    yield "case-6", {(gt, (gs, gi)): ONE, (gs, (gt, gi)): MINUS_ONE}, (gi, gt, gs)
+                    yield "case-6", {(gt, (gs, gi)): 1, (gs, (gt, gi)): -1}, (gi, gt, gs)
                     break
         if counts == [1, 2, 3] and all(col == GREY for col in c):
             # roles by edge multiplicities: i on {1,2}, j on {1,3}, k on {2,3}
             for i, j, k in permutations(range(3)):
                 if cnt(i, j) == 1 and cnt(i, k) == 2 and cnt(j, k) == 3:
                     gi, gj, gk = nodes[i], nodes[j], nodes[k]
-                    yield "case-10", {(gi, (gk, gj)): Scalar(2), (gj, (gk, gi)): Scalar(3)}, (gi, gj, gk)
+                    yield "case-10", {(gi, (gk, gj)): 2, (gj, (gk, gi)): 3}, (gi, gj, gk)
                     break
         if counts == [1, 2, 3] and sorted(c) == sorted([WHITE, GREY, GREY]):
             for n1, n2, n3 in permutations(range(3)):
@@ -200,7 +203,7 @@ def _match_3node(sub, nodes):
                     and cnt(n2, n3) == 3
                 ):
                     g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
-                    yield "case-13", {(g2, (g3, g1)): ONE, (g3, (g2, g1)): Scalar(-2)}, (g1, g2, g3)
+                    yield "case-13", {(g2, (g3, g1)): 1, (g3, (g2, g1)): -2}, (g1, g2, g3)
                     break
 
     # chains with multiplicities {1, 3} or {2, 3}
@@ -220,7 +223,7 @@ def _match_3node(sub, nodes):
             ):
                 g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
                 e12 = (g1, g2)
-                yield "case-11", {(e12, (e12, (e12, (g2, g3)))): ONE}, (g1, g2, g3)
+                yield "case-11", {(e12, (e12, (e12, (g2, g3)))): 1}, (g1, g2, g3)
             if (
                 c[n1] == BLACK
                 and c[n3] == WHITE
@@ -233,8 +236,8 @@ def _match_3node(sub, nodes):
                 yield (
                     "case-12",
                     {
-                        ((g2, g1), (g3, (g2, g1))): ONE,
-                        ((g2, g3), ((g1, g1), g2)): MINUS_ONE,
+                        ((g2, g1), (g3, (g2, g1))): 1,
+                        ((g2, g3), ((g1, g1), g2)): -1,
                     },
                     (g1, g2, g3),
                 )
@@ -274,16 +277,16 @@ def _match_4node(sub, nodes):
         if chain_78 and cnt(n1, n2) == 3 and arrow(n1, n2) == n2:
             if cnt(n2, n3) == 2 and arrow(n2, n3) == n2 and cnt(n3, n4) == 1:
                 e = ((g1, g2), (g2, g3))
-                yield "case-7", {(e, (e, (g2, (g3, g4)))): ONE}, (g1, g2, g3, g4)
+                yield "case-7", {(e, (e, (g2, (g3, g4)))): 1}, (g1, g2, g3, g4)
             if cnt(n2, n3) == 1 and cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
                 a12, a23, a34 = (g1, g2), (g2, g3), (g3, g4)
-                terms = {(a12, (a23, a34)): ONE, (a23, (a12, a34)): MINUS_ONE}
+                terms = {(a12, (a23, a34)): 1, (a23, (a12, a34)): -1}
                 yield "case-8", terms, (g1, g2, g3, g4)
         # case 5: chain i - j - t <= k with t grey
         elif chain_5 and cnt(n1, n2) == 1 and cnt(n2, n3) == 1:
             if cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
                 jt = (g2, g3)
-                yield "case-5", {((g1, jt), (jt, (g3, g4))): ONE}, (g1, g2, g3, g4)
+                yield "case-5", {((g1, jt), (jt, (g3, g4))): 1}, (g1, g2, g3, g4)
 
 
 def _match_d21a(sub, nodes):
@@ -300,16 +303,16 @@ def _match_d21a(sub, nodes):
         return
     matches = []
     for n1, n2, n3 in permutations(range(3)):
-        if sub.b_label(n1, n2) != ONE:
+        if sub.b_label(n1, n2) != 1:
             continue
         alpha = sub.b_label(n1, n3)
-        if sub.b_label(n2, n3) == -(ONE + alpha):
+        if sub.b_label(n2, n3) == -(1 + alpha):
             matches.append(((n1, n2, n3), alpha))
     if not matches:
         return
     (n1, n2, n3), alpha = min(matches, key=lambda m: m[0])
     g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
-    terms = {(g1, (g2, g3)): alpha, (g2, (g1, g3)): ONE + alpha}
+    terms = {(g1, (g2, g3)): alpha, (g2, (g1, g3)): 1 + alpha}
     yield "case-14", terms, (g1, g2, g3)
 
 

@@ -9,7 +9,7 @@ from superserre.rootdata import (
     distinguished_simple_system,
     enumerate_simple_systems,
 )
-from superserre.scalars import ALPHA, ONE
+from superserre.scalars import ALPHA, ONE, Scalar
 from superserre.serre import (
     higher_order_serre_elements,
     presentation,
@@ -132,6 +132,39 @@ def test_elements_homogeneous_in_degree_and_parity():
                 assert len(contents) == 1
 
 
+def _native_or_parametric(c):
+    """int or Fraction, or a Scalar that involves the parameter a."""
+    return type(c) in (int, Fraction) or (type(c) is Scalar and not c.is_constant())
+
+
+_ALGEBRAS = [(fam, kw) for fam, kw, _ in FAMILY_MATRIX] + [("D21a", dict(alpha=2))]
+
+
+@pytest.mark.parametrize(
+    "family,kw",
+    [
+        pytest.param(fam, kw, id=fam + "".join(f"-{k}{v}" for k, v in kw.items()))
+        for fam, kw in _ALGEBRAS
+    ],
+)
+def test_relation_coefficients_are_native_from_birth(family, kw):
+    # every side of every presentation, deletions included: no float and no
+    # constant Scalar, so the engines need no conversion of their own
+    datum = build_root_datum(family, **kw)
+    parametric = 0
+    for system in enumerate_simple_systems(datum):
+        pres = presentation(datum, system)
+        sides = [pres]
+        sides += [pres.without_element(k) for k in range(len(pres.e_side))]
+        for p in sides:
+            for el in p.e_side + p.f_side:
+                for c in el.terms.values():
+                    assert _native_or_parametric(c), (datum.name, el, type(c))
+                    parametric += type(c) is Scalar
+    # only generic D(2,1;a) carries the parameter, on its labelled triangles
+    assert bool(parametric) == (family == "D21a" and "alpha" not in kw)
+
+
 def test_specialisation_commutes_with_generation():
     generic = build_root_datum("D21a")
     gen_systems = enumerate_simple_systems(generic)
@@ -146,14 +179,14 @@ def test_specialisation_commutes_with_generation():
             for el in pg.e_side:
                 vec = {}
                 for t, c in el.terms.items():
-                    vec[t] = c.evaluate_at(a0)
+                    vec[t] = Scalar(c).evaluate_at(a0)
                 # normalise sign so span comparison is fair
                 key = tuple(sorted((repr(t), str(q)) for t, q in vec.items()))
                 neg = tuple(sorted((repr(t), str(-q)) for t, q in vec.items()))
                 gen_then_eval.add(min(key, neg))
             eval_then_gen = set()
             for el in ps.e_side:
-                vec = {t: c.as_fraction() for t, c in el.terms.items()}
+                vec = {t: Fraction(c) for t, c in el.terms.items()}
                 key = tuple(sorted((repr(t), str(q)) for t, q in vec.items()))
                 neg = tuple(sorted((repr(t), str(-q)) for t, q in vec.items()))
                 eval_then_gen.add(min(key, neg))

@@ -11,7 +11,7 @@ import superserre.quotient as quotient
 from superserre.freelie import expand_terms, lower_terms
 from superserre.quotient import check_lowering_stability
 from superserre.rootdata import build_root_datum, enumerate_simple_systems
-from superserre.scalars import Scalar, native
+from superserre.scalars import Scalar
 from superserre.serre import presentation
 
 
@@ -30,9 +30,8 @@ def test_native_terms_lower_and_expand_natively(k):
     pres = _presentation("F4", k)
     lowered_any = False
     for el in pres.e_side:
-        terms = {tree: native(c) for tree, c in el.terms.items()}
         for i in range(1, pres.rank + 1):
-            lowered, h = lower_terms(pres.cartan, i, terms)
+            lowered, h = lower_terms(pres.cartan, i, el.terms)
             words = expand_terms(lowered, pres.parities)
             lowered_any = lowered_any or bool(lowered)
             assert type(h) in (int, Fraction)
@@ -43,8 +42,9 @@ def test_native_terms_lower_and_expand_natively(k):
 def test_scalar_terms_lower_to_scalars():
     pres = _presentation("F4", 3)
     for el in pres.e_side:
+        terms = {tree: Scalar(c) for tree, c in el.terms.items()}
         for i in range(1, pres.rank + 1):
-            lowered, h = lower_terms(pres.cartan, i, el.terms)
+            lowered, h = lower_terms(pres.cartan, i, terms)
             assert isinstance(h, Scalar)
             assert _types(lowered.values()) <= {Scalar}
 
