@@ -275,12 +275,12 @@ def test_jobs_below_one_is_a_usage_error(jobs, capsys):
         (["cartan", "F4", "--format", "yaml"], "invalid choice"),
         (["relations", "B", "--m", "1", "--n", "1", "--alpha", "2"], "--alpha"),  # D21a only
         (["verify", "A", "--m", "1", "--n", "0", "--alpha", "generic"], "--alpha"),
-        (["verify", "D21a", "--alpha", "-1/2"], "--alpha"),  # read as an option: --alpha=-1/2
         (["borels", "G3", "--m", "2"], "--m"),  # F4, G3 and D21a take no --m/--n
         (["cartan", "F4", "--n", "1"], "--n"),
         (["necessity", "D21a", "--alpha", "2", "--m", "1"], "--m"),
         (["diagram", "D21a", "--n", "1"], "--n"),
         (["verify", "C", "--m", "1", "--n", "3"], "--m"),  # C reads --n only
+        (["verify", "D21a", "--alpha", "-1/2"], "--alpha"),  # read as an option: --alpha=-1/2
     ],
 )
 def test_refused_input_names_its_cause(argv, cause, capsys):
