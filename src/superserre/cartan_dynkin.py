@@ -5,15 +5,22 @@ roots and D rescales rows: d_i = (a_i, a_i)/2 for non-isotropic roots and
 d_i = l_m^2 / 2^kappa for isotropic ones, kappa = 0 exactly in type B.
 The sign matrix keeps the signs of the Gram entries, which the diagram
 glyphs alone do not determine.
+
+Every entry is exact and native (`scalars.native`): an `int`, a `Fraction`
+with denominator other than 1, or a `Scalar` only where the parameter a of
+the generic D(2,1;a) appears.  The Gram entries arrive that way from
+`RootDatum.form_value`, and D and A are formed by `_quotient`, so no
+`Scalar` is built for a datum without the parameter.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .scalars import Scalar, native, parse_scalar
+from .scalars import Scalar, native, parse_scalar, render
 from .rootdata import InconsistencyError
 
 WHITE, GREY, BLACK = "white", "grey", "black"
@@ -23,47 +30,74 @@ class CartanDataError(InconsistencyError):
     """A constructed Cartan matrix violates its invariants."""
 
 
+def _quotient(x, y):
+    """x / y for native values x and y != 0, native again: an exact `int`
+    quotient without a `Fraction`, `Fraction` arithmetic over Q, and
+    `Scalar` division (then `native`) only where a appears."""
+    if isinstance(x, Scalar) or isinstance(y, Scalar):
+        return native(x / y)
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        if not r:
+            return q
+    q = Fraction(x, y)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _sign(x):
+    """Sign of a native Gram entry; for a `Scalar` the sign it keeps for
+    every a > 0, proved by `Scalar.sign_on_positive_a`."""
+    if isinstance(x, Scalar):
+        return x.sign_on_positive_a()
+    return (x > 0) - (x < 0)
+
+
 class CartanData:
-    """B, D, A together with theta, kappa, l_m^2 and the sign matrix."""
+    """B, D, A together with theta, kappa, l_m^2 and the sign matrix.
+
+    `native_b`, `d`, `native_a` and `lm2` hold native entries (see the
+    module docstring).  `b` and `a` are the same matrices as rows of
+    `Scalar`, built on first read for callers that want the field's own
+    methods; nothing in the package reads them.
+    """
 
     def __init__(self, family, b, d, theta, kappa, lm2, parities):
         self.family = family
         self.rank = len(b)
-        self.b = b
+        self.native_b = b
         self.d = d
         self.theta = frozenset(theta)
         self.kappa = kappa
         self.lm2 = lm2
         self.parities = tuple(parities)
-        self.a = [[b[i][j] / d[i] for j in range(self.rank)] for i in range(self.rank)]
-        self.sgn = [
-            [0 if b[i][j].is_zero() else b[i][j].sign_on_positive_a()
-             for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
+        self.native_a = [[_quotient(x, di) for x in row] for row, di in zip(b, d)]
+        self.sgn = [[_sign(x) for x in row] for row in b]
         self._validate()
 
     @cached_property
-    def native_a(self):
-        """A with every entry converted by `scalars.native`: `int` or
-        `Fraction`, `Scalar` only where the parameter a appears.  Built on
-        first read, once per Cartan datum, for the lowering operators."""
-        return [[native(x) for x in row] for row in self.a]
+    def b(self):
+        """The Gram matrix B as rows of `Scalar`."""
+        return [[Scalar(x) for x in row] for row in self.native_b]
+
+    @cached_property
+    def a(self):
+        """The Cartan matrix A as rows of `Scalar`."""
+        return [[Scalar(x) for x in row] for row in self.native_a]
 
     def is_isotropic(self, i):
         """1-based index; isotropic simple roots have b_ii = 0."""
-        return self.b[i - 1][i - 1].is_zero()
+        return not self.native_b[i - 1][i - 1]
 
     def _validate(self):
         r = self.rank
         for i in range(r):
-            aii = self.a[i][i]
-            if self.b[i][i].is_zero():
-                if not aii.is_zero():
-                    raise CartanDataError(f"a_{i+1}{i+1} = {aii} at an isotropic root")
+            aii = self.native_a[i][i]
+            if not self.native_b[i][i]:
+                if aii:
+                    raise CartanDataError(f"a_{i+1}{i+1} = {render(aii)} at an isotropic root")
             else:
-                if aii != Scalar(2):
-                    raise CartanDataError(f"a_{i+1}{i+1} = {aii}, expected 2")
+                if aii != 2:
+                    raise CartanDataError(f"a_{i+1}{i+1} = {render(aii)}, expected 2")
                 for j in range(r):
                     if j == i:
                         continue
@@ -73,28 +107,28 @@ class CartanData:
 
     def a_integer(self, i, j):
         """Integer value of a_ij (1-based); raises CartanDataError otherwise."""
-        try:
-            return self.a[i - 1][j - 1].as_integer()
-        except ValueError:
-            raise CartanDataError(f"a_{i}{j} = {self.a[i-1][j-1]} is not an integer") from None
+        x = self.native_a[i - 1][j - 1]
+        if type(x) is not int:
+            raise CartanDataError(f"a_{i}{j} = {render(x)} is not an integer")
+        return x
 
     def to_json(self):
         return {
             "family": self.family,
             "rank": self.rank,
-            "B": [[x.render() for x in row] for row in self.b],
-            "D": [x.render() for x in self.d],
-            "A": [[x.render() for x in row] for row in self.a],
+            "B": [[render(x) for x in row] for row in self.native_b],
+            "D": [render(x) for x in self.d],
+            "A": [[render(x) for x in row] for row in self.native_a],
             "theta": sorted(self.theta),
             "kappa": self.kappa,
-            "lm2": self.lm2.render(),
+            "lm2": render(self.lm2),
             "sgn": self.sgn,
         }
 
 
 def minimal_square_length(datum):
-    """l_m^2 of the root datum: the least nonzero |(beta, beta)|, which the
-    datum keeps from the norms it evaluates when it is built.
+    """l_m^2 of the root datum, native: the least nonzero |(beta, beta)|,
+    which the datum keeps from the norms it evaluates when it is built.
 
     For D(2,1;a) this is the minimum of the parameter-independent values
     (always 4, from the roots +-2e1); the same value is used for specialised
@@ -103,23 +137,19 @@ def minimal_square_length(datum):
     """
     if datum.min_square_length is None:
         raise CartanDataError(f"{datum.name} has no non-isotropic roots")
-    return Scalar(datum.min_square_length)
+    return datum.min_square_length
 
 
 def cartan_matrix(datum, system):
     """CartanData of a simple system."""
     r = system.rank
     roots = system.roots
-    b = [[datum.form_value(roots[i], roots[j]) for j in range(r)] for i in range(r)]
+    form_value = datum.form_value
+    b = [[form_value(roots[i], roots[j]) for j in range(r)] for i in range(r)]
     lm2 = minimal_square_length(datum)
     kappa = 0 if datum.family == "B" else 1
-    iso_d = lm2 / Scalar(2 ** kappa)
-    d = []
-    for i in range(r):
-        if b[i][i].is_zero():
-            d.append(iso_d)
-        else:
-            d.append(b[i][i] / 2)
+    iso_d = _quotient(lm2, 2 ** kappa)
+    d = [_quotient(b[i][i], 2) if b[i][i] else iso_d for i in range(r)]
     parities = tuple(1 if datum.is_odd(roots[i]) else 0 for i in range(r))
     return CartanData(datum.family, b, d, system.theta, kappa, lm2, parities)
 
@@ -218,12 +248,13 @@ def build_diagram(cd):
             colors.append(WHITE)
     edges = {}
     if cd.family == "D21a":
-        scale = Scalar(2) / cd.lm2
+        scale = _quotient(2, cd.lm2)
         for i in range(r):
             for j in range(i + 1, r):
-                if cd.a[i][j].is_zero():
+                if not cd.native_a[i][j]:
                     continue
-                edges[(i, j)] = Edge(1, None, cd.sgn[i][j], cd.b[i][j] * scale)
+                label = Scalar(cd.native_b[i][j] * scale)
+                edges[(i, j)] = Edge(1, None, cd.sgn[i][j], label)
         return DynkinDiagram(colors, edges, labelled=True)
 
     for i in range(r):

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .cartan_dynkin import build_diagram, cartan_matrix, serialize_diagram
 from .rootdata import ParameterError, SimpleSystem, build_root_datum, enumerate_simple_systems
+from .scalars import render
 from .serre import presentation
 from .verify import compare_z_grading, necessity_survey, verify_presentation
 
@@ -140,9 +141,9 @@ def cmd_cartan(args, out):
             print(json.dumps({"borel": k, **cd.to_json()}, sort_keys=True), file=out)
         else:
             print(f"{datum.name} borel[{k}] theta={sorted(cd.theta)} "
-                  f"kappa={cd.kappa} lm2={cd.lm2.render()}", file=out)
-            for row in cd.a:
-                print("  [" + ", ".join(x.render() for x in row) + "]", file=out)
+                  f"kappa={cd.kappa} lm2={render(cd.lm2)}", file=out)
+            for row in cd.native_a:
+                print("  [" + ", ".join(render(x) for x in row) + "]", file=out)
     return 0
 
 

@@ -43,7 +43,6 @@ from .freelie import (
     free_dimension,
     generator_bracket_word,
     lower_terms,
-    tree_content,
 )
 from .linalg import Echelon, axpy
 from .rootdata import PreconditionError
@@ -68,19 +67,17 @@ def _weight_sub(nu, i):
 
 class IdealWordEngine:
     """Left-normed ad-word spans of the ideal, one word-space echelon per
-    multidegree.  Exact on any `linalg` coefficients; for small weights."""
+    multidegree, for `SerrePolynomial` relation elements.  Exact on any
+    `linalg` coefficients; for small weights."""
 
     def __init__(self, parities, elements):
         self.parities = tuple(parities)
         self.r = len(self.parities)
         self.by_weight = {}
         for el in elements:
-            terms = el.terms if hasattr(el, "terms") else el
-            vec = expand_terms(terms, self.parities)
-            if not vec:
-                continue
-            nu = tree_content(next(iter(terms)), self.r)
-            self.by_weight.setdefault(nu, []).append(vec)
+            vec = expand_terms(el.terms, self.parities)
+            if vec:
+                self.by_weight.setdefault(el.content, []).append(vec)
         self._memo = {}
 
     def echelon(self, nu):
@@ -181,9 +178,8 @@ class CoveringEngine:
         self.r = len(self.parities)
         self.relations_at = {}  # height -> [(weight, terms)]
         for el in elements:
-            terms = el.terms if hasattr(el, "terms") else dict(el)
-            nu = tree_content(next(iter(terms)), self.r)
-            self.relations_at.setdefault(content_height(nu), []).append((nu, terms))
+            nu = el.content
+            self.relations_at.setdefault(content_height(nu), []).append((nu, el.terms))
         self.weight_of = []
         self.parity_of = []
         self.level_ids = {}  # height -> list of ids, ordered by weight then id

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .scalars import ALPHA, ONE, Scalar
+from .scalars import ALPHA, Scalar, native
 
 
 class ParameterError(ValueError):
@@ -114,9 +114,10 @@ class RootDatum:
     Fraction for a specialised member; it is ignored for other families.
 
     The form of every family is diagonal in the basis symbols: `form` has
-    one entry (s, s) -> (s, s) per symbol and no others.  The norms (b, b)
-    of all roots are evaluated once here, for the isotropy check and for
-    l_m^2.
+    one entry (s, s) -> (s, s) per symbol and no others, each an exact value
+    that `scalars.native` accepts.  The norms (b, b) of all roots are
+    evaluated once here, for the isotropy check and for l_m^2, and
+    `all_roots` is stored once.
     """
 
     def __init__(self, family, m, n, symbols, even_roots, odd_roots, form, alpha=None):
@@ -126,18 +127,20 @@ class RootDatum:
         self.symbols = tuple(symbols)
         self.even_roots = frozenset(even_roots)
         self.odd_roots = frozenset(odd_roots)
+        self.all_roots = self.even_roots | self.odd_roots
         self.alpha = alpha
         off_diagonal = [key for key in form if key[0] != key[1]]
         if off_diagonal:
             raise ValueError(f"the form of {self.name} is not diagonal: {off_diagonal}")
         self._symbol_set = frozenset(self.symbols)
-        self._rational_diagonal = {}  # symbol -> Fraction
+        self._rational_diagonal = {}  # symbol -> int or Fraction
         self._parameter_diagonal = {}  # symbol -> non-constant Scalar (generic D(2,1;a))
         for (s, _), value in form.items():
-            if value.is_constant():
-                self._rational_diagonal[s] = value.as_fraction()
-            else:
+            value = native(value)
+            if isinstance(value, Scalar):
                 self._parameter_diagonal[s] = value
+            else:
+                self._rational_diagonal[s] = value
         # In D(2,1;a) only the norms of +-2e1 do not depend on the parameter;
         # l_m^2 is taken from them for specialised members too, so that
         # specialising commutes with everything built on the Cartan matrix.
@@ -146,12 +149,12 @@ class RootDatum:
         least = None
         for b in self.all_roots:
             norm = self.form_value(b, b)
-            if norm.is_zero():
+            if not norm:
                 if b in self.even_roots:
                     raise InconsistencyError(f"isotropic even root {b} in {self.name}")
                 isotropic.add(b)
-            elif norm.is_constant() and b.symbols() <= fixed:
-                q = abs(norm.as_fraction())
+            elif not isinstance(norm, Scalar) and b.symbols() <= fixed:
+                q = abs(norm)
                 if least is None or q < least:
                     least = q
         self.isotropic_roots = frozenset(isotropic)
@@ -171,10 +174,6 @@ class RootDatum:
             return "D(2,1;a)" if self.alpha is None else f"D(2,1;{self.alpha})"
         return {"F4": "F(4)", "G3": "G(3)"}[self.family]
 
-    @property
-    def all_roots(self):
-        return self.even_roots | self.odd_roots
-
     def is_odd(self, root):
         if root in self.odd_roots:
             return True
@@ -183,12 +182,16 @@ class RootDatum:
         raise TypeError(f"{root} is not a root of {self.name}")
 
     def form_value(self, lam, mu):
-        """(lam, mu): one pass over the symbols of lam, looked up in mu.
+        """(lam, mu), canonical through `scalars.native`: an `int` or a
+        `Fraction` with denominator other than 1, and a `Scalar` only where
+        the parameter a appears (generic D(2,1;a)).  So a zero value is
+        tested with `not`.
 
-        The form is diagonal, so only shared symbols contribute.  Rational
-        entries are summed as one fraction in integer arithmetic, and one
-        Scalar is built at the end; only the Q(a) entries of the generic
-        D(2,1;a) are multiplied as Scalars.
+        The form is diagonal, so one pass over the symbols of lam, looked up
+        in mu, finds every contribution.  Rational entries are summed as one
+        fraction in integer arithmetic; only the Q(a) entries of the generic
+        D(2,1;a) are multiplied as Scalars, and their sum is converted by
+        `native`, since it can be a constant (the norm of d + e1 + e2 is 0).
         """
         ld, md = lam._d, mu._d
         if not (ld.keys() <= self._symbol_set and md.keys() <= self._symbol_set):
@@ -209,8 +212,8 @@ class RootDatum:
             else:
                 term = self._parameter_diagonal[s] * (c * d)
                 parameter_part = term if parameter_part is None else parameter_part + term
-        total = Scalar(Fraction(num, den))
-        return total if parameter_part is None else total + parameter_part
+        total = num // den if num % den == 0 else Fraction(num, den)
+        return total if parameter_part is None else native(total + parameter_part)
 
 
 def bilinear(datum, lam, mu):
@@ -231,7 +234,7 @@ def build_root_datum(family, m=None, n=None, alpha=None):
             raise ParameterError("A(m,n) needs m,n >= 0 and (m,n) != (0,0)")
         eps = [f"e{i}" for i in range(1, m + 2)]
         dts = [f"d{j}" for j in range(1, n + 2)]
-        form = _diag_form([(s, ONE) for s in eps] + [(s, -ONE) for s in dts])
+        form = _diag_form([(s, 1) for s in eps] + [(s, -1) for s in dts])
         even = set()
         for a, b in product(range(m + 1), repeat=2):
             if a != b:
@@ -251,7 +254,7 @@ def build_root_datum(family, m=None, n=None, alpha=None):
             raise ParameterError("B(m,n) needs m >= 0 and n >= 1")
         eps = [f"e{i}" for i in range(1, m + 1)]
         dts = [f"d{j}" for j in range(1, n + 1)]
-        form = _diag_form([(s, ONE) for s in eps] + [(s, -ONE) for s in dts])
+        form = _diag_form([(s, 1) for s in eps] + [(s, -1) for s in dts])
         even, odd = set(), set()
         for a in range(m):
             for b in range(m):
@@ -279,7 +282,7 @@ def build_root_datum(family, m=None, n=None, alpha=None):
             raise ParameterError("C(n) needs n > 2")
         eps = ["e1"]
         dts = [f"d{j}" for j in range(1, n)]
-        form = _diag_form([("e1", ONE)] + [(s, -ONE) for s in dts])
+        form = _diag_form([("e1", 1)] + [(s, -1) for s in dts])
         even, odd = set(), set()
         for a in range(n - 1):
             for b in range(n - 1):
@@ -297,7 +300,7 @@ def build_root_datum(family, m=None, n=None, alpha=None):
             raise ParameterError("D(m,n) needs m > 1 and n >= 1")
         eps = [f"e{i}" for i in range(1, m + 1)]
         dts = [f"d{j}" for j in range(1, n + 1)]
-        form = _diag_form([(s, ONE) for s in eps] + [(s, -ONE) for s in dts])
+        form = _diag_form([(s, 1) for s in eps] + [(s, -1) for s in dts])
         even, odd = set(), set()
         for a in range(m):
             for b in range(m):
@@ -319,7 +322,7 @@ def build_root_datum(family, m=None, n=None, alpha=None):
 
     if family == "F4":
         syms = ["e1", "e2", "e3", "d"]
-        form = _diag_form([("e1", Scalar(2)), ("e2", Scalar(2)), ("e3", Scalar(2)), ("d", Scalar(-6))])
+        form = _diag_form([("e1", 2), ("e2", 2), ("e3", 2), ("d", -6)])
         even, odd = set(), set()
         for a in range(3):
             for s in (1, -1):
@@ -336,7 +339,7 @@ def build_root_datum(family, m=None, n=None, alpha=None):
 
     if family == "G3":
         syms = ["e1", "e2", "e3", "d"]
-        form = _diag_form([("e1", ONE), ("e2", ONE), ("e3", ONE), ("d", Scalar(-2))])
+        form = _diag_form([("e1", 1), ("e2", 1), ("e3", 1), ("d", -2)])
         even, odd = set(), set()
         for a in range(3):
             for b in range(3):
@@ -359,9 +362,9 @@ def build_root_datum(family, m=None, n=None, alpha=None):
             alpha = Fraction(alpha)
             if alpha in (Fraction(0), Fraction(-1)):
                 raise ParameterError("D(2,1;a) needs a outside {0, -1}")
-        a_val = ALPHA if alpha is None else Scalar(alpha)
+        a_val = ALPHA if alpha is None else alpha
         syms = ["e1", "e2", "d"]
-        form = _diag_form([("e1", ONE), ("e2", a_val), ("d", -(ONE + a_val))])
+        form = _diag_form([("e1", 1), ("e2", a_val), ("d", -(1 + a_val))])
         even = {wv({s: 2 * sg}) for s in syms for sg in (1, -1)}
         odd = set()
         for s1, s2, sd in product((1, -1), repeat=3):
@@ -391,8 +394,7 @@ class SimpleSystem:
         return frozenset(self.roots)
 
     def isotropic_indices(self):
-        return [i + 1 for i, b in enumerate(self.roots)
-                if self.datum.form_value(b, b).is_zero()]
+        return [i + 1 for i, b in enumerate(self.roots) if not self.datum.form_value(b, b)]
 
     def __eq__(self, other):
         return isinstance(other, SimpleSystem) and self.roots == other.roots
@@ -466,13 +468,13 @@ def odd_reflection(datum, system, t):
     if not 1 <= t <= system.rank:
         raise PreconditionError(f"index {t} out of range 1..{system.rank}")
     at = system.roots[t - 1]
-    if not datum.form_value(at, at).is_zero():
+    if datum.form_value(at, at):
         raise PreconditionError(f"alpha_{t} = {at} is not isotropic")
     new = []
     for i, ai in enumerate(system.roots):
         if i == t - 1:
             new.append(-at)
-        elif not datum.form_value(ai, at).is_zero():
+        elif datum.form_value(ai, at):
             new.append(ai + at)
         else:
             new.append(ai)

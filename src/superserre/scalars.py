@@ -1,10 +1,12 @@
 """Exact field arithmetic over Q and over Q(a), the rational functions in one
 indeterminate `a`.
 
-Gram and Cartan matrices are computed in this field.  Relation coefficients
-and the linear algebra on them use `native`: a rational constant becomes an
-`int` or a `Fraction`, and only values that involve a stay `Scalar`.  There
-is no floating point anywhere in the package.
+Values are native where they are made (`native` converts): a rational
+constant is an `int` or a `Fraction`, and only a value that involves a is a
+`Scalar`.  So the Gram and Cartan matrices, the relation coefficients and
+the linear algebra on them run on Python's own rationals, and this field
+does the work only where the parameter a appears; `render` prints either
+kind in one grammar.  There is no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -212,12 +214,6 @@ class Scalar:
             raise ValueError(f"{self} is not a rational constant")
         return q
 
-    def as_integer(self):
-        q = self.as_fraction()
-        if q.denominator != 1:
-            raise ValueError(f"{self} is not an integer")
-        return int(q)
-
     # -- arithmetic --------------------------------------------------------
 
     @staticmethod
@@ -361,11 +357,14 @@ ALPHA = Scalar(Poly([0, 1]))
 
 
 def native(c):
-    """An exact coefficient in the cheapest type that holds it: a rational
-    constant as `int` when integral, else `Fraction`; a coefficient that
-    involves the parameter a stays its `Scalar`.  `SerrePolynomial` and
-    `CartanData.native_a` convert with this once, so a presentation
-    without the parameter runs on Python's own rationals."""
+    """An exact value in the cheapest type that holds it: a rational
+    constant as `int` when integral, else `Fraction`; a value that involves
+    the parameter a stays its `Scalar`.  `RootDatum.form_value`,
+    `cartan_matrix` and `SerrePolynomial` convert with this at the source,
+    so a datum without the parameter runs on Python's own rationals.  An
+    `int` is returned as it is (a `bool` is not an `int` here)."""
+    if type(c) is int:
+        return c
     if isinstance(c, Scalar):
         if not c.is_constant():
             return c
@@ -373,6 +372,21 @@ def native(c):
     else:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def render(c):
+    """Text of an exact value in `Scalar.render`'s grammar: `c.render()` for
+    a `Scalar`, `str(c)` for an `int` or a `Fraction`.
+
+    This equals `Scalar(c).render()` for a rational c.  `Scalar(c)` has the
+    degree-0 numerator (c,) over the shared denominator 1 (none for zero),
+    so `render` returns `_render_poly` of the numerator alone.  That is "0"
+    for zero, which is `str(0)`; else the one coefficient's `str`, with the
+    sign pulled out and put back when c < 0: "-" + str(-c), which is
+    `str(c)` for an `int` and for a `Fraction` ('-3/2', '5', never '5/1').
+    So rational output is the same text without building a `Scalar`.
+    """
+    return c.render() if isinstance(c, Scalar) else str(c)
 
 
 def _needs_parens(p):

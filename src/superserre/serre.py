@@ -14,7 +14,7 @@ from itertools import permutations
 from .cartan_dynkin import BLACK, GREY, WHITE, build_diagram, cartan_matrix, full_subdiagrams
 from .freelie import expand_terms, tree_content, tree_render
 from .rootdata import PreconditionError
-from .scalars import Scalar, native
+from .scalars import native, render
 
 
 class SerrePolynomial:
@@ -42,9 +42,20 @@ class SerrePolynomial:
         return tree_content(next(iter(self.terms)), self.rank)
 
     def mirrored(self):
-        """The omega-image: same trees and coefficients on the other side."""
-        side = "f" if self.side == "e" else "e"
-        return SerrePolynomial(self.terms, side, self.provenance, self.nodes, self.rank)
+        """The omega-image: same trees and coefficients on the other side.
+
+        The slots are copied, not rebuilt: this element's terms are already
+        native, nonzero and homogeneous, and the mirror has the same ones,
+        so the constructor's conversion and checks would find nothing new.
+        The terms dict is shared; no consumer writes to an element's terms.
+        """
+        mirror = SerrePolynomial.__new__(SerrePolynomial)
+        mirror.terms = self.terms
+        mirror.side = "f" if self.side == "e" else "e"
+        mirror.provenance = self.provenance
+        mirror.nodes = self.nodes
+        mirror.rank = self.rank
+        return mirror
 
     def expansion_key(self, parities):
         """Hashable form of the element's expansion into free-Lie words.
@@ -72,7 +83,7 @@ class SerrePolynomial:
             elif c == -1:
                 part = "-" + body
             else:
-                part = f"({Scalar(c).render()})" + ("" if latex else "*") + body
+                part = f"({render(c)})" + ("" if latex else "*") + body
             out += part if not out or part.startswith("-") else "+" + part
         return out
 
@@ -88,7 +99,7 @@ class SerrePolynomial:
             "nodes": list(self.nodes),
             "multidegree": list(self.content),
             "terms": [
-                {"coefficient": Scalar(c).render(), "word": tree_json(t)}
+                {"coefficient": render(c), "word": tree_json(t)}
                 for t, c in sorted(self.terms.items(), key=lambda kv: repr(kv[0]))
             ],
         }
@@ -118,7 +129,7 @@ def standard_serre_elements(cd):
             if not iso:
                 n = 1 - cd.a_integer(i, j)
                 out.append(SerrePolynomial({ad_power(i, j, n): 1}, "e", "standard", (i, j), r))
-            elif cd.a[i - 1][j - 1].is_zero():
+            elif not cd.native_a[i - 1][j - 1]:
                 out.append(SerrePolynomial({(i, j): 1}, "e", "standard", (i, j), r))
     for t in range(1, r + 1):
         if cd.is_isotropic(t):

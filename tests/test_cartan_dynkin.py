@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -22,7 +23,7 @@ from superserre.rootdata import (
     distinguished_simple_system,
     enumerate_simple_systems,
 )
-from superserre.scalars import ALPHA, ONE, Scalar
+from superserre.scalars import ALPHA, ONE, Scalar, render
 
 
 def cd_of(family, **kw):
@@ -419,21 +420,54 @@ def test_table2_series_shapes_conform():
             assert diag.nodes[other] == WHITE and len(diag.neighbours(other)) == 1
 
 
+def _canonical_entry(x):
+    """An int, a Fraction that is not an integer, or a Scalar that involves a."""
+    if type(x) is Fraction:
+        return x.denominator != 1
+    return type(x) is int or (type(x) is Scalar and not x.is_constant())
+
+
+@pytest.mark.parametrize(
+    "family,kw",
+    [(fam, kw) for fam, kw, _ in FAMILY_MATRIX]
+    + [("D21a", dict(alpha=Fraction(2))), ("D21a", dict(alpha=Fraction(-1, 2)))]
+    + [("B", dict(m=3, n=3)), ("D", dict(m=3, n=3)), ("A", dict(m=4, n=2))],
+    ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}{x}" for k, x in v.items()),
+)
+def test_native_cartan_entries_are_canonical(family, kw):
+    # B, D, A and l_m^2 are built natively: no float, no constant Scalar and
+    # no integral Fraction; the Scalar views hold the same values
+    datum = build_root_datum(family, **kw)
+    parametric = 0
+    for system in enumerate_simple_systems(datum):
+        cd = cartan_matrix(datum, system)
+        entries = [x for row in cd.native_b + cd.native_a for x in row] + [*cd.d, cd.lm2]
+        for x in entries:
+            assert _canonical_entry(x), (datum.name, x, type(x))
+        parametric += sum(type(x) is Scalar for x in entries)
+        for view, rows in ((cd.a, cd.native_a), (cd.b, cd.native_b)):
+            assert all(type(x) is Scalar for row in view for x in row)
+            assert [[x.render() for x in row] for row in view] == [
+                [render(x) for x in row] for row in rows
+            ]
+    # only generic D(2,1;a) carries the parameter
+    assert bool(parametric) == (family == "D21a" and "alpha" not in kw)
+
+
 def test_minimal_square_length_is_the_least_nonzero_norm():
     for fam, kw, _ in FAMILY_MATRIX:
         datum = build_root_datum(fam, **kw)
         norms = [datum.form_value(b, b) for b in datum.all_roots]
-        # in generic D(2,1;a) only the constant norms are parameter-free
-        brute = min(abs(v.as_fraction()) for v in norms if v and v.is_constant())
-        assert minimal_square_length(datum) == Scalar(brute), datum.name
+        # in generic D(2,1;a) only the rational norms are parameter-free
+        brute = min(abs(Fraction(v)) for v in norms if v and not isinstance(v, Scalar))
+        assert minimal_square_length(datum) == brute, datum.name
+        assert type(minimal_square_length(datum)) in (int, Fraction), datum.name
 
 
 def test_minimal_square_length_ignores_the_specialised_parameter():
-    from fractions import Fraction
-
     datum = build_root_datum("D21a", alpha=Fraction(1, 2))
-    assert min(abs(datum.form_value(b, b).as_fraction()) for b in datum.even_roots) == 2
-    assert minimal_square_length(datum) == Scalar(4)
+    assert min(abs(Fraction(datum.form_value(b, b))) for b in datum.even_roots) == 2
+    assert minimal_square_length(datum) == 4
 
 
 def test_minimal_square_length_needs_a_non_isotropic_root():

@@ -20,15 +20,20 @@ from superserre.rootdata import (
     distinguished_simple_system,
     enumerate_simple_systems,
 )
-from superserre.scalars import ONE, Scalar
-from superserre.serre import presentation
+from superserre.scalars import Scalar
+from superserre.serre import SerrePolynomial, presentation
+
+
+def _element(terms, nodes, rank=2):
+    """A native e-side relation element, as the engines take them."""
+    return SerrePolynomial(terms, "e", "standard", nodes, rank)
 
 
 def test_ideal_component_examples():
     # S = {[e2,e2]} with e2 odd kills the square at (0,2)
-    assert IdealWordEngine((0, 1), [{(2, 2): ONE}]).rank((0, 2)) == 1
+    assert IdealWordEngine((0, 1), [_element({(2, 2): 1}, (2,))]).rank((0, 2)) == 1
     # S = {[e1,[e1,e2]]}: the whole (3,1) component dies
-    engine = IdealWordEngine((0, 0), [{(1, (1, 2)): ONE}])
+    engine = IdealWordEngine((0, 0), [_element({(1, (1, 2)): 1}, (1, 2))])
     assert engine.rank((3, 1)) == free_dimension((0, 0), (3, 1))
     # S empty
     assert IdealWordEngine((0, 0), []).rank((2, 1)) == 0
@@ -217,10 +222,10 @@ def test_ideal_component_row_values():
     # at (0,2) the single ideal row spans the line of the square monomial,
     # which is the whole one-dimensional free component
     parities = (0, 1)
-    ech = IdealWordEngine(parities, [{(2, 2): ONE}]).echelon((0, 2))
+    ech = IdealWordEngine(parities, [_element({(2, 2): 1}, (2,))]).echelon((0, 2))
     assert ech.rank == 1 == free_dimension(parities, (0, 2))
     (row, _), = ech.rows.values()
-    assert set(row) == set(expand_terms({(2, 2): ONE}, parities)) == {(2, 2)}
+    assert set(row) == set(expand_terms({(2, 2): 1}, parities)) == {(2, 2)}
 
 
 @pytest.mark.parametrize("family,k,over_qa", [("F4", 0, False), ("D21a", 0, False), ("D21a", 1, True)])

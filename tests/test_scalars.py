@@ -13,7 +13,9 @@ from superserre.scalars import (
     Scalar,
     _ONE_POLY,
     _poly_gcd,
+    native,
     parse_scalar,
+    render,
 )
 
 
@@ -175,3 +177,13 @@ def test_mixed_constant_and_qa_operands_stay_canonical(p, a):
         _assert_canonical(a.inverse(), a.den, a.num)
     if p:
         _assert_canonical(a / x, a.num, c * a.den)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(min_value=-10**9, max_value=10**9), _fractions))
+def test_render_of_a_rational_equals_the_scalar_text(c):
+    # `render` prints int and Fraction with `str`, building no Scalar
+    assert render(c) == Scalar(c).render()
+    assert render(native(c)) == render(c)
+    if type(c) is int:
+        assert native(c) is c

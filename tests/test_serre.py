@@ -11,6 +11,7 @@ from superserre.rootdata import (
 )
 from superserre.scalars import ALPHA, ONE, Scalar
 from superserre.serre import (
+    SerrePolynomial,
     higher_order_serre_elements,
     presentation,
     standard_serre_elements,
@@ -118,6 +119,25 @@ def test_f_side_mirrors_e_side():
                 assert e_el.terms == f_el.terms
                 assert e_el.side == "e" and f_el.side == "f"
                 assert f_el.render().count("f") == e_el.render().count("e")
+
+
+def test_mirror_equals_the_constructed_element():
+    # `mirrored` copies the validated slots instead of running the
+    # constructor; on every matrix class it gives what the constructor gives
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        for system in enumerate_simple_systems(datum):
+            for el in presentation(datum, system).e_side:
+                mirror = el.mirrored()
+                built = SerrePolynomial(el.terms, "f", el.provenance, el.nodes, el.rank)
+                for slot in SerrePolynomial.__slots__:
+                    assert getattr(mirror, slot) == getattr(built, slot), (datum.name, el, slot)
+                assert [type(c) for c in mirror.terms.values()] == [
+                    type(c) for c in built.terms.values()
+                ]
+                assert mirror.content == built.content
+                assert mirror.render("latex") == built.render("latex")
+                assert mirror.mirrored().side == "e"
 
 
 def test_elements_homogeneous_in_degree_and_parity():
