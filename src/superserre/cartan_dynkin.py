@@ -16,11 +16,10 @@ the generic D(2,1;a) appears.  The Gram entries arrive that way from
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
-from .scalars import Scalar, native, parse_scalar, render
+from .scalars import Scalar, native, parse_scalar, ratio, render
 from .rootdata import InconsistencyError
 
 WHITE, GREY, BLACK = "white", "grey", "black"
@@ -31,17 +30,12 @@ class CartanDataError(InconsistencyError):
 
 
 def _quotient(x, y):
-    """x / y for native values x and y != 0, native again: an exact `int`
-    quotient without a `Fraction`, `Fraction` arithmetic over Q, and
-    `Scalar` division (then `native`) only where a appears."""
-    if isinstance(x, Scalar) or isinstance(y, Scalar):
-        return native(x / y)
+    """x / y for native values x and y != 0, native again: two `int`s go
+    through `ratio`, and anything else divides in its own type (`Fraction`,
+    or `Scalar` where a appears) and is converted by `native`."""
     if type(x) is int and type(y) is int:
-        q, r = divmod(x, y)
-        if not r:
-            return q
-    q = Fraction(x, y)
-    return q.numerator if q.denominator == 1 else q
+        return ratio(x, y)
+    return native(x / y)
 
 
 def _sign(x):

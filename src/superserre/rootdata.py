@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .scalars import ALPHA, Scalar, native
+from .scalars import ALPHA, Scalar, native, ratio
 
 
 class ParameterError(ValueError):
@@ -212,7 +212,7 @@ class RootDatum:
             else:
                 term = self._parameter_diagonal[s] * (c * d)
                 parameter_part = term if parameter_part is None else parameter_part + term
-        total = num // den if num % den == 0 else Fraction(num, den)
+        total = ratio(num, den)
         return total if parameter_part is None else native(total + parameter_part)
 
 

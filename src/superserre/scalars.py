@@ -369,9 +369,17 @@ def native(c):
         if not c.is_constant():
             return c
         c = c.as_fraction()
-    else:
+    elif type(c) is not Fraction:
         c = Fraction(c)
     return c.numerator if c.denominator == 1 else c
+
+
+def ratio(num, den):
+    """num / den for integers, den != 0, as `native` gives it: the `int`
+    quotient when den divides num, found without building a `Fraction`,
+    else the reduced `Fraction`."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def render(c):

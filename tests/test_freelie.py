@@ -77,7 +77,7 @@ def test_lower_examples():
     # lower(1, [e1,e2]) = (-a12 e2, 0)
     out, h = lower_terms(cd, 1, {(1, 2): ONE})
     assert h.is_zero()
-    assert out == {2: -cd.a[0][1]}
+    assert out == {2: -cd.native_a[0][1]}
     # lower(2, e1) = (0, 0)
     out, h = lower_terms(cd, 2, {1: ONE})
     assert not out and h.is_zero()
@@ -115,7 +115,7 @@ def test_lower_superderivation_property():
             def kappa(nu):
                 acc = ZERO
                 for j in range(cd.rank):
-                    acc = acc + cd.a[i - 1][j] * nu[j]
+                    acc = acc + cd.native_a[i - 1][j] * nu[j]
                 return acc if parities[i - 1] else -acc
 
             def add(tree, c):

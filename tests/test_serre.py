@@ -129,6 +129,7 @@ def test_mirror_equals_the_constructed_element():
         for system in enumerate_simple_systems(datum):
             for el in presentation(datum, system).e_side:
                 mirror = el.mirrored()
+                assert mirror.terms is not el.terms
                 built = SerrePolynomial(el.terms, "f", el.provenance, el.nodes, el.rank)
                 for slot in SerrePolynomial.__slots__:
                     assert getattr(mirror, slot) == getattr(built, slot), (datum.name, el, slot)

@@ -51,8 +51,8 @@ def test_scalar_terms_lower_to_scalars():
 
 def _lower_reference(cd, i, tree):
     """ad f_i on one tree, straight from the convention in `lower_terms`'s
-    docstring, on the Scalar Cartan entries `cd.a`: (word expansion of the
-    positive part, H_i coefficient)."""
+    docstring, in Scalar arithmetic on the Cartan entries: (word expansion
+    of the positive part, H_i coefficient)."""
     r, parities = cd.rank, cd.parities
     p_i = parities[i - 1]
 
@@ -62,7 +62,7 @@ def _lower_reference(cd, i, tree):
         ]
 
     def kappa(t):
-        acc = sum((cd.a[i - 1][j] * n for j, n in enumerate(content(t))), Scalar(0))
+        acc = sum((cd.native_a[i - 1][j] * n for j, n in enumerate(content(t))), Scalar(0))
         return acc if p_i else -acc
 
     def parity(t):
