@@ -6,7 +6,13 @@ distinguished simple systems, odd reflections and the enumeration of simple
 systems (one per conjugacy class of Borel subalgebras).
 
 Basis symbols are strings: "e1", "e2", ... for the epsilons, "d1", "d2", ...
-for the deltas, and a single "d" in F(4), G(3) and D(2,1;a).
+for the deltas, and a single "d" in F(4), G(3) and D(2,1;a).  The form is
+diagonal in them, so a datum carries it as the norm (s, s) of each symbol.
+
+The root sets follow the table of root systems in Kac, *Lie superalgebras*
+(Adv. Math. 26, 1977), one row per family, built from a few shared root
+shapes (see `build_root_datum`).  The distinguished systems of A, B, C and
+D are chains x1 - x2, x2 - x3, ... through the symbols plus one last root.
 """
 
 from __future__ import annotations
@@ -113,38 +119,28 @@ class RootDatum:
     alpha is None for the generic D(2,1;a) (scalars live in Q(a)) and a
     Fraction for a specialised member; it is ignored for other families.
 
-    The form of every family is diagonal in the basis symbols: `form` has
-    one entry (s, s) -> (s, s) per symbol and no others, each an exact value
-    that `scalars.native` accepts.  The norms (b, b) of all roots are
-    evaluated once here, for the isotropy check and for l_m^2, and
-    `all_roots` is stored once.
+    The form of every family is diagonal in the basis symbols, so it is
+    given as `norms`: symbol s -> (s, s), each an exact value that
+    `scalars.native` accepts, in the order of the symbols.  The norms
+    (b, b) of all roots are evaluated once here, for the isotropy check and
+    for l_m^2, and `all_roots` is stored once.
     """
 
-    def __init__(self, family, m, n, symbols, even_roots, odd_roots, form, alpha=None):
+    def __init__(self, family, m, n, norms, even_roots, odd_roots, alpha=None):
         self.family = family
         self.m = m
         self.n = n
-        self.symbols = tuple(symbols)
         self.even_roots = frozenset(even_roots)
         self.odd_roots = frozenset(odd_roots)
         self.all_roots = self.even_roots | self.odd_roots
         self.alpha = alpha
-        off_diagonal = [key for key in form if key[0] != key[1]]
-        if off_diagonal:
-            raise ValueError(f"the form of {self.name} is not diagonal: {off_diagonal}")
-        self._symbol_set = frozenset(self.symbols)
-        self._rational_diagonal = {}  # symbol -> int or Fraction
-        self._parameter_diagonal = {}  # symbol -> non-constant Scalar (generic D(2,1;a))
-        for (s, _), value in form.items():
-            value = native(value)
-            if isinstance(value, Scalar):
-                self._parameter_diagonal[s] = value
-            else:
-                self._rational_diagonal[s] = value
+        self.norms = {s: native(value) for s, value in norms.items()}
+        # the norms free of the parameter a: all of them but in generic D(2,1;a)
+        self._rational_norms = {s: v for s, v in self.norms.items() if not isinstance(v, Scalar)}
         # In D(2,1;a) only the norms of +-2e1 do not depend on the parameter;
         # l_m^2 is taken from them for specialised members too, so that
         # specialising commutes with everything built on the Cartan matrix.
-        fixed = {"e1"} if family == "D21a" else self._symbol_set
+        fixed = {"e1"} if family == "D21a" else self.norms.keys()
         isotropic = set()
         least = None
         for b in self.all_roots:
@@ -193,11 +189,11 @@ class RootDatum:
         D(2,1;a) are multiplied as Scalars, and their sum is converted by
         `native`, since it can be a constant (the norm of d + e1 + e2 is 0).
         """
-        ld, md = lam._d, mu._d
-        if not (ld.keys() <= self._symbol_set and md.keys() <= self._symbol_set):
-            foreign = (ld.keys() | md.keys()) - self._symbol_set
+        ld, md, norms = lam._d, mu._d, self.norms
+        if not (ld.keys() <= norms.keys() and md.keys() <= norms.keys()):
+            foreign = (ld.keys() | md.keys()) - norms.keys()
             raise TypeError(f"foreign basis symbols {sorted(foreign)} for {self.name}")
-        rational = self._rational_diagonal
+        rational = self._rational_norms
         num, den = 0, 1  # the rational part, as num/den in integers
         parameter_part = None
         for s, c in ld.items():
@@ -210,7 +206,7 @@ class RootDatum:
                 pd = w.denominator * c.denominator * d.denominator
                 num, den = num * pd + pn * den, den * pd
             else:
-                term = self._parameter_diagonal[s] * (c * d)
+                term = norms[s] * (c * d)
                 parameter_part = term if parameter_part is None else parameter_part + term
         total = ratio(num, den)
         return total if parameter_part is None else native(total + parameter_part)
@@ -220,142 +216,101 @@ def bilinear(datum, lam, mu):
     return datum.form_value(lam, mu)
 
 
-def _diag_form(pairs):
-    form = {}
-    for sym, value in pairs:
-        form[(sym, sym)] = value
-    return form
+def _signed(terms):
+    """Every sum of +-c*x over the (symbol x, coefficient c) pairs of terms."""
+    return {
+        WeightVector((x, sign * c) for (x, c), sign in zip(terms, signs))
+        for signs in product((1, -1), repeat=len(terms))
+    }
+
+
+def _pairs(xs, ys):
+    """+-x +- y for x in xs, y in ys, x != y."""
+    return {b for x in xs for y in ys if x != y for b in _signed([(x, 1), (y, 1)])}
+
+
+def _multiples(xs, c):
+    """+-c*x for x in xs."""
+    return {b for x in xs for b in _signed([(x, c)])}
+
+
+def _differences(xs, ys):
+    """x - y for x in xs, y in ys, x != y."""
+    return {WeightVector({x: 1, y: -1}) for x in xs for y in ys if x != y}
+
+
+def _chain(syms):
+    """x1 - x2, x2 - x3, ... along syms."""
+    return [WeightVector({x: 1, y: -1}) for x, y in zip(syms, syms[1:])]
+
+
+def _epsilons_deltas(m, n):
+    """e1..em of norm 1 and d1..dn of norm -1, with their norms in that order."""
+    eps = [f"e{i}" for i in range(1, m + 1)]
+    dts = [f"d{j}" for j in range(1, n + 1)]
+    return eps, dts, {**dict.fromkeys(eps, 1), **dict.fromkeys(dts, -1)}
 
 
 def build_root_datum(family, m=None, n=None, alpha=None):
-    """Construct the root datum of a family; parameters are validated."""
+    """Construct the root datum of a family; parameters are validated.
+
+    Each branch is one row of the table of root systems in Kac, *Lie
+    superalgebras* (Adv. Math. 26, 1977): the basis symbols with their
+    norms (s, s), then the even roots Delta_0 and the odd roots Delta_1,
+    built from the root shapes +-x +- y (`_pairs`), +-c*x (`_multiples`),
+    x - y (`_differences`) and every signed sum (`_signed`).  Only G(3)
+    has a shape of its own, +-(2e_k - e_i - e_j).
+    """
     if family == "A":
         if m is None or n is None or m < 0 or n < 0 or (m, n) == (0, 0):
             raise ParameterError("A(m,n) needs m,n >= 0 and (m,n) != (0,0)")
-        eps = [f"e{i}" for i in range(1, m + 2)]
-        dts = [f"d{j}" for j in range(1, n + 2)]
-        form = _diag_form([(s, 1) for s in eps] + [(s, -1) for s in dts])
-        even = set()
-        for a, b in product(range(m + 1), repeat=2):
-            if a != b:
-                even.add(wv({eps[a]: 1, eps[b]: -1}))
-        for a, b in product(range(n + 1), repeat=2):
-            if a != b:
-                even.add(wv({dts[a]: 1, dts[b]: -1}))
-        odd = set()
-        for a in range(m + 1):
-            for b in range(n + 1):
-                odd.add(wv({eps[a]: 1, dts[b]: -1}))
-                odd.add(wv({eps[a]: -1, dts[b]: 1}))
-        return RootDatum("A", m, n, eps + dts, even, odd, form)
+        eps, dts, norms = _epsilons_deltas(m + 1, n + 1)
+        even = _differences(eps, eps) | _differences(dts, dts)
+        odd = _differences(eps, dts) | _differences(dts, eps)
+        return RootDatum("A", m, n, norms, even, odd)
 
     if family == "B":
         if m is None or n is None or m < 0 or n < 1:
             raise ParameterError("B(m,n) needs m >= 0 and n >= 1")
-        eps = [f"e{i}" for i in range(1, m + 1)]
-        dts = [f"d{j}" for j in range(1, n + 1)]
-        form = _diag_form([(s, 1) for s in eps] + [(s, -1) for s in dts])
-        even, odd = set(), set()
-        for a in range(m):
-            for b in range(m):
-                if a != b:
-                    for sa, sb in product((1, -1), repeat=2):
-                        even.add(wv({eps[a]: sa, eps[b]: sb}))
-            for s in (1, -1):
-                even.add(wv({eps[a]: s}))
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    for sa, sb in product((1, -1), repeat=2):
-                        even.add(wv({dts[a]: sa, dts[b]: sb}))
-            for s in (1, -1):
-                even.add(wv({dts[a]: 2 * s}))
-                odd.add(wv({dts[a]: s}))
-        for a in range(m):
-            for b in range(n):
-                for sa, sb in product((1, -1), repeat=2):
-                    odd.add(wv({eps[a]: sa, dts[b]: sb}))
-        return RootDatum("B", m, n, eps + dts, even, odd, form)
+        eps, dts, norms = _epsilons_deltas(m, n)
+        even = _pairs(eps, eps) | _multiples(eps, 1) | _pairs(dts, dts) | _multiples(dts, 2)
+        odd = _pairs(eps, dts) | _multiples(dts, 1)
+        return RootDatum("B", m, n, norms, even, odd)
 
     if family == "C":
         if n is None or n <= 2:
             raise ParameterError("C(n) needs n > 2")
-        eps = ["e1"]
-        dts = [f"d{j}" for j in range(1, n)]
-        form = _diag_form([("e1", 1)] + [(s, -1) for s in dts])
-        even, odd = set(), set()
-        for a in range(n - 1):
-            for b in range(n - 1):
-                if a != b:
-                    for sa, sb in product((1, -1), repeat=2):
-                        even.add(wv({dts[a]: sa, dts[b]: sb}))
-            for s in (1, -1):
-                even.add(wv({dts[a]: 2 * s}))
-            for sa, sb in product((1, -1), repeat=2):
-                odd.add(wv({"e1": sa, dts[a]: sb}))
-        return RootDatum("C", None, n, eps + dts, even, odd, form)
+        eps, dts, norms = _epsilons_deltas(1, n - 1)
+        even = _pairs(dts, dts) | _multiples(dts, 2)
+        odd = _pairs(eps, dts)
+        return RootDatum("C", None, n, norms, even, odd)
 
     if family == "D":
         if m is None or n is None or m <= 1 or n < 1:
             raise ParameterError("D(m,n) needs m > 1 and n >= 1")
-        eps = [f"e{i}" for i in range(1, m + 1)]
-        dts = [f"d{j}" for j in range(1, n + 1)]
-        form = _diag_form([(s, 1) for s in eps] + [(s, -1) for s in dts])
-        even, odd = set(), set()
-        for a in range(m):
-            for b in range(m):
-                if a != b:
-                    for sa, sb in product((1, -1), repeat=2):
-                        even.add(wv({eps[a]: sa, eps[b]: sb}))
-        for a in range(n):
-            for b in range(n):
-                if a != b:
-                    for sa, sb in product((1, -1), repeat=2):
-                        even.add(wv({dts[a]: sa, dts[b]: sb}))
-            for s in (1, -1):
-                even.add(wv({dts[a]: 2 * s}))
-        for a in range(m):
-            for b in range(n):
-                for sa, sb in product((1, -1), repeat=2):
-                    odd.add(wv({eps[a]: sa, dts[b]: sb}))
-        return RootDatum("D", m, n, eps + dts, even, odd, form)
+        eps, dts, norms = _epsilons_deltas(m, n)
+        even = _pairs(eps, eps) | _pairs(dts, dts) | _multiples(dts, 2)
+        odd = _pairs(eps, dts)
+        return RootDatum("D", m, n, norms, even, odd)
 
     if family == "F4":
-        syms = ["e1", "e2", "e3", "d"]
-        form = _diag_form([("e1", 2), ("e2", 2), ("e3", 2), ("d", -6)])
-        even, odd = set(), set()
-        for a in range(3):
-            for s in (1, -1):
-                even.add(wv({syms[a]: s}))
-            for b in range(a + 1, 3):
-                for sa, sb in product((1, -1), repeat=2):
-                    even.add(wv({syms[a]: sa, syms[b]: sb}))
-        even.add(wv({"d": 1}))
-        even.add(wv({"d": -1}))
-        half = Fraction(1, 2)
-        for s1, s2, s3, sd in product((1, -1), repeat=4):
-            odd.add(wv({"e1": s1 * half, "e2": s2 * half, "e3": s3 * half, "d": sd * half}))
-        return RootDatum("F4", None, None, syms, even, odd, form)
+        eps = ["e1", "e2", "e3"]
+        norms = {"e1": 2, "e2": 2, "e3": 2, "d": -6}
+        even = _pairs(eps, eps) | _multiples(eps, 1) | _multiples(["d"], 1)
+        odd = _signed([(s, Fraction(1, 2)) for s in norms])
+        return RootDatum("F4", None, None, norms, even, odd)
 
     if family == "G3":
-        syms = ["e1", "e2", "e3", "d"]
-        form = _diag_form([("e1", 1), ("e2", 1), ("e3", 1), ("d", -2)])
-        even, odd = set(), set()
-        for a in range(3):
-            for b in range(3):
-                if a != b:
-                    even.add(wv({syms[a]: 1, syms[b]: -1}))
-                    odd.add(wv({"d": 1, syms[a]: 1, syms[b]: -1}))
-                    odd.add(wv({"d": -1, syms[a]: 1, syms[b]: -1}))
-        for k in range(3):
-            rest = [x for x in range(3) if x != k]
-            for s in (1, -1):
-                even.add(wv({syms[k]: 2 * s, syms[rest[0]]: -s, syms[rest[1]]: -s}))
-        even.add(wv({"d": 2}))
-        even.add(wv({"d": -2}))
-        odd.add(wv({"d": 1}))
-        odd.add(wv({"d": -1}))
-        return RootDatum("G3", None, None, syms, even, odd, form)
+        eps = ["e1", "e2", "e3"]
+        norms = {"e1": 1, "e2": 1, "e3": 1, "d": -2}
+        short = _differences(eps, eps)
+        # +-(2e_k - e_i - e_j) for {i, j, k} = {1, 2, 3}
+        long = {
+            WeightVector((x, sg * (2 if x == k else -1)) for x in eps) for k in eps for sg in (1, -1)
+        }
+        even = short | long | _multiples(["d"], 2)
+        odd = {b + c for b in short for c in _multiples(["d"], 1)} | _multiples(["d"], 1)
+        return RootDatum("G3", None, None, norms, even, odd)
 
     if family == "D21a":
         if alpha is not None:
@@ -363,13 +318,10 @@ def build_root_datum(family, m=None, n=None, alpha=None):
             if alpha in (Fraction(0), Fraction(-1)):
                 raise ParameterError("D(2,1;a) needs a outside {0, -1}")
         a_val = ALPHA if alpha is None else alpha
-        syms = ["e1", "e2", "d"]
-        form = _diag_form([("e1", 1), ("e2", a_val), ("d", -(1 + a_val))])
-        even = {wv({s: 2 * sg}) for s in syms for sg in (1, -1)}
-        odd = set()
-        for s1, s2, sd in product((1, -1), repeat=3):
-            odd.add(wv({"d": sd, "e1": s1, "e2": s2}))
-        return RootDatum("D21a", 2, 1, syms, even, odd, form, alpha=alpha)
+        norms = {"e1": 1, "e2": a_val, "d": -(1 + a_val)}
+        even = _multiples(norms, 2)
+        odd = _signed([(s, 1) for s in norms])
+        return RootDatum("D21a", 2, 1, norms, even, odd, alpha=alpha)
 
     raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
@@ -409,32 +361,17 @@ class SimpleSystem:
 def distinguished_simple_system(datum):
     """The simple system with exactly one odd simple root."""
     f = datum.family
+    eps = [s for s in datum.norms if s.startswith("e")]
+    dts = [s for s in datum.norms if s.startswith("d")]
     if f == "A":
-        m, n = datum.m, datum.n
-        roots = [wv({f"e{i}": 1, f"e{i+1}": -1}) for i in range(1, m + 1)]
-        roots.append(wv({f"e{m+1}": 1, "d1": -1}))
-        roots += [wv({f"d{j}": 1, f"d{j+1}": -1}) for j in range(1, n + 1)]
-    elif f == "B" and datum.m == 0:
-        n = datum.n
-        roots = [wv({f"d{j}": 1, f"d{j+1}": -1}) for j in range(1, n)]
-        roots.append(wv({f"d{n}": 1}))
+        roots = _chain(eps + dts)
     elif f == "B":
-        m, n = datum.m, datum.n
-        roots = [wv({f"d{j}": 1, f"d{j+1}": -1}) for j in range(1, n)]
-        roots.append(wv({f"d{n}": 1, "e1": -1}))
-        roots += [wv({f"e{i}": 1, f"e{i+1}": -1}) for i in range(1, m)]
-        roots.append(wv({f"e{m}": 1}))
+        # ends in the short root e_m, or d_n in B(0,n)
+        roots = _chain(dts + eps) + [wv({(dts + eps)[-1]: 1})]
     elif f == "C":
-        n = datum.n
-        roots = [wv({"e1": 1, "d1": -1})]
-        roots += [wv({f"d{j}": 1, f"d{j+1}": -1}) for j in range(1, n - 1)]
-        roots.append(wv({f"d{n-1}": 2}))
+        roots = _chain(eps + dts) + [wv({dts[-1]: 2})]
     elif f == "D":
-        m, n = datum.m, datum.n
-        roots = [wv({f"d{j}": 1, f"d{j+1}": -1}) for j in range(1, n)]
-        roots.append(wv({f"d{n}": 1, "e1": -1}))
-        roots += [wv({f"e{i}": 1, f"e{i+1}": -1}) for i in range(1, m)]
-        roots.append(wv({f"e{m-1}": 1, f"e{m}": 1}))
+        roots = _chain(dts + eps) + [wv({eps[-2]: 1, eps[-1]: 1})]
     elif f == "F4":
         half = Fraction(1, 2)
         roots = [
@@ -515,7 +452,7 @@ class _CoordinateMap:
     """
 
     def __init__(self, system):
-        symbols = system.datum.symbols
+        symbols = list(system.datum.norms)
         r, n = system.rank, len(symbols)
         rows = [
             [b.coefficient(s) for b in system.roots] + [Fraction(int(k == i)) for k in range(n)]

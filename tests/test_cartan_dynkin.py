@@ -474,7 +474,7 @@ def test_minimal_square_length_needs_a_non_isotropic_root():
     from superserre.rootdata import RootDatum, wv
 
     odd = [wv({"e1": 1, "d1": -1}), wv({"e1": -1, "d1": 1})]
-    datum = RootDatum("A", 0, 0, ["e1", "d1"], [], odd, {("e1", "e1"): ONE, ("d1", "d1"): -ONE})
+    datum = RootDatum("A", 0, 0, {"e1": ONE, "d1": -ONE}, [], odd)
     with pytest.raises(CartanDataError):
         minimal_square_length(datum)
 
