@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .scalars import ALPHA, Scalar, native, ratio
 
@@ -40,8 +40,32 @@ class InconsistencyError(RuntimeError):
 FAMILIES = ("A", "B", "C", "D", "F4", "G3", "D21a")
 
 
+def _coefficient(c):
+    """A rational coefficient in the native form of `scalars.native`: an
+    `int`, or a `Fraction` only when it is not an integer.  Unlike `native`
+    it rejects a `Scalar` (`Fraction` raises TypeError): roots are rational."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class WeightVector:
-    """Formal Q-combination of basis symbols; immutable and hashable."""
+    """Formal Q-combination of basis symbols; immutable and hashable.
+
+    Coefficients follow the `scalars.native` rule: an `int`, and a
+    `Fraction` only where a coefficient is not an integer (among the roots,
+    only the odd roots of F(4) have such: halves).  Zero coefficients are
+    dropped, so `items()`, the (symbol, coefficient) pairs sorted by
+    symbol, is a canonical key: vectors built by any route compare and hash
+    equal.
+
+    Python hashes a rational by its value (`hash(2) == hash(Fraction(2))`)
+    and prints it the same way (`str(2) == str(Fraction(2))`), so keys hash,
+    sets of roots iterate, and `repr` and `to_json` print exactly as when
+    every coefficient was a `Fraction`.  Sums and negatives of canonical
+    vectors are built directly, without re-checking every entry.
+    """
 
     __slots__ = ("_d", "_key")
 
@@ -49,16 +73,27 @@ class WeightVector:
         d = {}
         items = data.items() if isinstance(data, dict) else data
         for sym, c in items:
-            c = Fraction(c)
+            c = _coefficient(c)
+            if sym in d:
+                c = _coefficient(d[sym] + c)
             if c:
-                d[sym] = d.get(sym, Fraction(0)) + c
-                if not d[sym]:
-                    del d[sym]
+                d[sym] = c
+            else:
+                d.pop(sym, None)
         self._d = d
         self._key = tuple(sorted(d.items()))
 
+    @classmethod
+    def _of(cls, d):
+        """The vector of a dict that is already canonical: native nonzero
+        coefficients."""
+        v = cls.__new__(cls)
+        v._d = d
+        v._key = tuple(sorted(d.items()))
+        return v
+
     def coefficient(self, sym):
-        return self._d.get(sym, Fraction(0))
+        return self._d.get(sym, 0)
 
     def symbols(self):
         return set(self._d)
@@ -72,17 +107,23 @@ class WeightVector:
     def __add__(self, other):
         d = dict(self._d)
         for s, c in other._d.items():
-            d[s] = d.get(s, Fraction(0)) + c
-        return WeightVector(d)
+            c += d.get(s, 0)
+            if not c:
+                del d[s]
+            elif type(c) is Fraction and c.denominator == 1:
+                d[s] = c.numerator
+            else:
+                d[s] = c
+        return WeightVector._of(d)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return WeightVector({s: -c for s, c in self._d.items()})
+        return WeightVector._of({s: -c for s, c in self._d.items()})
 
     def scale(self, k):
-        k = Fraction(k)
+        k = _coefficient(k)
         return WeightVector({s: c * k for s, c in self._d.items()})
 
     def __eq__(self, other):
@@ -123,7 +164,7 @@ class RootDatum:
     given as `norms`: symbol s -> (s, s), each an exact value that
     `scalars.native` accepts, in the order of the symbols.  The norms
     (b, b) of all roots are evaluated once here, for the isotropy check and
-    for l_m^2, and `all_roots` is stored once.
+    for l_m^2, and `all_roots` and the rank are stored once.
     """
 
     def __init__(self, family, m, n, norms, even_roots, odd_roots, alpha=None):
@@ -155,6 +196,9 @@ class RootDatum:
                     least = q
         self.isotropic_roots = frozenset(isotropic)
         self.min_square_length = least  # least fixed nonzero |(b, b)|, None if there is none
+        # the number of simple roots, from the distinguished system's roots
+        # (no `SimpleSystem`, so no root-membership checks)
+        self.rank = len(_distinguished_roots(self))
 
     @property
     def name(self):
@@ -184,8 +228,9 @@ class RootDatum:
         tested with `not`.
 
         The form is diagonal, so one pass over the symbols of lam, looked up
-        in mu, finds every contribution.  Rational entries are summed as one
-        fraction in integer arithmetic; only the Q(a) entries of the generic
+        in mu, finds every contribution.  Rational entries (`int`s read as
+        their own numerator over 1) are summed as one fraction in integer
+        arithmetic; only the Q(a) entries of the generic
         D(2,1;a) are multiplied as Scalars, and their sum is converted by
         `native`, since it can be a constant (the norm of d + e1 + e2 is 0).
         """
@@ -336,7 +381,7 @@ class SimpleSystem:
                 raise PreconditionError(f"{b} is not a root of {datum.name}")
         self.datum = datum
         self.roots = roots
-        self.theta = frozenset(i + 1 for i, b in enumerate(roots) if datum.is_odd(b))
+        self.theta = frozenset(i + 1 for i, b in enumerate(roots) if b in datum.odd_roots)
 
     @property
     def rank(self):
@@ -346,7 +391,9 @@ class SimpleSystem:
         return frozenset(self.roots)
 
     def isotropic_indices(self):
-        return [i + 1 for i, b in enumerate(self.roots) if not self.datum.form_value(b, b)]
+        # every simple root is a root, and the datum found its isotropic roots once
+        isotropic = self.datum.isotropic_roots
+        return [i + 1 for i, b in enumerate(self.roots) if b in isotropic]
 
     def __eq__(self, other):
         return isinstance(other, SimpleSystem) and self.roots == other.roots
@@ -358,8 +405,8 @@ class SimpleSystem:
         return f"SimpleSystem({self.datum.name}, {list(self.roots)})"
 
 
-def distinguished_simple_system(datum):
-    """The simple system with exactly one odd simple root."""
+def _distinguished_roots(datum):
+    """The simple roots of the distinguished system, in order."""
     f = datum.family
     eps = [s for s in datum.norms if s.startswith("e")]
     dts = [s for s in datum.norms if s.startswith("d")]
@@ -390,7 +437,12 @@ def distinguished_simple_system(datum):
         roots = [wv({"d": 1, "e1": -1, "e2": -1}), wv({"e1": 2}), wv({"e2": 2})]
     else:
         raise ParameterError(f"unknown family {f!r}")
-    system = SimpleSystem(datum, roots)
+    return roots
+
+
+def distinguished_simple_system(datum):
+    """The simple system with exactly one odd simple root."""
+    system = SimpleSystem(datum, _distinguished_roots(datum))
     if len(system.theta) != 1:
         raise InconsistencyError(f"distinguished system of {datum.name} has theta {set(system.theta)}")
     return system
@@ -405,7 +457,7 @@ def odd_reflection(datum, system, t):
     if not 1 <= t <= system.rank:
         raise PreconditionError(f"index {t} out of range 1..{system.rank}")
     at = system.roots[t - 1]
-    if datum.form_value(at, at):
+    if at not in datum.isotropic_roots:
         raise PreconditionError(f"alpha_{t} = {at} is not isotropic")
     new = []
     for i, ai in enumerate(system.roots):
@@ -433,8 +485,9 @@ def enumerate_simple_systems(datum):
         for system in frontier:
             for t in system.isotropic_indices():
                 refl = odd_reflection(datum, system, t)
-                if refl.key() not in seen:
-                    seen.add(refl.key())
+                key = refl.key()
+                if key not in seen:
+                    seen.add(key)
                     out.append(refl)
                     next_frontier.append(refl)
         frontier = next_frontier
@@ -444,18 +497,25 @@ def enumerate_simple_systems(datum):
 class _CoordinateMap:
     """Coordinates in one simple basis, from one elimination.
 
-    The symbols x rank matrix M of the simple roots is row-reduced once,
-    augmented with the identity, giving row operations T with T M = [I; 0].
-    T is kept as integer rows over a common denominator, so a vector's
-    coordinates are integer dot products: its first `rank` entries under T,
-    and it lies in the span exactly when the remaining entries vanish.
+    The symbols x rank matrix M of the simple roots is scaled to integers
+    by the lcm L of their coefficients' denominators (2 in F(4), else 1)
+    and row-reduced fraction-free, augmented with the identity: a row is
+    cleared as pv * row - f * pivot_row and then divided by the gcd of its
+    entries, so no `Fraction` is built.  This gives integer row operations
+    T with T (L M) = [D; 0], D diagonal.  Each of the first `rank` rows of
+    T is multiplied by L * lcm(D) / D_k, so T is kept as integer rows over
+    one common denominator, lcm(D), and a vector's coordinates are integer
+    dot products: its first `rank` entries under T, and it lies in the span
+    exactly when the remaining entries vanish.
     """
 
     def __init__(self, system):
         symbols = list(system.datum.norms)
         r, n = system.rank, len(symbols)
+        roots = system.roots
+        scale = lcm(*(c.denominator for b in roots for _, c in b.items() if type(c) is not int))
         rows = [
-            [b.coefficient(s) for b in system.roots] + [Fraction(int(k == i)) for k in range(n)]
+            [int(b.coefficient(s) * scale) for b in roots] + [int(k == i) for k in range(n)]
             for i, s in enumerate(symbols)
         ]
         for col in range(r):
@@ -463,20 +523,23 @@ class _CoordinateMap:
             if p is None:
                 raise InconsistencyError(f"the simple roots of {system!r} are linearly dependent")
             rows[col], rows[p] = rows[p], rows[col]
-            pv = rows[col][col]
-            rows[col] = [x / pv for x in rows[col]]
+            pivot_row = rows[col]
+            pv = pivot_row[col]
             for k in range(n):
                 f = rows[k][col]
                 if k != col and f:
-                    rows[k] = [a - f * b for a, b in zip(rows[k], rows[col])]
-        denominator = lcm(*(x.denominator for row in rows for x in row[r:]))
+                    row = [pv * a - f * b for a, b in zip(rows[k], pivot_row)]
+                    g = gcd(*row)  # not 0: the identity block keeps the rows independent
+                    rows[k] = [a // g for a in row] if g != 1 else row
+        denominator = lcm(*(rows[k][k] for k in range(r)))
+        for k in range(r):
+            factor = denominator // rows[k][k] * scale
+            rows[k] = [a * factor for a in rows[k]]
         # column of T per symbol, as integers over `denominator`
-        self._columns = {
-            s: [int(rows[k][r + i] * denominator) for k in range(n)]
-            for i, s in enumerate(symbols)
-        }
+        self._columns = {s: [rows[k][r + i] for k in range(n)] for i, s in enumerate(symbols)}
         self._denominator = denominator
         self._size = n
+        self._rank = r
         self.system = system
 
     def __call__(self, vector):
@@ -484,25 +547,25 @@ class _CoordinateMap:
         symbol outside the datum, lies outside the span of the simple roots
         or has a non-integral coordinate."""
         items = vector.items()
-        scale = lcm(*(c.denominator for _, c in items))
+        scale = lcm(*(c.denominator for _, c in items if type(c) is not int))
         acc = [0] * self._size
         for s, c in items:
             column = self._columns.get(s)
             if column is None:
                 raise InconsistencyError(f"{vector} has a symbol {s!r} outside {self.system.datum.name}")
-            c = c.numerator * (scale // c.denominator)
+            if scale != 1:
+                c = int(c * scale)
             acc = [a + c * t for a, t in zip(acc, column)]
-        r = self.system.rank
+        r = self._rank
         if any(acc[r:]):
             raise InconsistencyError(f"{vector} is not in the span of {self.system!r}")
         denominator = self._denominator * scale
-        coords = []
-        for a in acc[:r]:
-            q, rem = divmod(a, denominator)
-            if rem:
-                sol = tuple(Fraction(a, denominator) for a in acc[:r])
+        coords = acc[:r]
+        if denominator != 1:
+            if any(a % denominator for a in coords):
+                sol = tuple(Fraction(a, denominator) for a in coords)
                 raise InconsistencyError(f"{vector} has non-integral coordinates {sol}")
-            coords.append(q)
+            coords = [a // denominator for a in coords]
         return tuple(coords)
 
 
@@ -518,7 +581,7 @@ def positive_roots(system):
     pos = {}
     for root in datum.all_roots:
         coords = coordinates(root)
-        if all(c >= 0 for c in coords) and any(coords):
+        if any(coords) and min(coords) >= 0:
             pos[root] = coords
     if 2 * len(pos) != len(datum.all_roots):
         raise InconsistencyError(

@@ -9,7 +9,6 @@ from __future__ import annotations
 from .quotient import quotient_dimensions, z_grading_report
 from .rootdata import (
     PreconditionError,
-    distinguished_simple_system,
     enumerate_simple_systems,
     positive_roots,
 )
@@ -31,8 +30,7 @@ def default_height_cap(system):
 
 
 def expected_total_dimension(datum):
-    rank = distinguished_simple_system(datum).rank
-    return rank + len(datum.even_roots) + len(datum.odd_roots)
+    return datum.rank + len(datum.even_roots) + len(datum.odd_roots)
 
 
 class VerificationReport:

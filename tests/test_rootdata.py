@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,8 @@ from superserre.rootdata import (
     ParameterError,
     PreconditionError,
     SimpleSystem,
+    WeightVector,
+    _CoordinateMap,
     bilinear,
     build_root_datum,
     distinguished_simple_system,
@@ -216,12 +220,117 @@ def test_weight_vector_json():
     assert v.to_json() == {"d": "-1", "e1": "1/2"}
 
 
+def _fraction_repr(key):
+    """The text of a vector whose (symbol, coefficient) key holds every
+    coefficient as a `Fraction`, as `repr` printed it before coefficients
+    were native."""
+    parts = []
+    for s, c in key:
+        if c == 1:
+            parts.append(f"+{s}")
+        elif c == -1:
+            parts.append(f"-{s}")
+        else:
+            parts.append(f"{'+' if c > 0 else '-'}{abs(c)}*{s}")
+    text = "".join(parts)
+    return text[1:] if text.startswith("+") else text or "0"
+
+
+_SYMBOLS = ("d", "d1", "e1", "e2", "e3")
+_RATIONALS = st.builds(Fraction, st.integers(-8, 8), st.integers(1, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(st.sampled_from(_SYMBOLS), _RATIONALS, max_size=4),
+    st.dictionaries(st.sampled_from(_SYMBOLS), _RATIONALS, max_size=4),
+    st.data(),
+)
+def test_weight_vector_canonical_form(coefficients, other, data):
+    # the Fraction key every vector had before coefficients were native
+    old_key = tuple(sorted((s, Fraction(c)) for s, c in coefficients.items() if c))
+    pairs = []  # each coefficient split in two, so a symbol comes twice
+    for s, c in coefficients.items():
+        part = data.draw(_RATIONALS)
+        pairs += [(s, part), (s, c - part)]
+    v = wv(coefficients)  # Fraction(4, 2) and the like
+    w = wv(other)
+    k = data.draw(_RATIONALS.filter(bool))
+    routes = [
+        v,
+        WeightVector(pairs),
+        wv({s: c.numerator if c.denominator == 1 else c for s, c in coefficients.items()}),
+        v + w - w,
+        w + v - w,
+        -(-v),
+        v.scale(k).scale(1 / k),
+    ]
+    for u in routes:
+        assert u == v and hash(u) == hash(v) == hash(old_key)
+        assert u.items() == old_key
+        for _, c in u.items():
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for s in _SYMBOLS:
+            c = u.coefficient(s)
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        assert repr(u) == _fraction_repr(old_key)
+        assert u.to_json() == {s: str(c) for s, c in old_key}
+    assert (v - v).is_zero() and repr(v - v) == "0" and hash(v - v) == hash(())
+
+
+def _borel_class_count(family, m=None, n=None):
+    """The number of Borel classes, from the classification: the words in
+    the epsilon and delta simple roots of the distinguished chain, counted
+    as shuffles, m + 1 epsilons with n + 1 deltas for A(m,n) and m with n
+    for B(m,n); D(m,n), with C(n) as D(1, n - 1), counts the words that end
+    in a delta twice; F(4), G(3) and D(2,1;a) have 6, 4 and 4."""
+    if family == "A":
+        return comb(m + n + 2, m + 1)
+    if family == "B":
+        return comb(m + n, m)
+    if family == "C":
+        return comb(n, 1) + comb(n - 1, 1)  # D(1, n - 1): 2n - 1
+    if family == "D":
+        return comb(m + n, m) + comb(m + n - 1, m)
+    return {"F4": 6, "G3": 4, "D21a": 4}[family]
+
+
+def _algebras_of_rank(r):
+    """(family, parameters) of every algebra of rank r: A(m,n) with m >= n
+    (A(m,n) is A(n,m)) and (m,n) != (0,0) of rank m + n + 1; B(m,n), n >= 1, and D(m,n),
+    m >= 2, n >= 1, of rank m + n; C(n), n >= 3, of rank n; G(3) and
+    generic D(2,1;a) of rank 3, F(4) of rank 4."""
+    out = [("A", dict(m=r - 1 - n, n=n)) for n in range(r) if r - 1 - n >= n and r > 1]
+    out += [("B", dict(m=r - n, n=n)) for n in range(1, r + 1)]
+    out += [("C", dict(n=r))] if r >= 3 else []
+    out += [("D", dict(m=r - n, n=n)) for n in range(1, r - 1)]
+    out += {3: [("G3", {}), ("D21a", {})], 4: [("F4", {})]}.get(r, [])
+    return out
+
+
+def test_borel_class_counts_up_to_rank_7():
+    algebras = classes = 0
+    for r in range(1, 8):
+        for fam, kw in _algebras_of_rank(r):
+            datum = build_root_datum(fam, **kw)
+            systems = enumerate_simple_systems(datum)
+            assert len(systems) == _borel_class_count(fam, **kw), datum.name
+            assert datum.rank == r == distinguished_simple_system(datum).rank, datum.name
+            for system in systems:
+                positive_roots(system)  # raises unless exactly half the roots are positive
+            algebras += 1
+            classes += len(systems)
+    assert (algebras, classes) == (66, 912)
+
+
 def _solve_coordinates(system, vector):
     """Oracle: exact coordinates of `vector` in the simple basis, or None,
     by one Gauss-Jordan elimination per vector."""
     syms = sorted({s for b in system.roots for s, _ in b.items()} | set(vector.symbols()))
     r = system.rank
-    rows = [[b.coefficient(s) for b in system.roots] + [vector.coefficient(s)] for s in syms]
+    # coefficients are native ints where integral; divide as Fractions
+    rows = [[Fraction(b.coefficient(s)) for b in system.roots] + [Fraction(vector.coefficient(s))]
+            for s in syms]
     pivots = []
     row = 0
     for col in range(r):
@@ -285,6 +394,57 @@ def test_root_coordinates_rejects_half_a_root():
         system = distinguished_simple_system(build_root_datum(fam, **kw))
         with pytest.raises(InconsistencyError, match="non-integral"):
             root_coordinates(system, system.roots[0].scale(Fraction(1, 2)))
+
+
+# the three catalogue-sized series algebras, the exceptional ones, and
+# D(2,1;a) generic and at two specialised values
+_COORDINATE_ALGEBRAS = (
+    ("A", dict(m=4, n=3)),
+    ("B", dict(m=3, n=3)),
+    ("C", dict(n=5)),
+    ("D", dict(m=4, n=3)),
+    ("F4", {}),
+    ("G3", {}),
+    ("D21a", {}),
+    ("D21a", dict(alpha=2)),
+    ("D21a", dict(alpha=Fraction(-1, 2))),
+)
+
+
+@cache
+def _coordinate_classes(index):
+    fam, kw = _COORDINATE_ALGEBRAS[index]
+    datum = build_root_datum(fam, **kw)
+    return datum, enumerate_simple_systems(datum)
+
+
+def test_coordinate_map_matches_the_oracle_on_every_class():
+    for index in range(len(_COORDINATE_ALGEBRAS)):
+        datum, systems = _coordinate_classes(index)
+        roots = sorted(datum.all_roots, key=repr)
+        # every root of the exceptional algebras; about six per class of the
+        # series, a different six from class to class
+        stride = 1 if len(roots) <= 36 else len(roots) // 6
+        for k, system in enumerate(systems):
+            coordinates = _CoordinateMap(system)
+            for root in roots[k % stride :: stride]:
+                sol = _solve_coordinates(system, root)
+                assert sol is not None and all(c.denominator == 1 for c in sol)
+                assert coordinates(root) == tuple(int(c) for c in sol), (system, root)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(_COORDINATE_ALGEBRAS) - 1), st.data())
+def test_coordinate_map_returns_the_coefficients_of_integer_combinations(index, data):
+    _, systems = _coordinate_classes(index)
+    system = data.draw(st.sampled_from(systems))
+    coefficients = data.draw(
+        st.lists(st.integers(-5, 5), min_size=system.rank, max_size=system.rank)
+    )
+    vector = WeightVector()
+    for k, b in zip(coefficients, system.roots):
+        vector = vector + b.scale(k)
+    assert root_coordinates(system, vector) == tuple(coefficients)
 
 
 def test_dependent_simple_roots_are_rejected():
