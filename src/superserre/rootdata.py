@@ -21,7 +21,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from .scalars import ALPHA, Scalar, native, ratio
+from .scalars import ALPHA, Scalar, exact, native, ratio
 
 
 class ParameterError(ValueError):
@@ -43,10 +43,11 @@ FAMILIES = ("A", "B", "C", "D", "F4", "G3", "D21a")
 def _coefficient(c):
     """A rational coefficient in the native form of `scalars.native`: an
     `int`, or a `Fraction` only when it is not an integer.  Unlike `native`
-    it rejects a `Scalar` (`Fraction` raises TypeError): roots are rational."""
+    it rejects a `Scalar` and a float (`exact` raises TypeError): roots are
+    rational."""
     if type(c) is int:
         return c
-    c = Fraction(c)
+    c = exact(c)
     return c.numerator if c.denominator == 1 else c
 
 
@@ -305,6 +306,9 @@ def build_root_datum(family, m=None, n=None, alpha=None):
     built from the root shapes +-x +- y (`_pairs`), +-c*x (`_multiples`),
     x - y (`_differences`) and every signed sum (`_signed`).  Only G(3)
     has a shape of its own, +-(2e_k - e_i - e_j).
+
+    `alpha` specialises D(2,1;a) to a rational a, given as an `int` or a
+    `Fraction`; None keeps a generic.  A float is refused with TypeError.
     """
     if family == "A":
         if m is None or n is None or m < 0 or n < 0 or (m, n) == (0, 0):
@@ -359,7 +363,7 @@ def build_root_datum(family, m=None, n=None, alpha=None):
 
     if family == "D21a":
         if alpha is not None:
-            alpha = Fraction(alpha)
+            alpha = exact(alpha)
             if alpha in (Fraction(0), Fraction(-1)):
                 raise ParameterError("D(2,1;a) needs a outside {0, -1}")
         a_val = ALPHA if alpha is None else alpha

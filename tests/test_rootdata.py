@@ -78,6 +78,21 @@ def test_parameter_errors():
         build_root_datum("X7")
 
 
+def test_alpha_must_be_exact():
+    with pytest.raises(TypeError, match="0.1"):
+        build_root_datum("D21a", alpha=0.1)
+    assert build_root_datum("D21a", alpha=2).name == "D(2,1;2)"
+
+
+def test_root_coefficients_must_be_exact():
+    with pytest.raises(TypeError, match="0.5"):
+        wv({"e1": 0.5})
+    with pytest.raises(TypeError, match="0.5"):
+        wv({"e1": 1}).scale(0.5)
+    with pytest.raises(TypeError):
+        wv({"e1": ALPHA})
+
+
 def test_bilinear_examples():
     a10 = build_root_datum("A", m=1, n=0)
     assert bilinear(a10, wv({"e1": 1, "e2": -1}), wv({"e2": 1, "d1": -1})) == Scalar(-1)

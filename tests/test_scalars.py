@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from superserre.linalg import _reciprocal
 from superserre.scalars import (
     ALPHA,
     AlphaDomainError,
@@ -62,7 +63,7 @@ def test_evaluate_forbidden_and_pole():
     with pytest.raises(AlphaDomainError):
         ALPHA.evaluate_at(-1)
     with pytest.raises(PoleError):
-        (ONE / ALPHA).evaluate_at(Fraction(0))  # forbidden fires first
+        (ONE / ALPHA).evaluate_at(Fraction(0))  # the pole check fires first
     with pytest.raises(PoleError):
         (ONE / (ALPHA - 2)).evaluate_at(2)
 
@@ -187,3 +188,127 @@ def test_render_of_a_rational_equals_the_scalar_text(c):
     assert render(native(c)) == render(c)
     if type(c) is int:
         assert native(c) is c
+
+
+def _coefficient_lists_product(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, c in enumerate(a):
+        for j, d in enumerate(b):
+            out[i + j] += c * d
+    return out
+
+
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+_polys = st.lists(_small, max_size=4).map(Poly)
+_nonzero_polys = _polys.filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys, _fractions)
+def test_poly_operations_agree_with_coefficient_lists(p, r, k):
+    a, b = list(p.coeffs), list(r.coeffs)
+    n = max(len(a), len(b))
+    pairs = list(zip(a + [0] * (n - len(a)), b + [0] * (n - len(b))))
+    assert (p + r).coeffs == _trimmed(x + y for x, y in pairs)
+    assert (p - r).coeffs == _trimmed(x - y for x, y in pairs)
+    assert (p * r).coeffs == _trimmed(_coefficient_lists_product(a, b))
+    assert p.scale(k).coeffs == _trimmed(c * k for c in a)
+    for value in (p + r, p - r, p * r, p.scale(k), -p):
+        assert all(type(c) is Fraction for c in value.coeffs)
+        assert not value.coeffs or value.coeffs[-1] != 0
+
+
+def _assert_as_oracle(value, num, den):
+    """`value` carries exactly the form the general constructor gives num/den."""
+    oracle = Scalar(num, den)
+    assert value.num.coeffs == oracle.num.coeffs
+    assert value.den.coeffs == oracle.den.coeffs
+    assert value.render() == oracle.render()
+    assert value == oracle and hash(value) == hash(oracle)
+    assert (value.den is _ONE_POLY) == (value.den.coeffs == (Fraction(1),))
+    assert all(type(c) is Fraction for c in value.num.coeffs + value.den.coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nonzero_polys, _nonzero_polys, _nonzero_polys, _nonzero_polys, _nonzero_polys)
+def test_product_with_cross_factors_matches_the_constructor(f, g, h, k, m):
+    # f is built into the numerator of x and the denominator of y, so the
+    # cross gcds of x * y are not trivial
+    x, y = Scalar(f * g, h), Scalar(k, f * m)
+    _assert_as_oracle(x * y, x.num * y.num, x.den * y.den)
+    _assert_as_oracle(y * x, x.num * y.num, x.den * y.den)
+    _assert_as_oracle(x / y.inverse(), x.num * y.num, x.den * y.den)
+    _assert_as_oracle(x / y, x.num * y.den, x.den * y.num)
+    _assert_as_oracle(y * y, y.num * y.num, y.den * y.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys, _fractions)
+def test_polynomial_sums_match_the_constructor(p, r, c):
+    x, y = Scalar(p), Scalar(r)
+    _assert_as_oracle(x + y, p + r, _ONE_POLY)
+    _assert_as_oracle(x - y, p - r, _ONE_POLY)
+    # the degree collapses: (p + c) - p = c, and p - p = 0
+    collapsed = Scalar(p + Poly([c]))
+    _assert_as_oracle(collapsed - x, Poly([c]), _ONE_POLY)
+    _assert_as_oracle(x - x, Poly(), _ONE_POLY)
+    _assert_as_oracle(x + (-x), Poly(), _ONE_POLY)
+
+
+_rationals = st.one_of(st.sampled_from([0, 1, -1]), _small, _fractions)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rationals, _scalars())
+def test_rational_operands_on_either_side_match_the_constructor(q, a):
+    c = Poly([q])
+    n, d = a.num, a.den
+    _assert_as_oracle(a + q, n + c * d, d)
+    _assert_as_oracle(q + a, n + c * d, d)
+    _assert_as_oracle(a - q, n - c * d, d)
+    _assert_as_oracle(q - a, c * d - n, d)
+    _assert_as_oracle(a * q, c * n, d)
+    _assert_as_oracle(q * a, c * n, d)
+    if q:
+        _assert_as_oracle(a / q, n, c * d)
+    if a:
+        _assert_as_oracle(q / a, c * d, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nonzero_polys, _nonzero_polys, st.sampled_from([2, -3, Fraction(1, 2), Fraction(-5, 4)]))
+def test_inverse_of_a_non_monic_numerator_matches_the_constructor(p, r, lead):
+    # a monic denominator of degree >= 1 keeps the numerator's lead coefficient
+    x = Scalar(Poly(list(p.coeffs) + [lead]), Poly(list(r.coeffs) + [1]))
+    assert x.num.coeffs[-1] != 1
+    _assert_as_oracle(x.inverse(), x.den, x.num)
+    _assert_as_oracle(_reciprocal(x), x.den, x.num)
+    _assert_as_oracle(1 / x, x.den, x.num)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Poly([1, 0.1]),
+        lambda: Poly([1, 2]).scale(0.1),
+        lambda: Scalar(0.1),
+        lambda: Scalar(1, 0.5),
+        lambda: native(0.1),
+    ],
+    ids=["Poly", "Poly-scale", "Scalar-num", "Scalar-den", "native"],
+)
+def test_a_float_is_refused(build):
+    with pytest.raises(TypeError, match="0.1|0.5"):
+        build()
+
+
+def test_a_float_operand_is_refused():
+    for op in (lambda: ALPHA + 0.5, lambda: 0.5 * ALPHA, lambda: 0.5 / ALPHA, lambda: ALPHA - 0.5):
+        with pytest.raises(TypeError):
+            op()
