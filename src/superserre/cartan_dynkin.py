@@ -382,7 +382,7 @@ def diagram_from_json_dict(data):
             raise ValueError(f"{where}.bLabel = {label!r} is not null or a string")
         try:
             b_label = parse_scalar(label) if label is not None else None
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, RecursionError) as exc:
             raise ValueError(f"{where}.bLabel: {exc}") from None
         edges[(i, j)] = Edge(count, arrow, sign, b_label)
     return DynkinDiagram(nodes, edges, labelled=labelled)

@@ -224,8 +224,11 @@ def cmd_zgrading(args, out):
     if args.d is None:
         raise UsageError("zgrading needs --d (1-based node index)")
     max_height = _resolve_height(args)
+    exit_code = 0
     for k, system in select_systems(datum, args.borel):
         table = compare_z_grading(datum, system, args.d, max_height=max_height)
+        if not all(eq for _, _, eq in table.values()):
+            exit_code = 1
         if args.format == "json":
             payload = {
                 "borel": k,
@@ -239,7 +242,7 @@ def cmd_zgrading(args, out):
                 g, l, eq = table[kk]
                 mark = "ok" if eq else "MISMATCH"
                 print(f"  k={kk}: dim g_k={g} dim L_k={l} {mark}", file=out)
-    return 0
+    return exit_code
 
 
 def cmd_necessity(args, out):

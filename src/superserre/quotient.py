@@ -19,7 +19,7 @@ Two engines agree on every weight:
   dimension minus quotient dimension.
 
 `check_lowering_stability` builds a covering engine only when some lowered
-element needs one.
+element needs one, and its levels only as high as such an element reaches.
 
 Both engines and the stability check read the relation terms as
 `SerrePolynomial` holds them, native `int` and `Fraction` over Q and
@@ -34,6 +34,7 @@ both engines on `Scalar`.
 
 from __future__ import annotations
 
+from itertools import groupby
 from operator import add
 
 from .freelie import (
@@ -117,6 +118,7 @@ class GradedQuotientReport:
         self.closed = closed
         self.warning = warning
         self.engine = None  # the CoveringEngine that built the levels
+        self.first_excess = None  # the weight that tripped the excess guard, if any
 
     @property
     def positive_dimension(self):
@@ -182,37 +184,32 @@ class CoveringEngine:
             self.relations_at.setdefault(content_height(nu), []).append((nu, el.terms))
         self.weight_of = []
         self.parity_of = []
+        self.height_of = []
         self.level_ids = {}  # height -> list of ids, ordered by weight then id
-        self.weight_groups = {}  # height -> [(weight, ids)] in the same order
         self.products = {}  # canonical (x, y) with x <= y -> vec over ids
         self._rho_memo = {}
         self.completed = 0
         self._init_level1()
 
-    def _new_basis(self, weight, parity):
+    def _new_basis(self, weight, parity, height):
         bid = len(self.weight_of)
         self.weight_of.append(weight)
         self.parity_of.append(parity)
+        self.height_of.append(height)
         return bid
 
     def _init_level1(self):
-        groups = []
-        for i in range(1, self.r + 1):
-            w = _unit(self.r, i)
-            groups.append((w, [self._new_basis(w, self.parities[i - 1])]))
-        self.weight_groups[1] = groups
-        self.level_ids[1] = [b for _, ids in groups for b in ids]
+        self.level_ids[1] = [
+            self._new_basis(_unit(self.r, i), self.parities[i - 1], 1) for i in range(1, self.r + 1)
+        ]
         self.completed = 1
-
-    def _height(self, bid):
-        return content_height(self.weight_of[bid])
 
     def _koszul(self, x, y):
         return -1 if (self.parity_of[x] and self.parity_of[y]) else 1
 
     def product(self, x, y):
         """[x, y] in basis coordinates; total height must be completed."""
-        if self._height(x) + self._height(y) > self.completed:
+        if self.height_of[x] + self.height_of[y] > self.completed:
             raise EngineError("product beyond the completed level")
         if x == y and self.parity_of[x] == 0:
             return {}
@@ -258,12 +255,6 @@ class CoveringEngine:
             axpy(out, self._sym(x, y), c)
         return out
 
-    def _sym_vec_left(self, xvec, y):
-        out = {}
-        for x, c in xvec.items():
-            axpy(out, self._sym(x, y), c)
-        return out
-
     def rho_pair(self, terms):
         """Pair-symbol vector of a relation element at the current level."""
         out = {}
@@ -274,9 +265,11 @@ class CoveringEngine:
         return out
 
     def _jacobi_boundary(self, x, y, z):
-        """Pair-symbol vector of [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]]."""
+        """Pair-symbol vector of [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]],
+        with -[[x,y],z] written as (-1)^{(|x|+|y|)|z|} [z,[x,y]]."""
         vec = self._sym_vec_right(x, self.product(y, z))
-        axpy(vec, self._sym_vec_left(self.product(x, y), z), -1)
+        sign = -1 if self.parity_of[x] != self.parity_of[y] and self.parity_of[z] else 1
+        axpy(vec, self._sym_vec_right(z, self.product(x, y)), sign)
         axpy(vec, self._sym_vec_right(y, self.product(x, z)), -self._koszul(x, y))
         return vec
 
@@ -330,7 +323,7 @@ class CoveringEngine:
         if h_next != self.completed + 1:
             raise EngineError("levels must be built in order")
         symbols = self._pair_symbols(h_next)
-        below = {w for w, _ in self.weight_groups[h_next - 1]}
+        below = {self.weight_of[b] for b in self.level_ids[h_next - 1]}
         live = {
             w: Echelon()
             for w in symbols
@@ -348,11 +341,13 @@ class CoveringEngine:
                 insert(nu, self.rho_pair(terms))
 
         # super-Jacobi boundaries of sorted basis triples (see the class docstring);
-        # ids grow with height, so a sorted triple has hx <= hy <= hz
+        # ids grow with height, so a sorted triple has hx <= hy <= hz, and the ids
+        # of a level are in weight order, so groupby reads off its weight groups
         weight_of, level_ids = self.weight_of, self.level_ids
         for hx in range(1, h_next // 3 + 1):
             for hy in range(hx, (h_next - hx) // 2 + 1):
-                z_groups = self.weight_groups.get(h_next - hx - hy, ())
+                z_ids = level_ids.get(h_next - hx - hy, ())
+                z_groups = [(wz, list(zs)) for wz, zs in groupby(z_ids, weight_of.__getitem__)]
                 for x in level_ids.get(hx, []):
                     wx = weight_of[x]
                     for y in level_ids.get(hy, []):
@@ -372,7 +367,7 @@ class CoveringEngine:
                                         break
 
         new_dims = {}
-        groups = []
+        ids = []
         for w in sorted(symbols):
             syms = symbols[w]
             ech = live.get(w)
@@ -383,7 +378,7 @@ class CoveringEngine:
                 continue
             expr = ech.read_off()
             parity = content_parity(w, self.parities)
-            new_id = {s: self._new_basis(w, parity) for s in syms if s not in expr}
+            new_id = {s: self._new_basis(w, parity, h_next) for s in syms if s not in expr}
             for s in syms:
                 if s in expr:
                     self.products[s] = {new_id[q]: c for q, c in expr[s].items()}
@@ -395,10 +390,8 @@ class CoveringEngine:
                 raise EngineError(
                     f"covering produced dimension {dim} > free dimension at {w}"
                 )
-            if dim:
-                groups.append((w, list(new_id.values())))
-        self.weight_groups[h_next] = groups
-        self.level_ids[h_next] = [b for _, ids in groups for b in ids]
+            ids.extend(new_id.values())
+        self.level_ids[h_next] = ids
         self.completed = h_next
         return new_dims
 
@@ -417,7 +410,8 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
     `excess_guard` optionally maps weights to allowed dimensions: the levels
     stop as soon as some weight exceeds its allowance (the quotient can only
     keep growing above a strict excess, so callers comparing against
-    reference multiplicities lose nothing by stopping there).
+    reference multiplicities lose nothing by stopping there).  The report's
+    `first_excess` is the least such weight of the height where they stop.
 
     The report keeps the engine, whose levels up to `max_height_reached`
     stay available for rewriting (`CoveringEngine.rho`).
@@ -461,6 +455,7 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
         )
     report = GradedQuotientReport(r, per_weight, h, closed, warning)
     report.engine = engine
+    report.first_excess = guard_hit
     return report
 
 
@@ -494,18 +489,20 @@ def z_grading_report(report, d):
         raise ValueError(f"grading node d={d} out of range 1..{report.rank}")
     if not report.closed:
         raise PreconditionError("z-grading needs a closed quotient report")
-    dims = {0: report.rank}
-    for nu, (_, _, q) in report.per_weight.items():
-        if q == 0:
-            continue
-        k = nu[d - 1]
-        if k == 0:
-            dims[0] += 2 * q
-        else:
-            dims[k] = dims.get(k, 0) + q
-    top = max(dims)
-    dims[top + 1] = 0
+    dims = z_layer_dimensions(report.rank, report.surviving_weights(), d)
+    dims[max(dims) + 1] = 0
     return ZGradingReport(d, dims)
+
+
+def z_layer_dimensions(rank, multiplicities, d):
+    """k -> dim g_k for k >= 0 under deg(e_d) = 1, from the rank and a
+    weight -> multiplicity table of the positive part: layer 0 holds the
+    Cartan subalgebra and both signs of each weight with d-coordinate 0."""
+    dims = {0: rank}
+    for nu, q in multiplicities.items():
+        k = nu[d - 1]
+        dims[k] = dims.get(k, 0) + (q if k else 2 * q)
+    return dims
 
 
 # -- lowering stability ---------------------------------------------------------
@@ -564,30 +561,18 @@ def check_lowering_stability(presentation):
 
     The element terms arrive native (`SerrePolynomial`) and the Cartan rows
     are read from `CartanData.native_a`, so over Q the whole check runs on
-    `int` and `Fraction`.  It makes two passes:
+    `int` and `Fraction`.  Each (element, i) entry is decided on the spot.
+    An empty word expansion of the lowered element is `zero`.  Otherwise
+    the residual is reduced by the echelon of the e-side elements of weight
+    nu, built once per weight; an empty residual is `span`.  Any other entry
+    is rewritten in basis coordinates on one covering engine, made at the
+    first such entry, with levels built up to the height of nu but not past
+    an all-zero level: `ideal` if the image is zero, `violation` if not.
 
-    1. Every (element, i) entry is lowered and expanded into words.  An
-       empty expansion is `zero`.  Otherwise the residual is reduced by the
-       echelon of the e-side elements of weight nu, built once per weight
-       and shared by every entry that lands there; an empty residual is
-       `span`.  Any other entry is pending.
-    2. Only if some entry is pending, the covering engine is built once, by
-       `quotient_dimensions(presentation, h)` with h the greatest height of
-       a pending weight nu, and the pending entries are resolved in their
-       original order: a weight above the closure of a closed report is
-       `ideal` (every level above a zero level is zero, the algebra being
-       generated in degree 1); otherwise the lowered element is rewritten
-       in basis coordinates, `ideal` if that image is zero, `violation` if
-       not.
-
-    The cap h changes no verdict.  Level k of the engine depends only on
-    the relation elements and on levels 1..k-1, never on the cap, which
-    only says where the loop stops; so every level that is built is the
-    same under any cap.  With cap h the loop either closes at some height
-    c <= h, exactly as under any larger cap, or builds every level up to
-    h; either way every pending weight of height at most h is either above
-    a closure or has all the levels its rewriting needs.  A class with no
-    pending entry builds no engine.
+    Building on demand changes no verdict.  Level k depends only on the
+    relation elements and the levels below it.  Every level above an
+    all-zero level is zero, the algebra being generated in degree 1, so a
+    weight up there is `ideal`.
     """
     cd = presentation.cartan
     parities = presentation.parities
@@ -596,37 +581,33 @@ def check_lowering_stability(presentation):
     for el in presentation.e_side:
         by_weight.setdefault(el.content, []).append(el.terms)
     spans = {}  # weight -> Echelon of the e-side elements of that weight
+    engine = None
 
     entries = []
-    pending = []  # (position in entries, element index, provenance, i, lowered, weight)
     for idx, el in enumerate(presentation.e_side):
         for i in range(1, r + 1):
             lowered, _ = lower_terms(cd, i, el.terms)
             residual = expand_terms(lowered, parities)
-            if not residual:
-                entries.append(StabilityEntry(idx, el.provenance, i, True, "zero"))
-                continue
-            nu = _weight_sub(el.content, i)
-            ech = spans.get(nu)
-            if ech is None:
-                ech = spans[nu] = Echelon()
-                for terms in by_weight.get(nu, ()):
-                    ech.insert(expand_terms(terms, parities))
-            ech.reduce(residual)
-            if not residual:
-                entries.append(StabilityEntry(idx, el.provenance, i, True, "span"))
-                continue
-            pending.append((len(entries), idx, el.provenance, i, lowered, nu))
-            entries.append(None)
-
-    if pending:
-        levels = quotient_dimensions(presentation, max(content_height(p[-1]) for p in pending))
-        engine, closed = levels.engine, levels.closed
-        for pos, idx, provenance, i, lowered, nu in pending:
-            image = {}
-            if not closed or content_height(nu) <= engine.completed:
-                for tree, coeff in lowered.items():
-                    axpy(image, engine.rho(tree), coeff)
-            how = "ideal" if not image else "violation"
-            entries[pos] = StabilityEntry(idx, provenance, i, not image, how)
+            how = "zero"
+            if residual:
+                nu = _weight_sub(el.content, i)
+                ech = spans.get(nu)
+                if ech is None:
+                    ech = spans[nu] = Echelon()
+                    for terms in by_weight.get(nu, ()):
+                        ech.insert(expand_terms(terms, parities))
+                ech.reduce(residual)
+                how = "span"
+            if residual:  # neither zero nor in the span: rewrite it on the engine
+                if engine is None:
+                    engine = CoveringEngine(parities, presentation.e_side)
+                h = content_height(nu)
+                while engine.completed < h and engine.level_ids[engine.completed]:
+                    engine.build_level(engine.completed + 1)
+                image = {}
+                if h <= engine.completed:
+                    for tree, coeff in lowered.items():
+                        axpy(image, engine.rho(tree), coeff)
+                how = "violation" if image else "ideal"
+            entries.append(StabilityEntry(idx, el.provenance, i, how != "violation", how))
     return StabilityReport(entries)

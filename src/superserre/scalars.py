@@ -449,11 +449,15 @@ class Scalar:
             return hash(q)
         return hash((self.num, self.den))
 
+    def __reduce__(self):
+        """Pickle and copy through the constructor, which restores `_ONE_POLY`."""
+        return Scalar, (self.num, self.den)
+
     # -- specialisation ----------------------------------------------------
 
     def evaluate_at(self, a0):
         """Substitute a := a0 exactly; a0 must avoid {0, -1} and all poles."""
-        a0 = Fraction(a0)
+        a0 = exact(a0)
         d = self.den.evaluate(a0)
         if d == 0:
             raise PoleError(f"denominator of {self} vanishes at a = {a0}")

@@ -6,7 +6,7 @@ a second presentation, so the two sides of every comparison are independent.
 
 from __future__ import annotations
 
-from .quotient import quotient_dimensions, z_grading_report
+from .quotient import quotient_dimensions, z_grading_report, z_layer_dimensions
 from .rootdata import (
     PreconditionError,
     enumerate_simple_systems,
@@ -20,13 +20,15 @@ def reference_multiplicities(system):
     return {coords: 1 for coords in positive_roots(system).values()}
 
 
-def _height_cap(ref):
-    """Generous default: twice the highest root height plus two."""
-    return 2 * max(sum(w) for w in ref) + 2
+def _reference_and_cap(system, max_height):
+    """The reference table of `system` and the height cap: `max_height`, or
+    if None the generous default of twice the highest root height plus two."""
+    ref = reference_multiplicities(system)
+    return ref, 2 * max(sum(w) for w in ref) + 2 if max_height is None else max_height
 
 
 def default_height_cap(system):
-    return _height_cap(reference_multiplicities(system))
+    return _reference_and_cap(system, None)[1]
 
 
 def expected_total_dimension(datum):
@@ -75,8 +77,7 @@ def verify_presentation(datum, system, max_height=None):
     """Build the presentation, run the graded quotient and compare: surviving
     weights must be exactly the positive roots with multiplicity one, and the
     total dimension must match the root count."""
-    ref = reference_multiplicities(system)
-    cap = _height_cap(ref) if max_height is None else max_height
+    ref, cap = _reference_and_cap(system, max_height)
     pres = presentation(datum, system)
     report = quotient_dimensions(pres, cap, excess_guard=ref)
     notes = []
@@ -124,28 +125,25 @@ class NecessityResult:
 
 def _necessity(pres, relation_index, ref, cap):
     """Necessity of one higher order element of `pres`, against the
-    reference table `ref` within the height cap."""
+    reference table `ref` within the height cap.
+
+    The excess guard stops the levels at the first height with an excess,
+    so every excess lies at that height, and the least of them in (height,
+    weight) order is the guard's `first_excess`."""
     reduced = pres.without_element(relation_index)
     element = pres.e_side[relation_index]
     if element.provenance == "standard":
         raise PreconditionError(
             f"element {relation_index} is a standard Serre element, not higher order"
         )
-    report = quotient_dimensions(reduced, cap, excess_guard=ref)
-    excesses = []
-    for w, (_, _, q) in report.per_weight.items():
-        if q > ref.get(w, 0):
-            excesses.append(w)
-    excesses.sort(key=lambda w: (sum(w), w))
-    first = excesses[0] if excesses else None
-    return NecessityResult(bool(excesses), first, element.provenance, element.nodes)
+    first = quotient_dimensions(reduced, cap, excess_guard=ref).first_excess
+    return NecessityResult(first is not None, first, element.provenance, element.nodes)
 
 
 def necessity_test(datum, system, relation_index, max_height=None):
     """True iff removing the addressed higher order element (and its mirror)
     lets some weight exceed its reference multiplicity within the cap."""
-    ref = reference_multiplicities(system)
-    cap = _height_cap(ref) if max_height is None else max_height
+    ref, cap = _reference_and_cap(system, max_height)
     return _necessity(presentation(datum, system), relation_index, ref, cap)
 
 
@@ -156,8 +154,7 @@ def necessity_survey(datum, system, max_height=None):
     indices = [idx for idx, el in enumerate(pres.e_side) if el.provenance != "standard"]
     if not indices:
         return []
-    ref = reference_multiplicities(system)
-    cap = _height_cap(ref) if max_height is None else max_height
+    ref, cap = _reference_and_cap(system, max_height)
     return [_necessity(pres, idx, ref, cap) for idx in indices]
 
 
@@ -184,13 +181,7 @@ def compare_z_grading(datum, system, d, max_height=None):
             f"z-grading comparison requires a passing verification for {datum.name}"
         )
     grading = z_grading_report(result.quotient_report, d)
-    ref = {0: system.rank}
-    for coords in result.reference:
-        k = coords[d - 1]
-        if k == 0:
-            ref[0] += 2
-        else:
-            ref[k] = ref.get(k, 0) + 1
+    ref = z_layer_dimensions(system.rank, result.reference, d)
     table = {}
     for k in sorted(set(grading.dims) | set(ref)):
         g = grading.dims.get(k, 0)

@@ -486,8 +486,13 @@ def test_minimal_square_length_needs_a_non_isotropic_root():
         ("[1]", "JSON object"),
         ('{"nodes": ["purple"], "edges": []}', "nodes[0]"),
         ('{"nodes": ["white"], "edges": [{"i": 0, "j": 5, "count": 1}]}', "edges[0].j"),
+        (
+            '{"nodes": ["white", "grey"], "edges": [{"i": 0, "j": 1, "count": 1, "bLabel": "'
+            + "(" * 5000 + "a" + ")" * 5000 + '"}]}',
+            "edges[0].bLabel",
+        ),
     ],
-    ids=["empty-object", "list", "purple-node", "edge-off-the-diagram"],
+    ids=["empty-object", "list", "purple-node", "edge-off-the-diagram", "label-nested-too-deep"],
 )
 def test_parse_diagram_rejects_malformed_input(text, field):
     with pytest.raises(ValueError) as info:

@@ -117,6 +117,15 @@ def test_zgrading_text():
     assert "k=2: dim g_k=0 dim L_k=0 ok" in text
 
 
+def test_zgrading_exits_1_on_a_mismatch(monkeypatch):
+    import superserre.cli as cli
+
+    monkeypatch.setattr(cli, "compare_z_grading", lambda *a, **kw: {0: (9, 9, True), 1: (4, 3, False)})
+    code, text = run_cli(["zgrading", "G3", "--d", "1"])
+    assert code == 1
+    assert "k=1: dim g_k=4 dim L_k=3 MISMATCH" in text
+
+
 def test_necessity_command():
     code, text = run_cli(["necessity", "A", "--m", "1", "--n", "1", "--borel", "0"])
     assert code == 0

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from superserre.scalars import (
     PoleError,
     Poly,
     Scalar,
+    ZERO,
     _ONE_POLY,
     _poly_gcd,
     native,
@@ -300,8 +303,9 @@ def test_inverse_of_a_non_monic_numerator_matches_the_constructor(p, r, lead):
         lambda: Scalar(0.1),
         lambda: Scalar(1, 0.5),
         lambda: native(0.1),
+        lambda: ALPHA.evaluate_at(0.1),
     ],
-    ids=["Poly", "Poly-scale", "Scalar-num", "Scalar-den", "native"],
+    ids=["Poly", "Poly-scale", "Scalar-num", "Scalar-den", "native", "evaluate_at"],
 )
 def test_a_float_is_refused(build):
     with pytest.raises(TypeError, match="0.1|0.5"):
@@ -312,3 +316,19 @@ def test_a_float_operand_is_refused():
     for op in (lambda: ALPHA + 0.5, lambda: 0.5 * ALPHA, lambda: 0.5 / ALPHA, lambda: ALPHA - 0.5):
         with pytest.raises(TypeError):
             op()
+
+
+@pytest.mark.parametrize(
+    "round_trip", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+@pytest.mark.parametrize(
+    "x",
+    [ZERO, ONE, Scalar(Fraction(3, 2)), ALPHA, (ONE + ALPHA) / ALPHA],
+    ids=["zero", "one", "three-halves", "a", "(1+a)/a"],
+)
+def test_a_copied_scalar_keeps_its_canonical_form(round_trip, x):
+    y = round_trip(x)
+    assert y == x and hash(y) == hash(x)
+    assert y.is_constant() == x.is_constant()
+    assert (y.den is _ONE_POLY) == (y.den == _ONE_POLY)
+    assert native(y) == native(x) and type(native(y)) is type(native(x))

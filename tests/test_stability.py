@@ -150,7 +150,24 @@ def test_no_engine_when_every_entry_is_zero_or_span(family, kw, k, engine_builds
 
 
 @pytest.mark.parametrize("family,kw,k", [("A", _A11, 0), ("G3", {}, 1), ("F4", {}, 3)])
-def test_one_engine_when_an_entry_needs_the_ideal(family, kw, k, engine_builds):
-    rep = check_lowering_stability(_presentation(family, k, **kw))
+def test_one_engine_when_an_entry_needs_the_ideal(family, kw, k, engine_builds, monkeypatch):
+    heights = []
+    build_level = quotient.CoveringEngine.build_level
+
+    def recording_build_level(self, h_next):
+        heights.append(h_next)
+        return build_level(self, h_next)
+
+    monkeypatch.setattr(quotient.CoveringEngine, "build_level", recording_build_level)
+    pres = _presentation(family, k, **kw)
+    rep = check_lowering_stability(pres)
     assert rep.ok and any(e.how == "ideal" for e in rep.entries)
     assert engine_builds[0] == 1
+    # levels are built on demand: none above the highest weight nu = wt(s) - alpha_i
+    # of an entry that needed the engine
+    top = max(
+        sum(pres.e_side[e.element_index].content) - 1
+        for e in rep.entries
+        if e.how in ("ideal", "violation")
+    )
+    assert heights and max(heights) <= top

@@ -1,7 +1,8 @@
 """Golden digests of the lowering-stability reports.
 
 `tests/golden/stability_digests.json` holds, for every Borel class of the
-test-matrix algebras and of D(2,1;2), the SHA-256 of
+test-matrix algebras, of D(2,1;2) and of B(3,3), D(3,3) and A(4,2), the
+SHA-256 of
 `check_lowering_stability(presentation(...)).to_json()`: every (element,
 node) entry with its verdict and how it was reached (`zero`, `span`,
 `ideal` or `violation`).  Any change to the stability check that moves an
@@ -33,6 +34,9 @@ def _algebras():
     for fam, kw, _ in FAMILY_MATRIX:
         yield build_root_datum(fam, **kw)
     yield build_root_datum("D21a", alpha=Fraction(2))
+    # the algebras of CI's stability step, where most ideal entries occur
+    for fam, kw in [("B", dict(m=3, n=3)), ("D", dict(m=3, n=3)), ("A", dict(m=4, n=2))]:
+        yield build_root_datum(fam, **kw)
 
 
 def stability_digests():

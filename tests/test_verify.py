@@ -194,3 +194,25 @@ def test_report_carries_its_reference_table():
     for system in enumerate_simple_systems(datum):
         report = verify_presentation(datum, system)
         assert report.reference == reference_multiplicities(system)
+
+
+def test_a_redundant_element_is_not_necessary(monkeypatch):
+    # no matrix class reaches the "unnecessary" branch: append a doubled copy
+    # of the case-1 element, and deleting either copy leaves the other
+    import superserre.verify as verify
+    from superserre.serre import Presentation, SerrePolynomial, presentation
+
+    datum = build_root_datum("A", m=1, n=1)
+    system = enumerate_simple_systems(datum)[0]
+    pres = presentation(datum, system)
+    case1 = next(el for el in pres.e_side if el.provenance == "case-1")
+    doubled = SerrePolynomial(
+        {t: 2 * c for t, c in case1.terms.items()}, "e", case1.provenance, case1.nodes, case1.rank
+    )
+    augmented = Presentation(datum, system, pres.cartan, pres.diagram, pres.e_side + [doubled])
+    monkeypatch.setattr(verify, "presentation", lambda *_: augmented)
+    copies = [res for res in necessity_survey(datum, system) if res.provenance == "case-1"]
+    assert len(copies) == 2
+    for res in copies:
+        assert not res.necessary and res.first_excess is None
+    assert verify_presentation(datum, system).passed
