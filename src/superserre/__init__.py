@@ -15,13 +15,7 @@ from .rootdata import (
 from .cartan_dynkin import build_diagram, cartan_matrix, full_subdiagrams, parse_diagram, serialize_diagram
 from .freelie import free_dimension, lower_terms
 from .serre import Presentation, SerrePolynomial, higher_order_serre_elements, presentation, standard_serre_elements
-from .quotient import (
-    GradedQuotientReport,
-    check_lowering_stability,
-    quotient_dimensions,
-    total_dimension,
-    z_grading_report,
-)
+from .quotient import GradedQuotientReport, check_lowering_stability, quotient_dimensions
 from .verify import (
     compare_z_grading,
     necessity_survey,
@@ -58,8 +52,6 @@ __all__ = [
     "presentation",
     "GradedQuotientReport",
     "quotient_dimensions",
-    "total_dimension",
-    "z_grading_report",
     "check_lowering_stability",
     "verify_presentation",
     "verify_all_borels",

@@ -14,10 +14,12 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
+from functools import partial
 
 from .cartan_dynkin import build_diagram, cartan_matrix, serialize_diagram
-from .rootdata import ParameterError, SimpleSystem, build_root_datum, enumerate_simple_systems
+from .rootdata import ParameterError, build_root_datum, enumerate_simple_systems
 from .scalars import render
 from .serre import presentation
 from .verify import compare_z_grading, necessity_survey, verify_presentation
@@ -107,29 +109,23 @@ def _resolve_height(args):
 def cmd_borels(args, out):
     datum = make_datum(args)
     systems = enumerate_simple_systems(datum)
-    if args.format == "json":
-        payload = []
-        for k, system in enumerate(systems):
-            cd = cartan_matrix(datum, system)
-            diag = build_diagram(cd)
-            payload.append(
-                {
-                    "index": k,
-                    "simpleRoots": [b.to_json() for b in system.roots],
-                    "theta": sorted(system.theta),
-                    "diagram": serialize_diagram(diag, "ascii"),
-                }
-            )
-        print(json.dumps({"datum": datum.name, "borels": payload}, sort_keys=True), file=out)
-        return 0
-    print(f"{datum.name}: {len(systems)} conjugacy classes of Borel subalgebras", file=out)
+    payload = []
+    lines = [f"{datum.name}: {len(systems)} conjugacy classes of Borel subalgebras"]
     for k, system in enumerate(systems):
-        cd = cartan_matrix(datum, system)
-        diag = build_diagram(cd)
+        diagram = serialize_diagram(build_diagram(cartan_matrix(datum, system)), "ascii")
+        theta = sorted(system.theta)
+        payload.append({"index": k, "simpleRoots": [b.to_json() for b in system.roots],
+                        "theta": theta, "diagram": diagram})
         label = " (distinguished)" if k == 0 else ""
-        print(f"[{k}]{label} theta={sorted(system.theta)}", file=out)
-        print(f"    roots: {', '.join(repr(b) for b in system.roots)}", file=out)
-        print(f"    diagram: {serialize_diagram(diag, 'ascii')}", file=out)
+        lines += [
+            f"[{k}]{label} theta={theta}",
+            f"    roots: {', '.join(repr(b) for b in system.roots)}",
+            f"    diagram: {diagram}",
+        ]
+    if args.format == "json":
+        print(json.dumps({"datum": datum.name, "borels": payload}, sort_keys=True), file=out)
+    else:
+        print("\n".join(lines), file=out)
     return 0
 
 
@@ -163,12 +159,11 @@ def cmd_relations(args, out):
     return 0
 
 
-def _verify_worker(payload):
-    family, m, n, alpha, index, roots, max_height = payload
-    datum = build_root_datum(family, m=m, n=n, alpha=alpha)
-    system = SimpleSystem(datum, roots)
+def _verify_one(datum, max_height, system):
+    """One class's verdict, total and JSON report; the datum and the system
+    pickle, so a pool worker gets them as they are."""
     report = verify_presentation(datum, system, max_height=max_height)
-    return index, report.passed, report.got_total, report.to_json()
+    return report.passed, report.got_total, report.to_json()
 
 
 def cmd_verify(args, out):
@@ -182,19 +177,10 @@ def cmd_verify(args, out):
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     # the pool forks all its workers at once: never more than there are classes
     jobs = min(jobs, len(selected))
-    max_height = _resolve_height(args)
-    results = []
-    if jobs > 1:
-        payloads = [
-            (datum.family, datum.m, datum.n, datum.alpha, k, system.roots, max_height)
-            for k, system in selected
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_verify_worker, payloads))
-    else:
-        for k, system in selected:
-            report = verify_presentation(datum, system, max_height=max_height)
-            results.append((k, report.passed, report.got_total, report.to_json()))
+    verify_one = partial(_verify_one, datum, _resolve_height(args))
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        verdicts = (pool.map if pool else map)(verify_one, [system for _, system in selected])
+        results = [(k, *verdict) for (k, _), verdict in zip(selected, verdicts)]
     all_pass = all(ok for _, ok, _, _ in results)
     if args.format == "json":
         print(
@@ -226,7 +212,7 @@ def cmd_zgrading(args, out):
     max_height = _resolve_height(args)
     exit_code = 0
     for k, system in select_systems(datum, args.borel):
-        table = compare_z_grading(datum, system, args.d, max_height=max_height)
+        table = compare_z_grading(verify_presentation(datum, system, max_height=max_height), args.d)
         if not all(eq for _, _, eq in table.values()):
             exit_code = 1
         if args.format == "json":

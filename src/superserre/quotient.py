@@ -21,6 +21,10 @@ Two engines agree on every weight:
 `check_lowering_stability` builds a covering engine only when some lowered
 element needs one, and its levels only as high as such an element reaches.
 
+A closed report gives the total dimension (`GradedQuotientReport.total_dim`);
+the Z-grading tables are read off a verification report, by
+`verify.compare_z_grading`.
+
 Both engines and the stability check read the relation terms as
 `SerrePolynomial` holds them, native `int` and `Fraction` over Q and
 `Scalar` only where a appears, and eliminate with `linalg.Echelon`.
@@ -46,7 +50,6 @@ from .freelie import (
     lower_terms,
 )
 from .linalg import Echelon, axpy
-from .rootdata import PreconditionError
 
 
 class EngineError(RuntimeError):
@@ -457,52 +460,6 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
     report.engine = engine
     report.first_excess = guard_hit
     return report
-
-
-def total_dimension(report, rank):
-    """2 * dim n+ + rank; the report must be closed."""
-    if not report.closed:
-        raise PreconditionError("total dimension needs a closed report")
-    return 2 * report.positive_dimension + rank
-
-
-class ZGradingReport:
-    """Dimensions of the Z-grading layers determined by deg(e_d) = 1."""
-
-    def __init__(self, d, dims):
-        self.d = d
-        self.dims = dims  # k >= 0 -> dimension; negative side mirrors
-
-    def to_json(self):
-        return {"d": self.d, "dims": {str(k): v for k, v in sorted(self.dims.items())}}
-
-
-def z_grading_report(report, d):
-    """Layer dimensions for the grading with deg(e_d) = -deg(f_d) = 1, read
-    off a closed quotient report.
-
-    Layer 0 contains the Cartan subalgebra and both signs of the positive
-    weights with d-coordinate zero; layer k > 0 collects the surviving
-    weights with d-coordinate k.
-    """
-    if not 1 <= d <= report.rank:
-        raise ValueError(f"grading node d={d} out of range 1..{report.rank}")
-    if not report.closed:
-        raise PreconditionError("z-grading needs a closed quotient report")
-    dims = z_layer_dimensions(report.rank, report.surviving_weights(), d)
-    dims[max(dims) + 1] = 0
-    return ZGradingReport(d, dims)
-
-
-def z_layer_dimensions(rank, multiplicities, d):
-    """k -> dim g_k for k >= 0 under deg(e_d) = 1, from the rank and a
-    weight -> multiplicity table of the positive part: layer 0 holds the
-    Cartan subalgebra and both signs of each weight with d-coordinate 0."""
-    dims = {0: rank}
-    for nu, q in multiplicities.items():
-        k = nu[d - 1]
-        dims[k] = dims.get(k, 0) + (q if k else 2 * q)
-    return dims
 
 
 # -- lowering stability ---------------------------------------------------------

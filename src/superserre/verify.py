@@ -6,7 +6,7 @@ a second presentation, so the two sides of every comparison are independent.
 
 from __future__ import annotations
 
-from .quotient import quotient_dimensions, z_grading_report, z_layer_dimensions
+from .quotient import quotient_dimensions
 from .rootdata import (
     PreconditionError,
     enumerate_simple_systems,
@@ -166,25 +166,39 @@ def verify_all_borels(datum, max_height=None):
     ]
 
 
-def compare_z_grading(datum, system, d, max_height=None):
-    """Table k -> (dim g_k, dim L_k, equal?) for the grading at node d.
+def z_layer_dimensions(rank, multiplicities, d):
+    """k -> dim g_k for k >= 0 under deg(e_d) = -deg(f_d) = 1, from the rank
+    and a weight -> multiplicity table of the positive part: layer 0 holds
+    the Cartan subalgebra and both signs of each weight with d-coordinate 0,
+    layer k > 0 the weights with d-coordinate k."""
+    dims = {0: rank}
+    for nu, q in multiplicities.items():
+        k = nu[d - 1]
+        dims[k] = dims.get(k, 0) + (q if k else 2 * q)
+    return dims
 
-    The g side is the presented algebra's grading; the L side is recomputed
-    from the positive roots by the coefficient of alpha_d (rank plus both
-    signs of the zero-coefficient roots at k = 0).
+
+def compare_z_grading(report, d):
+    """Table k -> (dim g_k, dim L_k, equal?) for the grading at node d, read
+    off a passing `VerificationReport`; it runs no verification of its own.
+
+    Both sides are counted by `z_layer_dimensions`: the g side from the
+    surviving weights of the report's closed quotient, plus the empty layer
+    above the top one; the L side from the report's reference table, the
+    positive roots by their coefficient of alpha_d.
     """
-    if not 1 <= d <= system.rank:
-        raise ValueError(f"grading node d={d} out of range 1..{system.rank}")
-    result = verify_presentation(datum, system, max_height=max_height)
-    if not result.passed:
+    rank = report.system.rank
+    if not 1 <= d <= rank:
+        raise ValueError(f"grading node d={d} out of range 1..{rank}")
+    if not report.passed:
         raise PreconditionError(
-            f"z-grading comparison requires a passing verification for {datum.name}"
+            f"z-grading comparison requires a passing verification for {report.datum_name}"
         )
-    grading = z_grading_report(result.quotient_report, d)
-    ref = z_layer_dimensions(system.rank, result.reference, d)
+    grading = z_layer_dimensions(rank, report.quotient_report.surviving_weights(), d)
+    grading[max(grading) + 1] = 0
+    ref = z_layer_dimensions(rank, report.reference, d)
     table = {}
-    for k in sorted(set(grading.dims) | set(ref)):
-        g = grading.dims.get(k, 0)
-        l = ref.get(k, 0)
+    for k in sorted(set(grading) | set(ref)):
+        g, l = grading.get(k, 0), ref.get(k, 0)
         table[k] = (g, l, g == l)
     return table

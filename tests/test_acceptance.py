@@ -102,7 +102,7 @@ def test_criterion_3_z_grading_tables():
     )
     diag = build_diagram(cartan_matrix(f4, system))
     d = diag.nodes.index(GREY) + 1
-    table = compare_z_grading(f4, system, d)
+    table = compare_z_grading(verify_presentation(f4, system), d)
     dims = [table[k][0] for k in sorted(table)]
     assert dims == [12, 6, 3, 2, 3, 0]
     assert all(eq for _, _, eq in table.values())
@@ -120,7 +120,7 @@ def test_criterion_3_z_grading_tables():
         v for v in range(4)
         if diag.nodes[v] == WHITE and any(diag.count(v, u) == 2 for u in range(4) if u != v)
     )
-    table = compare_z_grading(f4, system, tail_white + 1)
+    table = compare_z_grading(verify_presentation(f4, system), tail_white + 1)
     assert table[1][0] == 10 and table[1][2]
     assert table.get(2, (0, 0, True))[0] == 0
 
@@ -130,10 +130,10 @@ def test_criterion_3_z_grading_tables():
     )
     diag = build_diagram(cartan_matrix(g3, system))
     d = diag.nodes.index(WHITE) + 1
-    table = compare_z_grading(g3, system, d)
+    res = verify_presentation(g3, system)
+    table = compare_z_grading(res, d)
     assert [table[k][0] for k in sorted(table) if k > 0] == [7, 4, 0]
     # the seven layer-1 weights are a3 + k(a1+a2) and a3 + p(a1+a2) + a2
-    res = verify_presentation(g3, system)
     g1 = {w for w, (_, _, q) in res.quotient_report.per_weight.items()
           if q and w[d - 1] == 1}
     expected = {(k, k, 1) for k in range(4)} | {(p, p + 1, 1) for p in range(3)}
@@ -141,10 +141,10 @@ def test_criterion_3_z_grading_tables():
 
     d21a = build_root_datum("D21a")
     system = enumerate_simple_systems(d21a)[1]  # the all-grey triangle
-    table = compare_z_grading(d21a, system, 3)
+    res = verify_presentation(d21a, system)
+    table = compare_z_grading(res, 3)
     assert [table[k][0] for k in sorted(table) if k > 0] == [4, 0]
     # layer 1 is spanned by e3, [e1,e3], [e2,e3], [e1,[e2,e3]]
-    res = verify_presentation(d21a, system)
     g1 = {w for w, (_, _, q) in res.quotient_report.per_weight.items() if q and w[2] == 1}
     assert g1 == {(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)}
     _report(3, "Z-grading tables reproduced: F(4) (12,6,3,2,3,0) and g1=10/g2=0; "

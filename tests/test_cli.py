@@ -254,11 +254,14 @@ def test_jobs_never_exceed_the_number_of_classes(monkeypatch):
 
 
 def test_jobs_two_gives_the_same_json_as_jobs_one():
-    argv = ["verify", "A", "--m", "1", "--n", "0", "--all", "--format", "json"]
-    code1, one = run_cli(argv + ["--jobs", "1"])
-    code2, two = run_cli(argv + ["--jobs", "2"])  # 3 classes, so 2 workers
-    assert code1 == code2 == 0
-    assert json.loads(two) == json.loads(one)
+    # A(1,0) has 3 classes and generic D(2,1;a) 4, so 2 workers each; the
+    # workers get D(2,1;a)'s `Scalar` norms as pickles
+    for family in (["A", "--m", "1", "--n", "0"], ["D21a"]):
+        argv = ["verify", *family, "--all", "--format", "json"]
+        code1, one = run_cli(argv + ["--jobs", "1"])
+        code2, two = run_cli(argv + ["--jobs", "2"])
+        assert code1 == code2 == 0
+        assert two == one
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -11,8 +11,6 @@ from superserre.quotient import (
     IdealWordEngine,
     check_lowering_stability,
     quotient_dimensions,
-    total_dimension,
-    z_grading_report,
 )
 from superserre.rootdata import (
     PreconditionError,
@@ -22,6 +20,7 @@ from superserre.rootdata import (
 )
 from superserre.scalars import Scalar
 from superserre.serre import SerrePolynomial, presentation
+from superserre.verify import compare_z_grading, verify_presentation
 
 
 def _element(terms, nodes, rank=2):
@@ -47,7 +46,6 @@ def test_quotient_dimensions_a10():
     assert rep.surviving_weights() == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
     assert rep.positive_dimension == 3
     assert rep.total_dim == 8
-    assert total_dimension(rep, 2) == 8
     # the report keeps the engine that built its levels
     assert rep.engine.completed == rep.max_height_reached
 
@@ -73,8 +71,6 @@ def test_total_dimension_requires_closure():
     rep = quotient_dimensions(pres, 2)  # too small a cap to close
     assert not rep.closed
     assert rep.total_dim is None
-    with pytest.raises(PreconditionError):
-        total_dimension(rep, 2)
 
 
 def test_unbounded_growth_warning():
@@ -137,33 +133,29 @@ def test_omega_symmetry_f_side_runs_identically():
 def test_z_grading_d_series_g3_vanishes():
     # distinguished D(m,n): the layer grading at the odd node has g_3 = 0
     datum = build_root_datum("D", m=2, n=2)
-    system = distinguished_simple_system(datum)
-    pres = presentation(datum, system)
-    rep = quotient_dimensions(pres, 14)
-    (s,) = pres.cartan.theta
-    grading = z_grading_report(rep, s)
-    assert grading.dims.get(2, 0) > 0
-    assert grading.dims.get(3, 0) == 0
+    report = verify_presentation(datum, distinguished_simple_system(datum), max_height=14)
+    (s,) = report.presentation.cartan.theta
+    grading = {k: g for k, (g, _, _) in compare_z_grading(report, s).items()}
+    assert grading.get(2, 0) > 0
+    assert grading.get(3, 0) == 0
     # mirror symmetry built in: dims are for k >= 0, layer 0 counts both signs
-    total = grading.dims[0] + 2 * sum(v for k, v in grading.dims.items() if k > 0)
-    assert total == rep.total_dim
+    total = grading[0] + 2 * sum(v for k, v in grading.items() if k > 0)
+    assert total == report.quotient_report.total_dim
 
 
 def test_z_grading_requires_closed_report():
     datum = build_root_datum("A", m=1, n=0)
-    pres = presentation(datum, distinguished_simple_system(datum))
-    rep = quotient_dimensions(pres, 2)
+    report = verify_presentation(datum, distinguished_simple_system(datum), max_height=2)
     with pytest.raises(PreconditionError):
-        z_grading_report(rep, 1)
+        compare_z_grading(report, 1)
 
 
 def test_z_grading_rejects_node_out_of_range():
     datum = build_root_datum("A", m=1, n=0)
-    pres = presentation(datum, distinguished_simple_system(datum))
-    rep = quotient_dimensions(pres, 8)
+    report = verify_presentation(datum, distinguished_simple_system(datum))
     for d in (0, 3):
         with pytest.raises(ValueError, match="out of range"):
-            z_grading_report(rep, d)
+            compare_z_grading(report, d)
 
 
 def test_report_json_schema():

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from functools import cache
 from math import comb
@@ -507,3 +508,22 @@ def test_form_value_matches_the_double_loop(fam, data):
     for got in (datum.form_value(lam, mu), datum.form_value(mu, lam)):
         assert got == expected
         assert type(got) is type(native(expected))  # canonical: Scalar only where a appears
+
+
+@pytest.mark.parametrize("family", ["D21a", "F4"])
+def test_data_and_systems_survive_a_pickle_round_trip(family):
+    # `verify --jobs N` sends the datum and each system to its workers as
+    # pickles; generic D(2,1;a) carries `Scalar` norms across
+    datum = build_root_datum(family)
+    system = enumerate_simple_systems(datum)[-1]
+    datum_copy = pickle.loads(pickle.dumps(datum))
+    system_copy = pickle.loads(pickle.dumps(system))
+    for copy in (datum_copy, system_copy.datum):
+        assert copy.norms == datum.norms
+        assert (copy.even_roots, copy.odd_roots, copy.all_roots) == (
+            datum.even_roots, datum.odd_roots, datum.all_roots
+        )
+        assert copy.rank == datum.rank
+    assert system_copy.roots == system.roots
+    assert system_copy.rank == system.rank
+    assert positive_roots(system_copy) == positive_roots(system)

@@ -126,8 +126,9 @@ def test_compare_z_grading_all_nodes_agree():
     for fam, kw in [("A", dict(m=1, n=1)), ("C", dict(n=3)), ("D21a", {})]:
         datum = build_root_datum(fam, **kw)
         for system in enumerate_simple_systems(datum):
+            report = verify_presentation(datum, system)
             for d in range(1, system.rank + 1):
-                table = compare_z_grading(datum, system, d)
+                table = compare_z_grading(report, d)
                 assert all(eq for _, _, eq in table.values()), (fam, d)
 
 
@@ -135,7 +136,7 @@ def test_compare_z_grading_d_series_top_vanishes():
     datum = build_root_datum("D", m=2, n=2)
     system = distinguished_simple_system(datum)
     (s,) = system.theta
-    table = compare_z_grading(datum, system, s)
+    table = compare_z_grading(verify_presentation(datum, system), s)
     assert table[2][2] and table[2][0] > 0
     assert table.get(3, (0, 0, True))[0] == 0
 
