@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -23,8 +22,6 @@ from .rootdata import ParameterError, build_root_datum, enumerate_simple_systems
 from .scalars import render
 from .serre import presentation
 from .verify import compare_z_grading, necessity_survey, verify_presentation
-
-ENV_MAX_HEIGHT = "SUPERSERRE_MAX_HEIGHT"
 
 
 class UsageError(Exception):
@@ -88,24 +85,6 @@ def select_systems(datum, selector):
     return [(k, systems[k])]
 
 
-def _resolve_height(args):
-    """--max-height, else $SUPERSERRE_MAX_HEIGHT, else None (the default cap);
-    a value below 1 is a usage error naming where it came from."""
-    if args.max_height is not None:
-        source, height = "--max-height", args.max_height
-    else:
-        env = os.environ.get(ENV_MAX_HEIGHT)
-        if not env:
-            return None
-        try:
-            source, height = ENV_MAX_HEIGHT, int(env)
-        except ValueError:
-            raise UsageError(f"{ENV_MAX_HEIGHT} must be an integer, got {env!r}") from None
-    if height < 1:
-        raise UsageError(f"{source} must be at least 1, got {height}")
-    return height
-
-
 def cmd_borels(args, out):
     datum = make_datum(args)
     systems = enumerate_simple_systems(datum)
@@ -159,10 +138,10 @@ def cmd_relations(args, out):
     return 0
 
 
-def _verify_one(datum, max_height, system):
+def _verify_one(datum, system):
     """One class's verdict, total and JSON report; the datum and the system
     pickle, so a pool worker gets them as they are."""
-    report = verify_presentation(datum, system, max_height=max_height)
+    report = verify_presentation(datum, system)
     return report.passed, report.got_total, report.to_json()
 
 
@@ -177,7 +156,7 @@ def cmd_verify(args, out):
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     # the pool forks all its workers at once: never more than there are classes
     jobs = min(jobs, len(selected))
-    verify_one = partial(_verify_one, datum, _resolve_height(args))
+    verify_one = partial(_verify_one, datum)
     with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
         verdicts = (pool.map if pool else map)(verify_one, [system for _, system in selected])
         results = [(k, *verdict) for (k, _), verdict in zip(selected, verdicts)]
@@ -209,10 +188,11 @@ def cmd_zgrading(args, out):
     datum = make_datum(args)
     if args.d is None:
         raise UsageError("zgrading needs --d (1-based node index)")
-    max_height = _resolve_height(args)
+    if not 1 <= args.d <= datum.rank:
+        raise UsageError(f"grading node d={args.d} out of range 1..{datum.rank}")
     exit_code = 0
     for k, system in select_systems(datum, args.borel):
-        table = compare_z_grading(verify_presentation(datum, system, max_height=max_height), args.d)
+        table = compare_z_grading(verify_presentation(datum, system), args.d)
         if not all(eq for _, _, eq in table.values()):
             exit_code = 1
         if args.format == "json":
@@ -234,9 +214,8 @@ def cmd_zgrading(args, out):
 def cmd_necessity(args, out):
     datum = make_datum(args)
     exit_code = 0
-    max_height = _resolve_height(args)
     for k, system in select_systems(datum, args.borel):
-        survey = necessity_survey(datum, system, max_height=max_height)
+        survey = necessity_survey(datum, system)
         if args.format == "json":
             print(
                 json.dumps(
@@ -265,9 +244,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("text", "json"), default_format="text", borel=True, height=False):
-        """The options every subcommand shares, plus --borel and --max-height
-        for the subcommands that read them."""
+    def common(p, formats=("text", "json"), default_format="text", borel=True):
+        """The options every subcommand shares, plus --borel for the
+        subcommands that read it."""
         p.add_argument("family", help="A, B, C, D, F4, G3 or D21a")
         p.add_argument("--m", type=int, default=None)
         p.add_argument("--n", type=int, default=None)
@@ -275,8 +254,6 @@ def build_parser():
         if borel:
             p.add_argument("--borel", default=None, help="class index, 'all' or 'distinguished'")
         p.add_argument("--format", choices=formats, default=default_format)
-        if height:
-            p.add_argument("--max-height", type=int, default=None)
 
     p = sub.add_parser("borels", help="list the conjugacy classes of Borel subalgebras")
     common(p, borel=False)
@@ -295,18 +272,18 @@ def build_parser():
     p.set_defaults(fn=cmd_relations)
 
     p = sub.add_parser("verify", help="verify the presentation against the root system")
-    common(p, height=True)
+    common(p)
     p.add_argument("--all", action="store_true", help="verify every Borel class")
     p.add_argument("--jobs", type=int, default=None, help="parallel workers for --all")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("zgrading", help="Z-grading layer dimensions at a node")
-    common(p, height=True)
+    common(p)
     p.add_argument("--d", type=int, default=None, help="1-based node index")
     p.set_defaults(fn=cmd_zgrading)
 
     p = sub.add_parser("necessity", help="necessity of each higher order element")
-    common(p, height=True)
+    common(p)
     p.set_defaults(fn=cmd_necessity)
     return parser
 

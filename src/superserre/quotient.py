@@ -466,14 +466,14 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
 
 
 class StabilityEntry:
-    __slots__ = ("element_index", "provenance", "i", "in_span", "how")
+    __slots__ = ("element_index", "provenance", "i", "stable", "how")
 
-    def __init__(self, element_index, provenance, i, in_span, how):
+    def __init__(self, element_index, provenance, i, stable, how):
         self.element_index = element_index
         self.provenance = provenance
         self.i = i
-        self.in_span = in_span
-        self.how = how  # "zero" | "span" | "ideal" | "violation"
+        self.stable = stable
+        self.how = how  # "zero" | "ideal" | "violation"
 
 
 class StabilityReport:
@@ -482,7 +482,7 @@ class StabilityReport:
 
     @property
     def violations(self):
-        return [e for e in self.entries if not e.in_span]
+        return [e for e in self.entries if not e.stable]
 
     @property
     def ok(self):
@@ -496,7 +496,7 @@ class StabilityReport:
                     "element": e.element_index,
                     "provenance": e.provenance,
                     "i": e.i,
-                    "stable": e.in_span,
+                    "stable": e.stable,
                     "how": e.how,
                 }
                 for e in self.entries
@@ -507,11 +507,10 @@ class StabilityReport:
 def check_lowering_stability(presentation):
     """Machine check that the lowering operators keep the relation set inside
     the ideal it generates: for every e-side element s and every i, the
-    positive part of [f_i, s] is zero, or lies in the span of the e-side
-    elements of its weight nu = wt(s) - alpha_i, or, failing both, lies in
-    the nu component of the ideal generated by the e side.
+    positive part of [f_i, s] is zero, or lies in the nu component of the
+    ideal generated by the e side, nu = wt(s) - alpha_i.
 
-    The third case occurs for quartic elements over an isotropic node t,
+    The second case occurs for quartic elements over an isotropic node t,
     where lowering produces a multiple of [e_t, [e_t, e_k]] =
     [[e_t, e_t], e_k] / 2, an ideal element that is not itself in the
     emitted relation set.
@@ -519,12 +518,13 @@ def check_lowering_stability(presentation):
     The element terms arrive native (`SerrePolynomial`) and the Cartan rows
     are read from `CartanData.native_a`, so over Q the whole check runs on
     `int` and `Fraction`.  Each (element, i) entry is decided on the spot.
-    An empty word expansion of the lowered element is `zero`.  Otherwise
-    the residual is reduced by the echelon of the e-side elements of weight
-    nu, built once per weight; an empty residual is `span`.  Any other entry
-    is rewritten in basis coordinates on one covering engine, made at the
-    first such entry, with levels built up to the height of nu but not past
-    an all-zero level: `ideal` if the image is zero, `violation` if not.
+    An empty word expansion of the lowered element is `zero`.  Any other
+    entry is rewritten in basis coordinates on one covering engine, made at
+    the first such entry, with levels built up to the height of nu but not
+    past an all-zero level: `ideal` if the image is zero, `violation` if
+    not.  The span of the e-side elements of weight nu lies in the ideal,
+    so a lowered element in that span comes out `ideal` with no stage of
+    its own.
 
     Building on demand changes no verdict.  Level k depends only on the
     relation elements and the levels below it.  Every level above an
@@ -534,31 +534,17 @@ def check_lowering_stability(presentation):
     cd = presentation.cartan
     parities = presentation.parities
     r = presentation.rank
-    by_weight = {}  # weight -> terms of the e-side elements of that weight
-    for el in presentation.e_side:
-        by_weight.setdefault(el.content, []).append(el.terms)
-    spans = {}  # weight -> Echelon of the e-side elements of that weight
     engine = None
 
     entries = []
     for idx, el in enumerate(presentation.e_side):
         for i in range(1, r + 1):
             lowered, _ = lower_terms(cd, i, el.terms)
-            residual = expand_terms(lowered, parities)
             how = "zero"
-            if residual:
-                nu = _weight_sub(el.content, i)
-                ech = spans.get(nu)
-                if ech is None:
-                    ech = spans[nu] = Echelon()
-                    for terms in by_weight.get(nu, ()):
-                        ech.insert(expand_terms(terms, parities))
-                ech.reduce(residual)
-                how = "span"
-            if residual:  # neither zero nor in the span: rewrite it on the engine
+            if expand_terms(lowered, parities):  # not zero: rewrite it on the engine
                 if engine is None:
                     engine = CoveringEngine(parities, presentation.e_side)
-                h = content_height(nu)
+                h = content_height(el.content) - 1  # the height of nu
                 while engine.completed < h and engine.level_ids[engine.completed]:
                     engine.build_level(engine.completed + 1)
                 image = {}

@@ -20,15 +20,18 @@ def reference_multiplicities(system):
     return {coords: 1 for coords in positive_roots(system).values()}
 
 
-def _reference_and_cap(system, max_height):
-    """The reference table of `system` and the height cap: `max_height`, or
-    if None the generous default of twice the highest root height plus two."""
+def _reference_and_cap(system):
+    """The reference table of `system` and the height passed to
+    `quotient_dimensions`: top + 1, where top is the highest root height.
+
+    Every harness run is guarded by the reference table, which has no weight
+    above top.  So the level at height top + 1 is either all zero (the run
+    closes there) or has a weight of positive dimension, which exceeds its
+    allowance of 0 and trips the guard.  Either way the run stops by itself
+    at or below top + 1, and no higher cap could ever bind.
+    """
     ref = reference_multiplicities(system)
-    return ref, 2 * max(sum(w) for w in ref) + 2 if max_height is None else max_height
-
-
-def default_height_cap(system):
-    return _reference_and_cap(system, None)[1]
+    return ref, max(sum(w) for w in ref) + 1
 
 
 def expected_total_dimension(datum):
@@ -73,17 +76,18 @@ class VerificationReport:
         return f"<VerificationReport {self.datum_name} {self.summary()}>"
 
 
-def verify_presentation(datum, system, max_height=None):
+def verify_presentation(datum, system):
     """Build the presentation, run the graded quotient and compare: surviving
     weights must be exactly the positive roots with multiplicity one, and the
-    total dimension must match the root count."""
-    ref, cap = _reference_and_cap(system, max_height)
+    total dimension must match the root count.  The run stops at the first
+    all-zero level or at the first excess (see `_reference_and_cap`)."""
+    ref, cap = _reference_and_cap(system)
     pres = presentation(datum, system)
     report = quotient_dimensions(pres, cap, excess_guard=ref)
     notes = []
     mismatches = []
     if not report.closed:
-        notes.append(report.warning or "no closure within the height cap")
+        notes.append(report.warning)
     surviving = report.surviving_weights()
     for w, q in sorted(surviving.items(), key=lambda kv: (sum(kv[0]), kv[0])):
         expected = ref.get(w, 0)
@@ -125,7 +129,7 @@ class NecessityResult:
 
 def _necessity(pres, relation_index, ref, cap):
     """Necessity of one higher order element of `pres`, against the
-    reference table `ref` within the height cap.
+    reference table `ref`, on levels built up to `cap`.
 
     The excess guard stops the levels at the first height with an excess,
     so every excess lies at that height, and the least of them in (height,
@@ -140,28 +144,28 @@ def _necessity(pres, relation_index, ref, cap):
     return NecessityResult(first is not None, first, element.provenance, element.nodes)
 
 
-def necessity_test(datum, system, relation_index, max_height=None):
+def necessity_test(datum, system, relation_index):
     """True iff removing the addressed higher order element (and its mirror)
-    lets some weight exceed its reference multiplicity within the cap."""
-    ref, cap = _reference_and_cap(system, max_height)
+    lets some weight exceed its reference multiplicity."""
+    ref, cap = _reference_and_cap(system)
     return _necessity(presentation(datum, system), relation_index, ref, cap)
 
 
-def necessity_survey(datum, system, max_height=None):
+def necessity_survey(datum, system):
     """Necessity of every higher order element of the presentation; the
     presentation and the reference table are built once for all of them."""
     pres = presentation(datum, system)
     indices = [idx for idx, el in enumerate(pres.e_side) if el.provenance != "standard"]
     if not indices:
         return []
-    ref, cap = _reference_and_cap(system, max_height)
+    ref, cap = _reference_and_cap(system)
     return [_necessity(pres, idx, ref, cap) for idx in indices]
 
 
-def verify_all_borels(datum, max_height=None):
+def verify_all_borels(datum):
     """One report per enumerated simple system."""
     return [
-        verify_presentation(datum, system, max_height=max_height)
+        verify_presentation(datum, system)
         for system in enumerate_simple_systems(datum)
     ]
 

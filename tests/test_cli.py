@@ -139,12 +139,6 @@ def test_usage_errors():
     assert main(["zgrading", "A", "--m", "1", "--n", "0"]) == 2
 
 
-def test_env_height_cap(monkeypatch):
-    monkeypatch.setenv("SUPERSERRE_MAX_HEIGHT", "3")
-    code, text = run_cli(["verify", "A", "--m", "1", "--n", "0"])
-    assert code == 0  # A(1,0) closes at height 2, well inside the cap
-
-
 def test_verify_jobs_parallel():
     code, text = run_cli(["verify", "A", "--m", "1", "--n", "0", "--all", "--jobs", "2"])
     assert code == 0
@@ -204,7 +198,7 @@ def test_single_node_diagram_ascii():
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "F4", "--max-height", "0"],
+        ["verify", "F4", "--max-height", "5"],  # the option is gone
         ["zgrading", "G3", "--d", "0"],
         ["zgrading", "G3", "--d", "9"],
         ["verify", "D21a", "--alpha", "1/0"],
@@ -216,13 +210,6 @@ def test_bad_input_ends_in_one_error_line(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
-
-
-def test_bad_env_height_cap_names_the_variable(monkeypatch, capsys):
-    monkeypatch.setenv("SUPERSERRE_MAX_HEIGHT", "x")
-    assert main(["verify", "G3"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "SUPERSERRE_MAX_HEIGHT" in err[0]
 
 
 def test_jobs_never_exceed_the_number_of_classes(monkeypatch):
@@ -278,9 +265,9 @@ def test_jobs_below_one_is_a_usage_error(jobs, capsys):
         (["cartan", "F4", "--max-height", "0"], "unrecognized arguments"),  # runs no quotient
         (["relations", "G3", "--max-height", "5"], "unrecognized arguments"),
         (["verify", "F4", "--all", "--borel", "3"], "--all and --borel"),
-        (["verify", "G3", "--max-height", "0"], "--max-height"),
-        (["necessity", "F4", "--max-height", "0"], "--max-height"),
-        (["zgrading", "G3", "--d", "1", "--max-height", "0"], "--max-height"),
+        (["verify", "G3", "--max-height", "0"], "unrecognized arguments"),  # no height cap
+        (["necessity", "F4", "--max-height", "0"], "unrecognized arguments"),
+        (["zgrading", "G3", "--d", "1", "--max-height", "0"], "unrecognized arguments"),
         ([], "required"),
         (["verify"], "required"),
         (["frobnicate", "F4"], "invalid choice"),
@@ -303,8 +290,15 @@ def test_refused_input_names_its_cause(argv, cause, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
 
 
-def test_env_height_below_one_names_the_variable(monkeypatch, capsys):
-    monkeypatch.setenv("SUPERSERRE_MAX_HEIGHT", "0")
-    assert main(["verify", "G3"]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "SUPERSERRE_MAX_HEIGHT" in err[0]
+def test_zgrading_refuses_d_before_verifying(monkeypatch, capsys):
+    import superserre.cli as cli
+
+    def no_verify(*args, **kwargs):
+        raise AssertionError("a class was verified before --d was checked")
+
+    monkeypatch.setattr(cli, "verify_presentation", no_verify)
+    assert main(["zgrading", "F4", "--borel", "all", "--d", "9"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "d=9" in err[0]

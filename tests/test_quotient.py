@@ -65,6 +65,13 @@ def test_quotient_dimensions_d21a_generic():
     assert rep.closed and rep.positive_dimension == 7 and rep.total_dim == 17
 
 
+def test_zero_max_height_is_rejected():
+    datum = build_root_datum("A", m=1, n=1)
+    pres = presentation(datum, distinguished_simple_system(datum))
+    with pytest.raises(ValueError, match="maxHeight"):
+        quotient_dimensions(pres, 0)
+
+
 def test_total_dimension_requires_closure():
     datum = build_root_datum("A", m=1, n=0)
     pres = presentation(datum, distinguished_simple_system(datum))
@@ -133,7 +140,7 @@ def test_omega_symmetry_f_side_runs_identically():
 def test_z_grading_d_series_g3_vanishes():
     # distinguished D(m,n): the layer grading at the odd node has g_3 = 0
     datum = build_root_datum("D", m=2, n=2)
-    report = verify_presentation(datum, distinguished_simple_system(datum), max_height=14)
+    report = verify_presentation(datum, distinguished_simple_system(datum))
     (s,) = report.presentation.cartan.theta
     grading = {k: g for k, (g, _, _) in compare_z_grading(report, s).items()}
     assert grading.get(2, 0) > 0
@@ -143,9 +150,20 @@ def test_z_grading_d_series_g3_vanishes():
     assert total == report.quotient_report.total_dim
 
 
-def test_z_grading_requires_closed_report():
-    datum = build_root_datum("A", m=1, n=0)
-    report = verify_presentation(datum, distinguished_simple_system(datum), max_height=2)
+def test_z_grading_requires_closed_report(monkeypatch):
+    import superserre.verify as verify
+
+    # without its case-1 element, A(1,1) trips the excess guard: a failing report
+    def reduced(datum, system):
+        pres = presentation(datum, system)
+        return pres.without_element(
+            next(k for k, el in enumerate(pres.e_side) if el.provenance == "case-1")
+        )
+
+    monkeypatch.setattr(verify, "presentation", reduced)
+    datum = build_root_datum("A", m=1, n=1)
+    report = verify_presentation(datum, distinguished_simple_system(datum))
+    assert not report.passed and not report.quotient_report.closed
     with pytest.raises(PreconditionError):
         compare_z_grading(report, 1)
 
@@ -174,7 +192,7 @@ def test_lowering_stability_examples():
     assert rep.ok
     # the quartic lowers to zero or into the ideal, never outside
     quartic_entries = [e for e in rep.entries if e.provenance == "case-1"]
-    assert quartic_entries and all(e.in_span for e in quartic_entries)
+    assert quartic_entries and all(e.stable for e in quartic_entries)
     # weight-mismatched lowerings vanish identically
     standard = [e for e in rep.entries if e.provenance == "standard"]
     assert any(e.how == "zero" for e in standard)

@@ -4,8 +4,8 @@
 test-matrix algebras, of D(2,1;2) and of B(3,3), D(3,3) and A(4,2), the
 SHA-256 of
 `check_lowering_stability(presentation(...)).to_json()`: every (element,
-node) entry with its verdict and how it was reached (`zero`, `span`,
-`ideal` or `violation`).  Any change to the stability check that moves an
+node) entry with its verdict and how it was reached (`zero`, `ideal` or
+`violation`).  Any change to the stability check that moves an
 entry from one kind to another, or reorders the entries, shows up here.
 
 Re-record (only when an output change is intended) with

@@ -9,7 +9,6 @@ from superserre.rootdata import (
 )
 from superserre.verify import (
     compare_z_grading,
-    default_height_cap,
     expected_total_dimension,
     necessity_survey,
     necessity_test,
@@ -66,7 +65,8 @@ def test_broken_presentation_fails_honestly():
     pres = presentation(datum, system)
     idx = next(k for k, el in enumerate(pres.e_side) if el.provenance != "standard")
     ref = reference_multiplicities(system)
-    rep = quotient_dimensions(pres.without_element(idx), default_height_cap(system), excess_guard=ref)
+    top = max(sum(w) for w in ref)
+    rep = quotient_dimensions(pres.without_element(idx), top + 1, excess_guard=ref)
     assert any(q > ref.get(w, 0) for w, (_, _, q) in rep.per_weight.items())
 
 
@@ -162,19 +162,6 @@ def test_extended_families_beyond_the_matrix():
         assert all(r.passed and r.got_total == expected for r in reports), datum.name
 
 
-def test_zero_height_cap_is_rejected_not_defaulted():
-    datum = build_root_datum("A", m=1, n=1)
-    system = distinguished_simple_system(datum)
-    with pytest.raises(ValueError, match="maxHeight"):
-        verify_presentation(datum, system, max_height=0)
-    from superserre.serre import presentation
-
-    pres = presentation(datum, system)
-    idx = next(k for k, el in enumerate(pres.e_side) if el.provenance != "standard")
-    with pytest.raises(ValueError, match="maxHeight"):
-        necessity_test(datum, system, idx, max_height=0)
-
-
 def test_necessity_survey_matches_per_element_tests():
     from superserre.serre import presentation
 
@@ -217,3 +204,34 @@ def test_a_redundant_element_is_not_necessary(monkeypatch):
     for res in copies:
         assert not res.necessary and res.first_excess is None
     assert verify_presentation(datum, system).passed
+
+
+def test_runs_stop_by_themselves_and_stability_needs_no_span(monkeypatch):
+    # every guarded run (verify and each necessity rerun) closes or trips the
+    # excess guard, at or below top + 1; and every lowered element is zero or
+    # rewrites to zero on the engine, with no verdict left to a span stage
+    import superserre.verify as verify
+    from superserre.quotient import check_lowering_stability
+
+    runs = []
+    quotient_dimensions = verify.quotient_dimensions
+
+    def recording(pres, max_height, excess_guard=None):
+        report = quotient_dimensions(pres, max_height, excess_guard)
+        runs.append(report)
+        return report
+
+    monkeypatch.setattr(verify, "quotient_dimensions", recording)
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        for system in enumerate_simple_systems(datum):
+            top = max(sum(w) for w in reference_multiplicities(system))
+            del runs[:]
+            report = verify_presentation(datum, system)
+            necessity_survey(datum, system)
+            assert runs and all(
+                rep.max_height_reached <= top + 1 and (rep.closed or rep.first_excess)
+                for rep in runs
+            ), datum.name
+            hows = {e.how for e in check_lowering_stability(report.presentation).entries}
+            assert hows <= {"zero", "ideal"}, (datum.name, hows)
