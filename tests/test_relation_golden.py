@@ -1,7 +1,8 @@
 """Golden digests of the rendered relation sets.
 
 `tests/golden/relation_digests.json` holds, for every Borel class of the
-test-matrix algebras and of D(2,1;2), the SHA-256 of
+test-matrix algebras, of D(2,1;2) and of the four catalogue algebras
+A(4,3), B(3,3), C(5) and D(4,3), the SHA-256 of
 `presentation(datum, system).render(fmt)` in each output format.  Any change
 to relation generation, deduplication order or rendering shows up here.
 
@@ -21,12 +22,21 @@ from superserre.serre import presentation
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "relation_digests.json"
 FORMATS = ("text", "latex", "json")
+# every class of the benchmark's catalogue algebras (ranks 8, 6, 5 and 7)
+CATALOGUE = (
+    ("A", dict(m=4, n=3)),
+    ("B", dict(m=3, n=3)),
+    ("C", dict(n=5)),
+    ("D", dict(m=4, n=3)),
+)
 
 
 def _algebras():
     for fam, kw, _ in FAMILY_MATRIX:
         yield build_root_datum(fam, **kw)
     yield build_root_datum("D21a", alpha=Fraction(2))
+    for fam, kw in CATALOGUE:
+        yield build_root_datum(fam, **kw)
 
 
 def relation_digests():
