@@ -291,19 +291,25 @@ def _is_connected(neighbours, subset):
 
 def full_subdiagrams(diag, k):
     """All connected k-node full sub-diagrams (induced edges, arrows and
-    labels kept), as pairs (node subset, induced diagram).
+    labels kept), as pairs (node subset, induced diagram), for 1 <= k.
 
     Node subsets are 0-based and sorted, in lexicographic order.  Higher
-    order Serre elements attach to connected sub-diagrams only, so a subset
-    is tested for connectedness before its induced diagram is built.
+    order Serre elements attach to connected sub-diagrams only, so the node
+    sets are grown from single nodes by adding a neighbour at a time rather
+    than drawn from all k-subsets.  This reaches every connected k-set: a
+    node whose removal leaves the rest connected (a leaf of a spanning
+    tree) is a neighbour of that connected (k-1)-set.
     """
     if k > diag.size:
         raise ValueError(f"k = {k} exceeds the diagram size {diag.size}")
+    if k < 1:
+        raise ValueError(f"k = {k} is not a positive sub-diagram size")
     neighbours = [diag.neighbours(v) for v in range(diag.size)]
+    grown = {frozenset([v]) for v in range(diag.size)}
+    for _ in range(k - 1):
+        grown = {s | {u} for s in grown for v in s for u in neighbours[v] if u not in s}
     out = []
-    for subset in combinations(range(diag.size), k):
-        if not _is_connected(neighbours, subset):
-            continue
+    for subset in sorted(tuple(sorted(s)) for s in grown):
         relabel = {v: t for t, v in enumerate(subset)}
         edges = {}
         for (a, i), (b, j) in combinations(enumerate(subset), 2):

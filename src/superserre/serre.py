@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from itertools import permutations
 
-from .cartan_dynkin import BLACK, GREY, WHITE, build_diagram, cartan_matrix, full_subdiagrams
+from .cartan_dynkin import BLACK, GREY, WHITE, _path_order, build_diagram, cartan_matrix, full_subdiagrams
 from .freelie import expand_terms, tree_content, tree_render
 from .rootdata import PreconditionError
 from .scalars import native, render
@@ -119,9 +119,18 @@ def ad_power(i, j, n):
 
 def standard_serre_elements(cd):
     """(ad e_i)^{1-a_ij}(e_j) for i != j with a_ii != 0 or a_ij = 0, and the
-    squares [e_t, e_t] at isotropic t."""
+    squares [e_t, e_t] at isotropic t, no two with the same expansion.
+
+    Expansions are nonzero (the word e_i...e_i e_j has coefficient 1) and
+    homogeneous, and two contents n*alpha_i + alpha_j coincide only when
+    n = 1: [e_i, e_j] and [e_j, e_i] with a_ij = a_ji = 0.  The expansion
+    e_i e_j - (-1)^{p_i p_j} e_j e_i equals its swap exactly when both
+    generators are odd, so then the later one, with i > j, is left out.
+    Otherwise it is the swap's negative, and both stay in the set.
+    """
     out = []
     r = cd.rank
+    odd = cd.parities
     for i in range(1, r + 1):
         for j in range(1, r + 1):
             if i == j:
@@ -129,9 +138,13 @@ def standard_serre_elements(cd):
             iso = cd.is_isotropic(i)
             if not iso:
                 n = 1 - cd.a_integer(i, j)
-                out.append(SerrePolynomial({ad_power(i, j, n): 1}, "e", "standard", (i, j), r))
             elif not cd.native_a[i - 1][j - 1]:
-                out.append(SerrePolynomial({(i, j): 1}, "e", "standard", (i, j), r))
+                n = 1
+            else:
+                continue
+            if n == 1 and i > j and odd[i - 1] and odd[j - 1]:
+                continue
+            out.append(SerrePolynomial({ad_power(i, j, n): 1}, "e", "standard", (i, j), r))
     for t in range(1, r + 1):
         if cd.is_isotropic(t):
             out.append(SerrePolynomial({(t, t): 1}, "e", "standard", (t,), r))
@@ -255,34 +268,32 @@ def _match_3node(sub, nodes):
                 )
 
 
-def _is_path(sub, order):
-    """Whether every edge of `sub` joins two nodes adjacent in `order`.
-
-    A connected sub-diagram passes exactly when it is the path
-    order[0] - order[1] - ... - order[-1].
-    """
-    chain = {frozenset(p) for p in zip(order, order[1:])}
-    return all(frozenset(ij) in chain for ij, e in sub.edges.items() if e.count)
-
-
 def _match_4node(sub, nodes):
     """Yield (case name, element terms dict, nodes) for one connected 4-node
     full sub-diagram, which matches only as a path.
 
+    The patterns are chains n1 - n2 - n3 - n4 with no other edge, so only an
+    ordering in which every edge joins adjacent nodes can match: a path's
+    order and its reverse, and no ordering of any other sub-diagram.
+    `_path_order` starts at the smaller end, so the order precedes its
+    reverse among all 24 orderings, and the two are visited in that order.
     Each ordering yields at most one element per case, and distinct
     orderings give distinct node tuples, so no element repeats.  Cases 7
     and 8 give the grey node edges of multiplicities {3, 2} and {3, 1},
     case 5 gives it {1, 2}, so no sub-diagram matches both kinds, and one
     pass over the orderings yields them in the same order as a pass per kind.
     """
+    order = _path_order(sub)
+    if order is None:
+        return
     c = sub.nodes
     cnt = sub.count
     arrow = sub.arrow
-    for perm in permutations(range(4)):
+    for perm in (order, order[::-1]):
         colours = tuple(c[v] for v in perm)
         chain_78 = colours == (WHITE, GREY, WHITE, WHITE)
         chain_5 = colours[0] in _CROSS and colours[1:] == (WHITE, GREY, WHITE)
-        if not (chain_78 or chain_5) or not _is_path(sub, perm):
+        if not (chain_78 or chain_5):
             continue
         n1, n2, n3, n4 = perm
         g1, g2, g3, g4 = (nodes[v] for v in perm)
@@ -422,15 +433,13 @@ def presentation(datum, system):
     """Full presentation: quadratic relations are implicit, Serre elements
     are generated, structurally deduplicated and mirrored to the f side.
 
-    Standard and higher order elements are deduplicated in one pass, so each
-    element's expansion key is computed once.  This is the relation set of
-    deduplicating the higher order elements first: `_dedup` keeps the first
-    element of each key in order of first appearance, and an element that
-    dedup(H) drops repeats the key of an earlier element of H, so it is
-    dropped from S + H as well; hence dedup(S + dedup(H)) = dedup(S + H),
-    order included.
+    `standard_serre_elements` already has no repeated expansion, so only the
+    higher order candidates are expanded for deduplication.  No higher order
+    element repeats a standard one: every higher order content has at least
+    3 nonzero coordinates, every standard content at most 2, and expansions
+    are homogeneous.
     """
     cd = cartan_matrix(datum, system)
     diag = build_diagram(cd)
-    elements = standard_serre_elements(cd) + _higher_order_candidates(cd, diag)
-    return Presentation(datum, system, cd, diag, _dedup(elements, cd))
+    e_side = standard_serre_elements(cd) + higher_order_serre_elements(cd, diag)
+    return Presentation(datum, system, cd, diag, e_side)

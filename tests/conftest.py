@@ -3,6 +3,7 @@
 from itertools import permutations
 
 from superserre.cartan_dynkin import build_diagram, cartan_matrix
+from superserre.serre import SerrePolynomial, _dedup, _higher_order_candidates, ad_power
 
 
 # family, constructor kwargs, expected total dimension (rank + root count)
@@ -21,6 +22,58 @@ FAMILY_MATRIX = [
     ("G3", {}, 31),
     ("D21a", {}, 17),
 ]
+
+# the benchmark's catalogue algebras, of ranks 8, 6, 5 and 7
+CATALOGUE = [
+    ("A", dict(m=4, n=3)),
+    ("B", dict(m=3, n=3)),
+    ("C", dict(n=5)),
+    ("D", dict(m=4, n=3)),
+]
+
+
+def algebras_of_rank(r):
+    """(family, parameters) of every algebra of rank r: A(m,n) with m >= n
+    (A(m,n) is A(n,m)) and (m,n) != (0,0) of rank m + n + 1; B(m,n), n >= 1, and D(m,n),
+    m >= 2, n >= 1, of rank m + n; C(n), n >= 3, of rank n; G(3) and
+    generic D(2,1;a) of rank 3, F(4) of rank 4."""
+    out = [("A", dict(m=r - 1 - n, n=n)) for n in range(r) if r - 1 - n >= n and r > 1]
+    out += [("B", dict(m=r - n, n=n)) for n in range(1, r + 1)]
+    out += [("C", dict(n=r))] if r >= 3 else []
+    out += [("D", dict(m=r - n, n=n)) for n in range(1, r - 1)]
+    out += {3: [("G3", {}), ("D21a", {})], 4: [("F4", {})]}.get(r, [])
+    return out
+
+
+def _paper_standard_elements(cd):
+    """The standard Serre elements by the paper's rule alone, with no
+    duplicate removed: (ad e_i)^{1-a_ij}(e_j) for every ordered pair i != j
+    with a_ii != 0 or a_ij = 0, so both orders of an orthogonal pair, and
+    [e_t, e_t] at every isotropic t."""
+    r = cd.rank
+    out = []
+    for i in range(1, r + 1):
+        for j in range(1, r + 1):
+            if i != j and not cd.is_isotropic(i):
+                tree = ad_power(i, j, 1 - cd.a_integer(i, j))
+            elif i != j and not cd.native_a[i - 1][j - 1]:
+                tree = (i, j)
+            else:
+                continue
+            out.append(SerrePolynomial({tree: 1}, "e", "standard", (i, j), r))
+    for t in range(1, r + 1):
+        if cd.is_isotropic(t):
+            out.append(SerrePolynomial({(t, t): 1}, "e", "standard", (t,), r))
+    return out
+
+
+def expansion_oracle(datum, system):
+    """The e side of a presentation built with no shortcut: the unfiltered
+    standard elements, then every higher order candidate, the first of each
+    expansion key kept in order of first appearance."""
+    cd = cartan_matrix(datum, system)
+    elements = _paper_standard_elements(cd) + _higher_order_candidates(cd, build_diagram(cd))
+    return _dedup(elements, cd)
 
 
 def diagram_shape(diag):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import FAMILY_MATRIX, diagram_shape, make_shape, shape_of
+from conftest import CATALOGUE, FAMILY_MATRIX, diagram_shape, make_shape, shape_of
 from superserre.cartan_dynkin import (
     BLACK,
     GREY,
@@ -309,8 +309,10 @@ def _connected_subsets(diag, k):
 
 
 def test_full_subdiagrams_are_the_connected_subsets():
-    disconnected_seen = False
-    for fam, kw, _ in FAMILY_MATRIX:
+    # the matrix and every class of the catalogue algebras (rank up to 8),
+    # whose D-type fork is a connected 4-node sub-diagram that is no path
+    disconnected_seen = claw_seen = False
+    for fam, kw in [(fam, kw) for fam, kw, _ in FAMILY_MATRIX] + CATALOGUE:
         datum = build_root_datum(fam, **kw)
         for system in enumerate_simple_systems(datum):
             diag = build_diagram(cartan_matrix(datum, system))
@@ -322,6 +324,7 @@ def test_full_subdiagrams_are_the_connected_subsets():
                 assert [subset for subset, _ in subs] == wanted, (datum.name, k)
                 disconnected_seen |= len(wanted) < comb(diag.size, k)
                 for subset, sub in subs:
+                    claw_seen |= max(len(sub.neighbours(v)) for v in range(k)) == 3
                     assert list(sub.nodes) == [diag.nodes[v] for v in subset]
                     assert sub.labelled == diag.labelled
                     for (a, i), (b, j) in combinations(enumerate(subset), 2):
@@ -332,8 +335,8 @@ def test_full_subdiagrams_are_the_connected_subsets():
                             assert (f.count, f.arrow_towards, f.sign, f.b_label) == (
                                 e.count, arrow, e.sign, e.b_label
                             )
-    # the matrix has disconnected subsets, so the filter is exercised
-    assert disconnected_seen
+    # there are disconnected subsets to leave out, and claws to grow into
+    assert disconnected_seen and claw_seen
 
 
 def test_serialize_round_trip_and_formats():

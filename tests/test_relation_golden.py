@@ -16,19 +16,12 @@ import json
 import pathlib
 from fractions import Fraction
 
-from conftest import FAMILY_MATRIX
+from conftest import CATALOGUE, FAMILY_MATRIX
 from superserre.rootdata import build_root_datum, enumerate_simple_systems
 from superserre.serre import presentation
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "relation_digests.json"
 FORMATS = ("text", "latex", "json")
-# every class of the benchmark's catalogue algebras (ranks 8, 6, 5 and 7)
-CATALOGUE = (
-    ("A", dict(m=4, n=3)),
-    ("B", dict(m=3, n=3)),
-    ("C", dict(n=5)),
-    ("D", dict(m=4, n=3)),
-)
 
 
 def _algebras():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_MATRIX
+from conftest import FAMILY_MATRIX, algebras_of_rank
 from superserre.rootdata import (
     InconsistencyError,
     ParameterError,
@@ -311,23 +311,10 @@ def _borel_class_count(family, m=None, n=None):
     return {"F4": 6, "G3": 4, "D21a": 4}[family]
 
 
-def _algebras_of_rank(r):
-    """(family, parameters) of every algebra of rank r: A(m,n) with m >= n
-    (A(m,n) is A(n,m)) and (m,n) != (0,0) of rank m + n + 1; B(m,n), n >= 1, and D(m,n),
-    m >= 2, n >= 1, of rank m + n; C(n), n >= 3, of rank n; G(3) and
-    generic D(2,1;a) of rank 3, F(4) of rank 4."""
-    out = [("A", dict(m=r - 1 - n, n=n)) for n in range(r) if r - 1 - n >= n and r > 1]
-    out += [("B", dict(m=r - n, n=n)) for n in range(1, r + 1)]
-    out += [("C", dict(n=r))] if r >= 3 else []
-    out += [("D", dict(m=r - n, n=n)) for n in range(1, r - 1)]
-    out += {3: [("G3", {}), ("D21a", {})], 4: [("F4", {})]}.get(r, [])
-    return out
-
-
 def test_borel_class_counts_up_to_rank_7():
     algebras = classes = 0
     for r in range(1, 8):
-        for fam, kw in _algebras_of_rank(r):
+        for fam, kw in algebras_of_rank(r):
             datum = build_root_datum(fam, **kw)
             systems = enumerate_simple_systems(datum)
             assert len(systems) == _borel_class_count(fam, **kw), datum.name

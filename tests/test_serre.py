@@ -1,9 +1,17 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
-from superserre.cartan_dynkin import build_diagram, cartan_matrix
-from conftest import FAMILY_MATRIX
+from superserre.cartan_dynkin import (
+    GREY,
+    WHITE,
+    _path_order,
+    build_diagram,
+    cartan_matrix,
+    full_subdiagrams,
+)
+from conftest import CATALOGUE, FAMILY_MATRIX, algebras_of_rank, expansion_oracle
 from superserre.rootdata import (
     build_root_datum,
     distinguished_simple_system,
@@ -12,6 +20,7 @@ from superserre.rootdata import (
 from superserre.scalars import ALPHA, ONE, Scalar
 from superserre.serre import (
     SerrePolynomial,
+    _match_4node,
     higher_order_serre_elements,
     presentation,
     standard_serre_elements,
@@ -272,13 +281,66 @@ def test_distinguished_systems_reduce_to_the_two_patterns():
             assert el.nodes[1] == s and el.nodes[0] == s - 1, el
 
 
-def test_one_dedup_pass_equals_deduplicating_higher_order_first():
-    from superserre.serre import _dedup
+def test_relation_set_equals_the_expansion_oracle_up_to_rank_6():
+    # the standard list skips [e_j, e_i] (j > i) of two odd generators and
+    # the higher order list alone is deduplicated; the oracle instead keeps
+    # both orders of every pair and deduplicates everything by expansion key
+    classes = 0
+    for r in range(1, 7):
+        for fam, kw in algebras_of_rank(r):
+            datum = build_root_datum(fam, **kw)
+            for k, system in enumerate(enumerate_simple_systems(datum)):
+                got = [el.to_json() for el in presentation(datum, system).e_side]
+                want = [el.to_json() for el in expansion_oracle(datum, system)]
+                assert got == want, (datum.name, k)
+                classes += 1
+    assert classes == 434
 
-    for fam, kw, _ in FAMILY_MATRIX:
+
+def _match_4node_every_ordering(sub, nodes):
+    """Oracle for `_match_4node`: the three path patterns tried on all 24
+    orderings of the nodes, an ordering kept when every edge of `sub` joins
+    two nodes adjacent in it."""
+    c, cnt, arrow = sub.nodes, sub.count, sub.arrow
+    for perm in permutations(range(4)):
+        chain = {frozenset(p) for p in zip(perm, perm[1:])}
+        if not all(frozenset(ij) in chain for ij, e in sub.edges.items() if e.count):
+            continue
+        colours = tuple(c[v] for v in perm)
+        chain_78 = colours == (WHITE, GREY, WHITE, WHITE)
+        chain_5 = colours[0] in (WHITE, GREY) and colours[1:] == (WHITE, GREY, WHITE)
+        n1, n2, n3, n4 = perm
+        g1, g2, g3, g4 = (nodes[v] for v in perm)
+        if chain_78 and cnt(n1, n2) == 3 and arrow(n1, n2) == n2:
+            if cnt(n2, n3) == 2 and arrow(n2, n3) == n2 and cnt(n3, n4) == 1:
+                e = ((g1, g2), (g2, g3))
+                yield "case-7", {(e, (e, (g2, (g3, g4)))): 1}, (g1, g2, g3, g4)
+            if cnt(n2, n3) == 1 and cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
+                a12, a23, a34 = (g1, g2), (g2, g3), (g3, g4)
+                yield "case-8", {(a12, (a23, a34)): 1, (a23, (a12, a34)): -1}, (g1, g2, g3, g4)
+        elif chain_5 and cnt(n1, n2) == 1 and cnt(n2, n3) == 1:
+            if cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
+                jt = (g2, g3)
+                yield "case-5", {((g1, jt), (jt, (g3, g4))): 1}, (g1, g2, g3, g4)
+
+
+def test_match_4node_equals_the_every_ordering_oracle():
+    # every connected 4-node sub-diagram of the matrix and of the catalogue
+    # algebras, whose D-type fork is a 4-node claw (connected, not a path)
+    algebras = [(fam, kw) for fam, kw, _ in FAMILY_MATRIX] + CATALOGUE
+    cases, not_paths, subs = set(), 0, 0
+    for fam, kw in algebras:
         datum = build_root_datum(fam, **kw)
         for system in enumerate_simple_systems(datum):
-            pres = presentation(datum, system)
-            cd, diag = pres.cartan, pres.diagram
-            two_pass = _dedup(standard_serre_elements(cd) + higher_order_serre_elements(cd, diag), cd)
-            assert [el.to_json() for el in pres.e_side] == [el.to_json() for el in two_pass]
+            diag = build_diagram(cartan_matrix(datum, system))
+            if diag.size < 4:
+                continue
+            for subset, sub in full_subdiagrams(diag, 4):
+                nodes = tuple(v + 1 for v in subset)
+                got = list(_match_4node(sub, nodes))
+                assert got == list(_match_4node_every_ordering(sub, nodes)), (datum.name, subset)
+                cases |= {case for case, _, _ in got}
+                not_paths += _path_order(sub) is None
+                subs += 1
+    assert cases == {"case-5", "case-7", "case-8"}
+    assert not_paths and subs > not_paths
