@@ -210,7 +210,13 @@ class DynkinDiagram:
         )
 
     def is_connected(self):
-        return _is_connected([self.neighbours(v) for v in range(self.size)], range(self.size))
+        rest = set(range(self.size))
+        stack = [rest.pop()] if rest else []
+        while stack:
+            reached = rest.intersection(self.neighbours(stack.pop()))
+            rest -= reached
+            stack.extend(reached)
+        return not rest
 
     def __eq__(self, other):
         return (
@@ -275,18 +281,6 @@ def build_diagram(cd):
                 arrow = targets.pop()
             edges[(i, j)] = Edge(n, arrow, cd.sgn[i][j])
     return DynkinDiagram(colors, edges, labelled=False)
-
-
-def _is_connected(neighbours, subset):
-    """Whether the nodes of `subset` are connected through edges among them;
-    `neighbours[v]` lists the nodes that share an edge with node v."""
-    rest = set(subset)
-    stack = [rest.pop()] if rest else []
-    while stack:
-        reached = rest.intersection(neighbours[stack.pop()])
-        rest -= reached
-        stack.extend(reached)
-    return not rest
 
 
 def full_subdiagrams(diag, k):
@@ -403,18 +397,24 @@ _BAR = {1: "-", 2: "=", 3: "#"}
 
 
 def _path_order(diag):
-    """Node order if the diagram is a simple path, else None."""
+    """Node order if the diagram is a simple path, else None; the path
+    starts at its smaller end.
+
+    The walk from the first node of degree 1 goes on to the one neighbour
+    other than the node it came from.  Every node it leaves then has no
+    further neighbour, so it reaches all nodes exactly when the diagram is
+    a path, and no separate connectivity or degree test is needed.
+    """
     if diag.size == 1:
         return [0]
-    deg = [len(diag.neighbours(v)) for v in range(diag.size)]
-    health = diag.is_connected() and all(d <= 2 for d in deg) and deg.count(1) == 2
-    if not health:
+    neighbours = [diag.neighbours(v) for v in range(diag.size)]
+    ends = [v for v in range(diag.size) if len(neighbours[v]) == 1]
+    if not ends:
         return None
-    start = min(v for v in range(diag.size) if deg[v] == 1)
-    order = [start]
+    order = [ends[0]]
     prev = None
     while len(order) < diag.size:
-        nxt = [u for u in diag.neighbours(order[-1]) if u != prev]
+        nxt = [u for u in neighbours[order[-1]] if u != prev]
         if len(nxt) != 1:
             return None
         prev = order[-1]

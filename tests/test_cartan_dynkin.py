@@ -1,6 +1,6 @@
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -11,6 +11,9 @@ from superserre.cartan_dynkin import (
     GREY,
     WHITE,
     CartanDataError,
+    DynkinDiagram,
+    Edge,
+    _path_order,
     build_diagram,
     cartan_matrix,
     full_subdiagrams,
@@ -359,6 +362,24 @@ def test_single_grey_node_json():
     data = json.loads(serialize_diagram(diag, "json"))
     assert data["nodes"] == ["grey"]
     assert data["edges"] == []
+
+
+def test_path_order_is_the_least_ordering_along_every_edge():
+    # every graph on up to 5 nodes, disconnected ones and cycles included:
+    # the order is the least ordering whose consecutive pairs are the edges
+    for n in range(1, 6):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(2 ** len(pairs)):
+            edges = {ij: Edge(1, None, 0) for k, ij in enumerate(pairs) if mask >> k & 1}
+            want = next(
+                (
+                    list(perm)
+                    for perm in permutations(range(n))
+                    if {tuple(sorted(p)) for p in zip(perm, perm[1:])} == set(edges)
+                ),
+                None,
+            )
+            assert _path_order(DynkinDiagram([WHITE] * n, edges)) == want, (n, sorted(edges))
 
 
 def test_sl22_ascii():
