@@ -282,9 +282,9 @@ def test_distinguished_systems_reduce_to_the_two_patterns():
 
 
 def test_relation_set_equals_the_expansion_oracle_up_to_rank_6():
-    # the standard list skips [e_j, e_i] (j > i) of two odd generators and
-    # the higher order list alone is deduplicated; the oracle instead keeps
-    # both orders of every pair and deduplicates everything by expansion key
+    # the standard list leaves out [e_i, e_j] with i > j of two odd
+    # generators and the higher order list alone is deduplicated; the oracle
+    # keeps both orders of every pair and deduplicates everything by key
     classes = 0
     for r in range(1, 7):
         for fam, kw in algebras_of_rank(r):
