@@ -135,8 +135,7 @@ def standard_serre_elements(cd):
         for j in range(1, r + 1):
             if i == j:
                 continue
-            iso = cd.is_isotropic(i)
-            if not iso:
+            if not cd.is_isotropic(i):
                 n = 1 - cd.a_integer(i, j)
             elif not cd.native_a[i - 1][j - 1]:
                 n = 1
