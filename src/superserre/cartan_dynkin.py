@@ -139,7 +139,10 @@ def cartan_matrix(datum, system):
     r = system.rank
     roots = system.roots
     form_value = datum.form_value
-    b = [[form_value(roots[i], roots[j]) for j in range(r)] for i in range(r)]
+    b = [[None] * r for _ in range(r)]
+    for i in range(r):  # B is symmetric: evaluate j >= i and mirror
+        for j in range(i, r):
+            b[i][j] = b[j][i] = form_value(roots[i], roots[j])
     lm2 = minimal_square_length(datum)
     kappa = 0 if datum.family == "B" else 1
     iso_d = _quotient(lm2, 2 ** kappa)

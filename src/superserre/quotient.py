@@ -38,7 +38,7 @@ both engines on `Scalar`.
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import chain, groupby
 from operator import add
 
 from .freelie import (
@@ -114,14 +114,13 @@ class IdealWordEngine:
 class GradedQuotientReport:
     """Per-weight dimensions of the presented positive part."""
 
-    def __init__(self, rank, per_weight, max_height_reached, closed, warning=None):
+    def __init__(self, rank, per_weight, max_height_reached, closed, warning, engine):
         self.rank = rank
         self.per_weight = per_weight  # content -> (free_dim, ideal_rank, quotient_dim)
         self.max_height_reached = max_height_reached
         self.closed = closed
         self.warning = warning
-        self.engine = None  # the CoveringEngine that built the levels
-        self.first_excess = None  # the weight that tripped the excess guard, if any
+        self.engine = engine  # the CoveringEngine that built the levels
 
     @property
     def positive_dimension(self):
@@ -278,6 +277,34 @@ class CoveringEngine:
 
     # -- level construction -------------------------------------------------------
 
+    def jacobi_rows(self, h, weights):
+        """(w, J(x, y, z)) per sorted basis triple x <= y <= z of height h and
+        weight w in `weights`, which is read as they go (a weight taken out
+        yields no more).  Ids grow with height, so hx <= hy <= hz, and a
+        level's ids are in weight order, so groupby reads off its groups."""
+        weight_of, level_ids = self.weight_of, self.level_ids
+        for hx in range(1, h // 3 + 1):
+            for hy in range(hx, (h - hx) // 2 + 1):
+                z_ids = level_ids.get(h - hx - hy, ())
+                z_groups = [(wz, list(zs)) for wz, zs in groupby(z_ids, weight_of.__getitem__)]
+                for x in level_ids.get(hx, ()):
+                    wx = weight_of[x]
+                    for y in level_ids.get(hy, ()):
+                        if not weights:
+                            return
+                        if y < x:
+                            continue
+                        wxy = tuple(map(add, wx, weight_of[y]))
+                        for wz, zs in z_groups:
+                            w = tuple(map(add, wxy, wz))
+                            if w not in weights:
+                                continue
+                            for z in zs:
+                                if z >= y:
+                                    yield w, self._jacobi_boundary(x, y, z)
+                                    if w not in weights:
+                                        break
+
     def _pair_symbols(self, h_next):
         """Weight -> sorted pair symbols (x, y), x < y or x = y odd, of total
         height h_next."""
@@ -333,41 +360,13 @@ class CoveringEngine:
             if any(w[i] and _weight_sub(w, i + 1) in below for i in range(self.r))
         }
 
-        def insert(w, vec):
+        relations = self.relations_at.get(h_next, ())
+        relation_rows = ((nu, self.rho_pair(terms)) for nu, terms in relations if nu in live)
+        for w, row in chain(relation_rows, self.jacobi_rows(h_next, live)):
             ech = live[w]
-            ech.insert(vec)
+            ech.insert(row)
             if ech.rank == len(symbols[w]):
                 del live[w]
-
-        for nu, terms in self.relations_at.get(h_next, ()):
-            if nu in live:
-                insert(nu, self.rho_pair(terms))
-
-        # super-Jacobi boundaries of sorted basis triples (see the class docstring);
-        # ids grow with height, so a sorted triple has hx <= hy <= hz, and the ids
-        # of a level are in weight order, so groupby reads off its weight groups
-        weight_of, level_ids = self.weight_of, self.level_ids
-        for hx in range(1, h_next // 3 + 1):
-            for hy in range(hx, (h_next - hx) // 2 + 1):
-                z_ids = level_ids.get(h_next - hx - hy, ())
-                z_groups = [(wz, list(zs)) for wz, zs in groupby(z_ids, weight_of.__getitem__)]
-                for x in level_ids.get(hx, []):
-                    wx = weight_of[x]
-                    for y in level_ids.get(hy, []):
-                        if not live:
-                            break
-                        if y < x:
-                            continue
-                        wxy = tuple(map(add, wx, weight_of[y]))
-                        for wz, zs in z_groups:
-                            w = tuple(map(add, wxy, wz))
-                            if w not in live:
-                                continue
-                            for z in zs:
-                                if z >= y:
-                                    insert(w, self._jacobi_boundary(x, y, z))
-                                    if w not in live:
-                                        break
 
         new_dims = {}
         ids = []
@@ -413,8 +412,7 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
     `excess_guard` optionally maps weights to allowed dimensions: the levels
     stop as soon as some weight exceeds its allowance (the quotient can only
     keep growing above a strict excess, so callers comparing against
-    reference multiplicities lose nothing by stopping there).  The report's
-    `first_excess` is the least such weight of the height where they stop.
+    reference multiplicities lose nothing by stopping there).
 
     The report keeps the engine, whose levels up to `max_height_reached`
     stay available for rewriting (`CoveringEngine.rho`).
@@ -448,18 +446,13 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
             break
     warning = None
     if guard_hit is not None:
-        warning = (
-            f"stopped at height {h}: weight {guard_hit} exceeds its reference multiplicity"
-        )
+        warning = f"stopped at height {h}: weight {guard_hit} exceeds its reference multiplicity"
     elif not closed:
         warning = (
             f"no closure within the height cap {max_height}: "
             "the presented algebra may be infinite dimensional"
         )
-    report = GradedQuotientReport(r, per_weight, h, closed, warning)
-    report.engine = engine
-    report.first_excess = guard_hit
-    return report
+    return GradedQuotientReport(r, per_weight, h, closed, warning, engine)
 
 
 # -- lowering stability ---------------------------------------------------------

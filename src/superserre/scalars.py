@@ -653,7 +653,9 @@ class _Parser:
         v = self.atom()
         if self.peek() == "^":
             self.pos += 1
-            n = self.integer()
+            at, n = self.pos, self.integer()
+            if n * max(v.num.degree, v.den.degree) > 64:  # the time grows as n squared
+                raise ValueError(f"power of degree above 64 at {at} in {self.text!r}")
             out = ONE
             for _ in range(n):
                 out = out * v

@@ -6,6 +6,8 @@ a second presentation, so the two sides of every comparison are independent.
 
 from __future__ import annotations
 
+from .freelie import content_height
+from .linalg import Echelon
 from .quotient import quotient_dimensions
 from .rootdata import (
     PreconditionError,
@@ -18,20 +20,6 @@ from .serre import presentation
 def reference_multiplicities(system):
     """Weight -> multiplicity table of the positive roots (all ones)."""
     return {coords: 1 for coords in positive_roots(system).values()}
-
-
-def _reference_and_cap(system):
-    """The reference table of `system` and the height passed to
-    `quotient_dimensions`: top + 1, where top is the highest root height.
-
-    Every harness run is guarded by the reference table, which has no weight
-    above top.  So the level at height top + 1 is either all zero (the run
-    closes there) or has a weight of positive dimension, which exceeds its
-    allowance of 0 and trips the guard.  Either way the run stops by itself
-    at or below top + 1, and no higher cap could ever bind.
-    """
-    ref = reference_multiplicities(system)
-    return ref, max(sum(w) for w in ref) + 1
 
 
 def expected_total_dimension(datum):
@@ -79,15 +67,16 @@ class VerificationReport:
 def verify_presentation(datum, system):
     """Build the presentation, run the graded quotient and compare: surviving
     weights must be exactly the positive roots with multiplicity one, and the
-    total dimension must match the root count.  The run stops at the first
-    all-zero level or at the first excess (see `_reference_and_cap`)."""
-    ref, cap = _reference_and_cap(system)
+    total dimension must match the root count.  The run is guarded by the
+    reference table, which has no weight above top, the highest root height:
+    level top + 1 is all zero, and the run closes, or has a weight of positive
+    dimension, which trips the guard.  So the run stops by itself at or below
+    top + 1, and no higher cap could bind."""
+    ref = reference_multiplicities(system)
     pres = presentation(datum, system)
-    report = quotient_dimensions(pres, cap, excess_guard=ref)
-    notes = []
+    report = quotient_dimensions(pres, max(sum(w) for w in ref) + 1, excess_guard=ref)
+    notes = [] if report.closed else [report.warning]
     mismatches = []
-    if not report.closed:
-        notes.append(report.warning)
     surviving = report.surviving_weights()
     for w, q in sorted(surviving.items(), key=lambda kv: (sum(kv[0]), kv[0])):
         expected = ref.get(w, 0)
@@ -107,7 +96,7 @@ def verify_presentation(datum, system):
 
 
 class NecessityResult:
-    """Outcome of deleting one higher order element from a presentation."""
+    """Whether one higher order element of a presentation is necessary."""
 
     def __init__(self, necessary, first_excess, provenance, nodes):
         self.necessary = necessary
@@ -127,39 +116,57 @@ class NecessityResult:
         }
 
 
-def _necessity(pres, relation_index, ref, cap):
-    """Necessity of one higher order element of `pres`, against the
-    reference table `ref`, on levels built up to `cap`.
+def _necessity(pres, indices):
+    """Necessity of the higher order elements of `pres` at `indices`, decided
+    on one covering engine of `pres` built to one level below the highest of
+    them.  Element j is necessary when it does not lie in the ideal generated
+    by the other elements.
 
-    The excess guard stops the levels at the first height with an excess,
-    so every excess lies at that height, and the least of them in (height,
-    weight) order is the guard's `first_excess`."""
-    reduced = pres.without_element(relation_index)
-    element = pres.e_side[relation_index]
-    if element.provenance == "standard":
-        raise PreconditionError(
-            f"element {relation_index} is a standard Serre element, not higher order"
-        )
-    first = quotient_dimensions(reduced, cap, excess_guard=ref).first_excess
-    return NecessityResult(first is not None, first, element.provenance, element.nodes)
+    Let j have weight nu and height h.  Deleting j changes no relation below
+    h, so the levels below h are the engine's, and at height h only j's row
+    at nu goes: the Jacobi rows and the other relation rows at nu come from
+    those levels.  If j's row lies in their span, or the engine closed below
+    h - 1 (every level above an all-zero level is zero), every level is
+    unchanged.  Otherwise the quotient at nu grows by exactly 1 and no other
+    weight of height h moves.  So on a presentation that passes verification,
+    as every class up to rank 8 does, j is necessary exactly when deleting it
+    lets some weight exceed its reference multiplicity, nu first.
+    """
+    elements = pres.e_side
+    for j in indices:
+        if not (0 <= j < len(elements) and elements[j].provenance != "standard"):
+            raise PreconditionError(f"element index {j} is outside the higher order elements")
+    top = max(content_height(elements[j].content) for j in indices)
+    engine = quotient_dimensions(pres, top - 1).engine
+    results = []
+    for j in indices:
+        el, nu = elements[j], elements[j].content
+        row, h = {}, content_height(nu)
+        if engine.completed >= h - 1:
+            span = Echelon()
+            for _, jacobi in engine.jacobi_rows(h, {nu}):
+                span.insert(jacobi)
+            for k, other in enumerate(elements):
+                if k != j and other.content == nu:
+                    span.insert(engine.rho_pair(other.terms))
+            row = engine.rho_pair(el.terms)
+            span.reduce(row)
+        results.append(NecessityResult(bool(row), nu if row else None, el.provenance, el.nodes))
+    return results
 
 
 def necessity_test(datum, system, relation_index):
-    """True iff removing the addressed higher order element (and its mirror)
-    lets some weight exceed its reference multiplicity."""
-    ref, cap = _reference_and_cap(system)
-    return _necessity(presentation(datum, system), relation_index, ref, cap)
+    """Whether the addressed higher order element (and its mirror) is
+    necessary: see `_necessity`."""
+    return _necessity(presentation(datum, system), [relation_index])[0]
 
 
 def necessity_survey(datum, system):
-    """Necessity of every higher order element of the presentation; the
-    presentation and the reference table are built once for all of them."""
+    """Necessity of every higher order element of the presentation, all on
+    one covering engine."""
     pres = presentation(datum, system)
     indices = [idx for idx, el in enumerate(pres.e_side) if el.provenance != "standard"]
-    if not indices:
-        return []
-    ref, cap = _reference_and_cap(system)
-    return [_necessity(pres, idx, ref, cap) for idx in indices]
+    return _necessity(pres, indices) if indices else []
 
 
 def verify_all_borels(datum):

@@ -3,7 +3,9 @@
 from itertools import permutations
 
 from superserre.cartan_dynkin import build_diagram, cartan_matrix
+from superserre.quotient import quotient_dimensions
 from superserre.serre import SerrePolynomial, _dedup, _higher_order_candidates, ad_power
+from superserre.verify import reference_multiplicities
 
 
 # family, constructor kwargs, expected total dimension (rank + root count)
@@ -74,6 +76,35 @@ def expansion_oracle(datum, system):
     cd = cartan_matrix(datum, system)
     elements = _paper_standard_elements(cd) + _higher_order_candidates(cd, build_diagram(cd))
     return _dedup(elements, cd)
+
+
+def necessity_oracle(pres):
+    """`necessity_survey`'s JSON for the presentation `pres`, by the
+    definition it replaced: delete each higher order element in turn and
+    rerun the quotient, guarded by the reference table, up to top + 1.  The
+    element is necessary when some weight exceeds its reference multiplicity;
+    the guard stops at the first height with an excess, and the least excess
+    weight there is the first."""
+    ref = reference_multiplicities(pres.system)
+    top = max(sum(w) for w in ref)
+    out = []
+    for j, el in enumerate(pres.e_side):
+        if el.provenance == "standard":
+            continue
+        report = quotient_dimensions(pres.without_element(j), top + 1, excess_guard=ref)
+        h = report.max_height_reached
+        excess = sorted(
+            w for w, (_, _, q) in report.per_weight.items() if sum(w) == h and q > ref.get(w, 0)
+        )
+        out.append(
+            {
+                "provenance": el.provenance,
+                "nodes": list(el.nodes),
+                "necessary": bool(excess),
+                "firstExcessWeight": list(excess[0]) if excess else None,
+            }
+        )
+    return out
 
 
 def diagram_shape(diag):

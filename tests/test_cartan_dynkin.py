@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -522,3 +523,16 @@ def test_parse_diagram_rejects_malformed_input(text, field):
     with pytest.raises(ValueError) as info:
         parse_diagram(text)
     assert field in str(info.value)
+
+
+def test_parse_diagram_refuses_a_high_power_promptly():
+    # a power costs time quadratic in its exponent, so this 20-character
+    # label once took seconds to refuse
+    text = (
+        '{"nodes": ["white", "grey"], "edges": '
+        '[{"i": 0, "j": 1, "count": 1, "bLabel": "(1+a)^2000"}]}'
+    )
+    start = time.process_time()
+    with pytest.raises(ValueError, match=r"edges\[0\]\.bLabel: power of degree above 64"):
+        parse_diagram(text)
+    assert time.process_time() - start < 1

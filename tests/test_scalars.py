@@ -35,6 +35,15 @@ def test_alpha_cancellation():
     assert x == ONE + ALPHA
 
 
+def test_powers_are_bounded_in_degree():
+    # numerator and denominator degree at most 64, nested powers included
+    assert parse_scalar("a^64").num.degree == 64
+    assert parse_scalar("(a^8)^8") == parse_scalar("a^64")
+    for text in ("a^65", "(1/a)^65", "(a^9)^8", "(1+a)^2000"):
+        with pytest.raises(ValueError, match="power of degree above 64 at"):
+            parse_scalar(text)
+
+
 def test_inverse():
     v = -(ONE + ALPHA)
     assert v.inverse() == Scalar(-1) / (ONE + ALPHA)

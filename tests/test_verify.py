@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import FAMILY_MATRIX
+from conftest import FAMILY_MATRIX, necessity_oracle
 from superserre.rootdata import (
     PreconditionError,
     build_root_datum,
@@ -206,11 +206,47 @@ def test_a_redundant_element_is_not_necessary(monkeypatch):
     assert verify_presentation(datum, system).passed
 
 
-def test_runs_stop_by_themselves_and_stability_needs_no_span(monkeypatch):
-    # every guarded run (verify and each necessity rerun) closes or trips the
-    # excess guard, at or below top + 1; and every lowered element is zero or
-    # rewrites to zero on the engine, with no verdict left to a span stage
+def test_necessity_survey_matches_the_rerun_oracle():
+    from superserre.serre import presentation
+
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        for k, system in enumerate(enumerate_simple_systems(datum)):
+            got = [res.to_json() for res in necessity_survey(datum, system)]
+            assert got == necessity_oracle(presentation(datum, system)), (datum.name, k)
+
+
+def test_an_element_in_the_ideal_by_jacobi_is_not_necessary(monkeypatch):
+    # every matrix element is necessary, so none needs the Jacobi rows at its
+    # weight: add the case-1 element [e2,[e1,[e2,e3]]] of A(1,1) rebracketed
+    # as [[e2,e1],[e2,e3]].  By super-Jacobi the two differ by
+    # [e1,[e2,[e2,e3]]], which lies in the ideal of [e2,e2] for odd e2, so
+    # each lies in the ideal of the other elements, although their rows have
+    # no pair symbol in common
     import superserre.verify as verify
+    from superserre.serre import Presentation, SerrePolynomial, presentation
+
+    datum = build_root_datum("A", m=1, n=1)
+    system = enumerate_simple_systems(datum)[0]
+    pres = presentation(datum, system)
+    case1 = next(el for el in pres.e_side if el.provenance == "case-1")
+    assert case1.terms == {(2, (1, (2, 3))): 1}
+    rebracketed = SerrePolynomial({((2, 1), (2, 3)): 1}, "e", "case-1", case1.nodes, case1.rank)
+    augmented = Presentation(datum, system, pres.cartan, pres.diagram, pres.e_side + [rebracketed])
+    monkeypatch.setattr(verify, "presentation", lambda *_: augmented)
+    got = [res.to_json() for res in necessity_survey(datum, system)]
+    assert got == necessity_oracle(augmented)
+    assert [res["necessary"] for res in got] == [False, False]
+    assert verify_presentation(datum, system).passed
+
+
+def test_runs_stop_by_themselves_and_stability_needs_no_span(monkeypatch):
+    # verify's guarded run closes at or below top + 1; the necessity survey
+    # makes at most one run per class, stopped below its highest element;
+    # and every lowered element is zero or rewrites to zero on the engine,
+    # with no verdict left to a span stage
+    import superserre.verify as verify
+    from superserre.freelie import content_height
     from superserre.quotient import check_lowering_stability
 
     runs = []
@@ -228,10 +264,13 @@ def test_runs_stop_by_themselves_and_stability_needs_no_span(monkeypatch):
             top = max(sum(w) for w in reference_multiplicities(system))
             del runs[:]
             report = verify_presentation(datum, system)
+            assert runs == [report.quotient_report], datum.name
+            assert report.quotient_report.closed, datum.name
+            assert report.quotient_report.max_height_reached <= top + 1, datum.name
+            del runs[:]
             necessity_survey(datum, system)
-            assert runs and all(
-                rep.max_height_reached <= top + 1 and (rep.closed or rep.first_excess)
-                for rep in runs
-            ), datum.name
+            heights = [content_height(el.content) for el in report.presentation.higher_order]
+            assert len(runs) == (1 if heights else 0), datum.name
+            assert all(rep.max_height_reached < max(heights) for rep in runs), datum.name
             hows = {e.how for e in check_lowering_stability(report.presentation).entries}
             assert hows <= {"zero", "ideal"}, (datum.name, hows)
