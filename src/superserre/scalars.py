@@ -654,7 +654,7 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             at, n = self.pos, self.integer()
-            if n * max(v.num.degree, v.den.degree) > 64:  # the time grows as n squared
+            if n * max(1, v.num.degree, v.den.degree) > 64:  # time grows as n squared, even for 2^n
                 raise ValueError(f"power of degree above 64 at {at} in {self.text!r}")
             out = ONE
             for _ in range(n):

@@ -3,7 +3,8 @@ of higher order Serre elements attached to full sub-diagrams.
 
 Pattern matching consumes Cartan data (colors, edge counts, arrows, Gram
 signs and, in type D(2,1;a), edge labels), never the drawn picture.  Node
-indices in emitted elements are 1-based generator indices.
+indices in emitted elements are 1-based generator indices.  Each element is
+emitted once, so none is expanded into free-Lie words to find repeats.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import json
 from itertools import permutations
 
 from .cartan_dynkin import BLACK, GREY, WHITE, _path_order, build_diagram, cartan_matrix, full_subdiagrams
-from .freelie import expand_terms, tree_content, tree_render
+from .freelie import tree_content, tree_render
 from .rootdata import PreconditionError
 from .scalars import native, render
 
@@ -21,25 +22,22 @@ class SerrePolynomial:
     """Homogeneous combination of bracket words on one side (e or f), its
     coefficients converted once by `scalars.native`: `int` or `Fraction`,
     `Scalar` only where the parameter a appears.  Every consumer reads the
-    terms as they are."""
+    terms as they are.  `content`, the multidegree in `rank` generators, is
+    the one content that the constructor's homogeneity check finds."""
 
-    __slots__ = ("terms", "side", "provenance", "nodes", "rank")
+    __slots__ = ("terms", "side", "provenance", "nodes", "content")
 
     def __init__(self, terms, side, provenance, nodes, rank):
         self.terms = {t: native(c) for t, c in terms.items()}
         self.side = side
         self.provenance = provenance
         self.nodes = tuple(nodes)
-        self.rank = rank
         if not any(self.terms.values()):
             raise ValueError("a Serre element must be nonzero")
         contents = {tree_content(t, rank) for t in self.terms}
         if len(contents) != 1:
             raise ValueError(f"inhomogeneous Serre element: {contents}")
-
-    @property
-    def content(self):
-        return tree_content(next(iter(self.terms)), self.rank)
+        (self.content,) = contents
 
     def mirrored(self):
         """The omega-image: same trees and coefficients on the other side.
@@ -55,20 +53,8 @@ class SerrePolynomial:
         mirror.side = "f" if self.side == "e" else "e"
         mirror.provenance = self.provenance
         mirror.nodes = self.nodes
-        mirror.rank = self.rank
+        mirror.content = self.content
         return mirror
-
-    def expansion_key(self, parities):
-        """Hashable form of the element's expansion into free-Lie words.
-
-        Coefficients are canonical (native rationals, `Scalar` only in
-        lowest terms and where a appears), so two expansions are equal
-        exactly when their (word, coefficient) sets are.  The terms would
-        not do as a key: distinct bracket monomials can be the same Lie
-        element.  For odd e_i and e_j, [e_i, e_j] = [e_j, e_i], and two
-        non-adjacent isotropic nodes emit both; the second is dropped.
-        """
-        return frozenset(expand_terms(self.terms, parities).items())
 
     def render(self, fmt="text"):
         letter = self.side
@@ -338,12 +324,29 @@ def _match_d21a(sub, nodes):
     yield "case-14", terms, (g1, g2, g3)
 
 
-def _higher_order_candidates(cd, diag):
-    """Matches of the fourteen patterns, in match order, not deduplicated.
+def higher_order_serre_elements(cd, diag):
+    """Matches of the fourteen patterns in match order, each emitted once.
 
     D(2,1;a)-type diagrams (labelled edges) carry only the labelled-triangle
     pattern; all other diagrams are matched against patterns 1-13.  Every
     pattern is a connected sub-diagram, so only connected ones are matched.
+
+    No two matches have the same expansion into free-Lie words, so none is
+    expanded here.  An element's content has support its matched node set,
+    so sub-diagrams differ in content, and one sub-diagram yields at most
+    one element per content: the 3-node chain loops reach only the middle
+    node; cases 1, 2, 3 and 9 share a content shape and exclude each other
+    by edge counts (1/1, 1/2 with the arrow at k, 2/2) and, 2 against 3,
+    by the colour of k; `j < k` fixes case 1's orientation, colours or the
+    double edge fix the other chain cases'; cases 11 and 12 need a triple
+    edge and differ in the n1-n2 count; each triangle case breaks after its
+    first match, and triangles are not chains; `_match_4node` argues its
+    cases, and none matches a path both ways, the colour patterns (W,G,W,W)
+    and (x,W,G,W) not being palindromes; `_match_d21a` yields one element.
+    Expansions are homogeneous, so distinct contents give distinct ones
+    unless both are zero, and none is: that depends only on the pattern and
+    the parities its colours fix (in case 14 on a too, the coefficient of
+    the word g1 g2 g3), and each such pair occurs, nonzero, by rank 8.
     """
     out = []
     matchers = ((3, _match_d21a),) if diag.labelled else ((3, _match_3node), (4, _match_4node))
@@ -355,22 +358,6 @@ def _higher_order_candidates(cd, diag):
             for case, terms, assign in match(sub, nodes):
                 out.append(SerrePolynomial(terms, "e", case, assign, cd.rank))
     return out
-
-
-def higher_order_serre_elements(cd, diag):
-    """Elements attached to the full sub-diagrams of the fourteen patterns,
-    deduplicated by expansion."""
-    return _dedup(_higher_order_candidates(cd, diag), cd)
-
-
-def _dedup(elements, cd):
-    """The first element of each expansion key, in order of first appearance."""
-    seen = {}
-    for el in elements:
-        key = el.expansion_key(cd.parities)
-        if key not in seen:
-            seen[key] = el
-    return list(seen.values())
 
 
 class Presentation:
@@ -430,13 +417,13 @@ class Presentation:
 
 def presentation(datum, system):
     """Full presentation: quadratic relations are implicit, Serre elements
-    are generated, structurally deduplicated and mirrored to the f side.
+    are generated, each once, and mirrored to the f side.
 
-    `standard_serre_elements` already has no repeated expansion, so only the
-    higher order candidates are expanded for deduplication.  No higher order
-    element repeats a standard one: every higher order content has at least
-    3 nonzero coordinates, every standard content at most 2, and expansions
-    are homogeneous.
+    No element is expanded into words while it is built: neither the
+    standard nor the higher order list repeats an expansion, and no higher
+    order element repeats a standard one, since every higher order content
+    has at least 3 nonzero coordinates, every standard content at most 2,
+    and expansions are homogeneous.
     """
     cd = cartan_matrix(datum, system)
     diag = build_diagram(cd)

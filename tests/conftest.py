@@ -4,7 +4,8 @@ from itertools import permutations
 
 from superserre.cartan_dynkin import build_diagram, cartan_matrix
 from superserre.quotient import quotient_dimensions
-from superserre.serre import SerrePolynomial, _dedup, _higher_order_candidates, ad_power
+from superserre.freelie import expand_terms
+from superserre.serre import SerrePolynomial, ad_power, higher_order_serre_elements
 from superserre.verify import reference_multiplicities
 
 
@@ -71,11 +72,19 @@ def _paper_standard_elements(cd):
 
 def expansion_oracle(datum, system):
     """The e side of a presentation built with no shortcut: the unfiltered
-    standard elements, then every higher order candidate, the first of each
-    expansion key kept in order of first appearance."""
+    standard elements, then every higher order match, the first of each
+    expansion into free-Lie words kept in order of first appearance.
+
+    Coefficients are canonical, so two expansions are equal exactly when
+    their (word, coefficient) sets are.  The terms would not do as a key:
+    distinct bracket monomials can be the same Lie element, as [e_i, e_j]
+    and [e_j, e_i] are for odd e_i and e_j."""
     cd = cartan_matrix(datum, system)
-    elements = _paper_standard_elements(cd) + _higher_order_candidates(cd, build_diagram(cd))
-    return _dedup(elements, cd)
+    elements = _paper_standard_elements(cd) + higher_order_serre_elements(cd, build_diagram(cd))
+    seen = {}
+    for el in elements:
+        seen.setdefault(frozenset(expand_terms(el.terms, cd.parities).items()), el)
+    return list(seen.values())
 
 
 def necessity_oracle(pres):

@@ -526,13 +526,14 @@ def test_parse_diagram_rejects_malformed_input(text, field):
 
 
 def test_parse_diagram_refuses_a_high_power_promptly():
-    # a power costs time quadratic in its exponent, so this 20-character
-    # label once took seconds to refuse
-    text = (
-        '{"nodes": ["white", "grey"], "edges": '
-        '[{"i": 0, "j": 1, "count": 1, "bLabel": "(1+a)^2000"}]}'
-    )
-    start = time.process_time()
-    with pytest.raises(ValueError, match=r"edges\[0\]\.bLabel: power of degree above 64"):
-        parse_diagram(text)
-    assert time.process_time() - start < 1
+    # a power costs time quadratic in its exponent, so these labels of a few
+    # characters once took seconds to refuse, a constant base included
+    for label in ("(1+a)^2000", "2^100000"):
+        text = (
+            '{"nodes": ["white", "grey"], "edges": '
+            '[{"i": 0, "j": 1, "count": 1, "bLabel": "' + label + '"}]}'
+        )
+        start = time.process_time()
+        with pytest.raises(ValueError, match=r"edges\[0\]\.bLabel: power of degree above 64"):
+            parse_diagram(text)
+        assert time.process_time() - start < 1

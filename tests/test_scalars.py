@@ -39,7 +39,8 @@ def test_powers_are_bounded_in_degree():
     # numerator and denominator degree at most 64, nested powers included
     assert parse_scalar("a^64").num.degree == 64
     assert parse_scalar("(a^8)^8") == parse_scalar("a^64")
-    for text in ("a^65", "(1/a)^65", "(a^9)^8", "(1+a)^2000"):
+    assert parse_scalar("2^64") == Scalar(2**64)
+    for text in ("a^65", "(1/a)^65", "(a^9)^8", "(1+a)^2000", "2^65"):
         with pytest.raises(ValueError, match="power of degree above 64 at"):
             parse_scalar(text)
 

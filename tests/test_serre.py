@@ -139,7 +139,7 @@ def test_mirror_equals_the_constructed_element():
             for el in presentation(datum, system).e_side:
                 mirror = el.mirrored()
                 assert mirror.terms is not el.terms
-                built = SerrePolynomial(el.terms, "f", el.provenance, el.nodes, el.rank)
+                built = SerrePolynomial(el.terms, "f", el.provenance, el.nodes, len(el.content))
                 for slot in SerrePolynomial.__slots__:
                     assert getattr(mirror, slot) == getattr(built, slot), (datum.name, el, slot)
                 assert [type(c) for c in mirror.terms.values()] == [
@@ -283,18 +283,21 @@ def test_distinguished_systems_reduce_to_the_two_patterns():
 
 def test_relation_set_equals_the_expansion_oracle_up_to_rank_6():
     # the standard list leaves out [e_i, e_j] with i > j of two odd
-    # generators and the higher order list alone is deduplicated; the oracle
-    # keeps both orders of every pair and deduplicates everything by key
+    # generators and no list is deduplicated; the oracle keeps both orders
+    # of every pair and deduplicates everything by key, so a repeated
+    # element makes the built list the longer
+    # D(2,1;a) also with a specialised to 2, -1/2 and 1
+    special = [("D21a", dict(alpha=x)) for x in (2, Fraction(-1, 2), 1)]
     classes = 0
     for r in range(1, 7):
-        for fam, kw in algebras_of_rank(r):
+        for fam, kw in algebras_of_rank(r) + (special if r == 3 else []):
             datum = build_root_datum(fam, **kw)
             for k, system in enumerate(enumerate_simple_systems(datum)):
                 got = [el.to_json() for el in presentation(datum, system).e_side]
                 want = [el.to_json() for el in expansion_oracle(datum, system)]
                 assert got == want, (datum.name, k)
                 classes += 1
-    assert classes == 434
+    assert classes == 446
 
 
 def _match_4node_every_ordering(sub, nodes):

@@ -195,7 +195,7 @@ def test_a_redundant_element_is_not_necessary(monkeypatch):
     pres = presentation(datum, system)
     case1 = next(el for el in pres.e_side if el.provenance == "case-1")
     doubled = SerrePolynomial(
-        {t: 2 * c for t, c in case1.terms.items()}, "e", case1.provenance, case1.nodes, case1.rank
+        {t: 2 * c for t, c in case1.terms.items()}, "e", case1.provenance, case1.nodes, len(case1.content)
     )
     augmented = Presentation(datum, system, pres.cartan, pres.diagram, pres.e_side + [doubled])
     monkeypatch.setattr(verify, "presentation", lambda *_: augmented)
@@ -231,7 +231,7 @@ def test_an_element_in_the_ideal_by_jacobi_is_not_necessary(monkeypatch):
     pres = presentation(datum, system)
     case1 = next(el for el in pres.e_side if el.provenance == "case-1")
     assert case1.terms == {(2, (1, (2, 3))): 1}
-    rebracketed = SerrePolynomial({((2, 1), (2, 3)): 1}, "e", "case-1", case1.nodes, case1.rank)
+    rebracketed = SerrePolynomial({((2, 1), (2, 3)): 1}, "e", "case-1", case1.nodes, len(case1.content))
     augmented = Presentation(datum, system, pres.cartan, pres.diagram, pres.e_side + [rebracketed])
     monkeypatch.setattr(verify, "presentation", lambda *_: augmented)
     got = [res.to_json() for res in necessity_survey(datum, system)]
