@@ -2,8 +2,9 @@
 
 Families: A(m,n), B(0,n), B(m,n) m>0, C(n) n>2, D(m,n) m>1, F(4), G(3) and
 the one-parameter family D(2,1;a).  Provides the invariant bilinear form,
-distinguished simple systems, odd reflections and the enumeration of simple
-systems (one per conjugacy class of Borel subalgebras).
+distinguished simple systems, odd reflections, the enumeration of simple
+systems (one per conjugacy class of Borel subalgebras) and each simple
+system's positive roots with their coordinates.
 
 Basis symbols are strings: "e1", "e2", ... for the epsilons, "d1", "d2", ...
 for the deltas, and a single "d" in F(4), G(3) and D(2,1;a).  The form is
@@ -19,7 +20,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import lcm
+from operator import add, neg
 
 from .scalars import ALPHA, Scalar, exact, native, ratio
 
@@ -498,97 +500,55 @@ def enumerate_simple_systems(datum):
     return out
 
 
-class _CoordinateMap:
-    """Coordinates in one simple basis, from one elimination.
-
-    The symbols x rank matrix M of the simple roots is scaled to integers
-    by the lcm L of their coefficients' denominators (2 in F(4), else 1)
-    and row-reduced fraction-free, augmented with the identity: a row is
-    cleared as pv * row - f * pivot_row and then divided by the gcd of its
-    entries, so no `Fraction` is built.  This gives integer row operations
-    T with T (L M) = [D; 0], D diagonal.  Each of the first `rank` rows of
-    T is multiplied by L * lcm(D) / D_k, so T is kept as integer rows over
-    one common denominator, lcm(D), and a vector's coordinates are integer
-    dot products: its first `rank` entries under T, and it lies in the span
-    exactly when the remaining entries vanish.
-    """
-
-    def __init__(self, system):
-        symbols = list(system.datum.norms)
-        r, n = system.rank, len(symbols)
-        roots = system.roots
-        scale = lcm(*(c.denominator for b in roots for _, c in b.items() if type(c) is not int))
-        rows = [
-            [int(b.coefficient(s) * scale) for b in roots] + [int(k == i) for k in range(n)]
-            for i, s in enumerate(symbols)
-        ]
-        for col in range(r):
-            p = next((k for k in range(col, n) if rows[k][col]), None)
-            if p is None:
-                raise InconsistencyError(f"the simple roots of {system!r} are linearly dependent")
-            rows[col], rows[p] = rows[p], rows[col]
-            pivot_row = rows[col]
-            pv = pivot_row[col]
-            for k in range(n):
-                f = rows[k][col]
-                if k != col and f:
-                    row = [pv * a - f * b for a, b in zip(rows[k], pivot_row)]
-                    g = gcd(*row)  # not 0: the identity block keeps the rows independent
-                    rows[k] = [a // g for a in row] if g != 1 else row
-        denominator = lcm(*(rows[k][k] for k in range(r)))
-        for k in range(r):
-            factor = denominator // rows[k][k] * scale
-            rows[k] = [a * factor for a in rows[k]]
-        # column of T per symbol, as integers over `denominator`
-        self._columns = {s: [rows[k][r + i] for k in range(n)] for i, s in enumerate(symbols)}
-        self._denominator = denominator
-        self._size = n
-        self._rank = r
-        self.system = system
-
-    def __call__(self, vector):
-        """Integer coordinates of `vector`; InconsistencyError if it has a
-        symbol outside the datum, lies outside the span of the simple roots
-        or has a non-integral coordinate."""
-        items = vector.items()
-        scale = lcm(*(c.denominator for _, c in items if type(c) is not int))
-        acc = [0] * self._size
-        for s, c in items:
-            column = self._columns.get(s)
-            if column is None:
-                raise InconsistencyError(f"{vector} has a symbol {s!r} outside {self.system.datum.name}")
-            if scale != 1:
-                c = int(c * scale)
-            acc = [a + c * t for a, t in zip(acc, column)]
-        r = self._rank
-        if any(acc[r:]):
-            raise InconsistencyError(f"{vector} is not in the span of {self.system!r}")
-        denominator = self._denominator * scale
-        coords = acc[:r]
-        if denominator != 1:
-            if any(a % denominator for a in coords):
-                sol = tuple(Fraction(a, denominator) for a in coords)
-                raise InconsistencyError(f"{vector} has non-integral coordinates {sol}")
-            coords = [a // denominator for a in coords]
-        return tuple(coords)
-
-
-def root_coordinates(system, root):
-    """Integer coordinates of a root in the simple basis (roots span a lattice)."""
-    return _CoordinateMap(system)(root)
-
-
 def positive_roots(system):
-    """Roots that are N-combinations of the simple system; exactly half of all."""
+    """Roots that are N-combinations of the simple system, each with its
+    integer coordinates; exactly half of all.
+
+    The roots are grown from the simple roots.  Each starts at the unit
+    vector of its index; when beta + alpha_i is a root, it joins with
+    beta's coordinates plus one at i, until no root joins.  Roots are
+    summed as integer rows: coefficients over `datum.norms`, scaled by the
+    lcm of their denominators (2 in F(4), else 1).
+
+    Three checks make the walk exact.  Every root it reaches is an
+    N-combination.  (1) The simple roots number `datum.rank`, the dimension
+    the roots span.  (2) No b and -b are both reached: else a nonzero
+    N-combination is 0 and the simple roots are dependent.  So the reached
+    set F and -F are disjoint, and (3) if 2|F| = |Delta|, they make up
+    Delta, which is closed under negation.  Then every root is an integer
+    combination, so the simple roots span the roots; being `datum.rank`
+    many, they are independent.  Coordinates are then unique, no root in
+    -F is an N-combination, and F is exactly the N-combinations.
+    """
     datum = system.datum
-    coordinates = _CoordinateMap(system)
-    pos = {}
-    for root in datum.all_roots:
-        coords = coordinates(root)
-        if any(coords) and min(coords) >= 0:
-            pos[root] = coords
-    if 2 * len(pos) != len(datum.all_roots):
+    r = system.rank
+    if r != datum.rank:
         raise InconsistencyError(
-            f"{system!r} generates {len(pos)} positive roots out of {len(datum.all_roots)}"
+            f"{system!r} has {r} simple roots, but the roots of {datum.name} span rank {datum.rank}"
+            + (": they are linearly dependent" if r > datum.rank else "")
         )
-    return pos
+    symbols, zeros = list(datum.norms), [0] * len(datum.norms)
+    scale = lcm(*{c.denominator for b in datum.all_roots for c in b._d.values()})
+
+    def row(b):
+        coefficients = map(b._d.get, symbols, zeros)
+        return tuple(coefficients) if scale == 1 else tuple(int(c * scale) for c in coefficients)
+
+    roots = {row(b): b for b in datum.all_roots}
+    simple = [row(b) for b in system.roots]
+    reached = {a: tuple(int(k == i) for k in range(r)) for i, a in enumerate(simple)}
+    order = list(reached)
+    for beta in order:  # breadth first: `order` grows while it is read
+        coords = reached[beta]
+        for i, a in enumerate(simple):
+            gamma = tuple(map(add, beta, a))
+            if gamma in roots and gamma not in reached:
+                reached[gamma] = coords[:i] + (coords[i] + 1,) + coords[i + 1 :]
+                order.append(gamma)
+    if any(tuple(map(neg, beta)) in reached for beta in reached):
+        raise InconsistencyError(f"the simple roots of {system!r} are linearly dependent")
+    if 2 * len(reached) != len(datum.all_roots):
+        raise InconsistencyError(
+            f"{system!r} generates {len(reached)} positive roots out of {len(datum.all_roots)}"
+        )
+    return {roots[beta]: coords for beta, coords in reached.items()}

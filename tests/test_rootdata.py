@@ -1,6 +1,5 @@
 import pickle
 from fractions import Fraction
-from functools import cache
 from math import comb
 
 import pytest
@@ -14,14 +13,12 @@ from superserre.rootdata import (
     PreconditionError,
     SimpleSystem,
     WeightVector,
-    _CoordinateMap,
     bilinear,
     build_root_datum,
     distinguished_simple_system,
     enumerate_simple_systems,
     odd_reflection,
     positive_roots,
-    root_coordinates,
     wv,
 )
 from superserre.scalars import ALPHA, ONE, Scalar, native, render
@@ -311,6 +308,25 @@ def _borel_class_count(family, m=None, n=None):
     return {"F4": 6, "G3": 4, "D21a": 4}[family]
 
 
+def _matrix_rank(vectors):
+    """Rank of the coefficient rows of `vectors`, by a plain `Fraction`
+    elimination."""
+    syms = sorted({s for v in vectors for s in v.symbols()})
+    rows = [[Fraction(v.coefficient(s)) for s in syms] for v in vectors]
+    rank = 0
+    for col in range(len(syms)):
+        p = next((k for k in range(rank, len(rows)) if rows[k][col] != 0), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        pivot = rows[rank]
+        for k in range(rank + 1, len(rows)):
+            f = rows[k][col] / pivot[col]
+            rows[k] = [a - f * b for a, b in zip(rows[k], pivot)]
+        rank += 1
+    return rank
+
+
 def test_borel_class_counts_up_to_rank_7():
     algebras = classes = 0
     for r in range(1, 8):
@@ -319,6 +335,10 @@ def test_borel_class_counts_up_to_rank_7():
             systems = enumerate_simple_systems(datum)
             assert len(systems) == _borel_class_count(fam, **kw), datum.name
             assert datum.rank == r == distinguished_simple_system(datum).rank, datum.name
+            # positive_roots' argument: the roots span a space of dimension
+            # datum.rank, and the distinguished roots span it too
+            assert _matrix_rank(list(datum.all_roots)) == datum.rank, datum.name
+            assert _matrix_rank(distinguished_simple_system(datum).roots) == datum.rank, datum.name
             for system in systems:
                 positive_roots(system)  # raises unless exactly half the roots are positive
             algebras += 1
@@ -371,34 +391,6 @@ def test_positive_roots_match_per_root_solver_on_the_matrix():
             assert positive_roots(system) == expected, system
 
 
-def test_root_coordinates_of_simple_roots_and_sums():
-    f4 = build_root_datum("F4")
-    for system in enumerate_simple_systems(f4):
-        a = system.roots
-        assert root_coordinates(system, a[2]) == (0, 0, 1, 0)
-        assert root_coordinates(system, -a[0]) == (-1, 0, 0, 0)
-        assert root_coordinates(system, a[0] + a[1] + a[1]) == (1, 2, 0, 0)
-
-
-def test_root_coordinates_rejects_a_vector_outside_the_span():
-    a10 = build_root_datum("A", m=1, n=0)  # simple roots span coefficient sum 0
-    with pytest.raises(InconsistencyError, match="not in the span"):
-        root_coordinates(distinguished_simple_system(a10), wv({"e1": 1}))
-
-
-def test_root_coordinates_rejects_a_foreign_symbol():
-    a10 = build_root_datum("A", m=1, n=0)
-    with pytest.raises(InconsistencyError, match="outside"):
-        root_coordinates(distinguished_simple_system(a10), wv({"e1": 1, "x": -1}))
-
-
-def test_root_coordinates_rejects_half_a_root():
-    for fam, kw in [("A", dict(m=1, n=0)), ("F4", {})]:
-        system = distinguished_simple_system(build_root_datum(fam, **kw))
-        with pytest.raises(InconsistencyError, match="non-integral"):
-            root_coordinates(system, system.roots[0].scale(Fraction(1, 2)))
-
-
 # the three catalogue-sized series algebras, the exceptional ones, and
 # D(2,1;a) generic and at two specialised values
 _COORDINATE_ALGEBRAS = (
@@ -414,40 +406,22 @@ _COORDINATE_ALGEBRAS = (
 )
 
 
-@cache
-def _coordinate_classes(index):
-    fam, kw = _COORDINATE_ALGEBRAS[index]
-    datum = build_root_datum(fam, **kw)
-    return datum, enumerate_simple_systems(datum)
-
-
 def test_coordinate_map_matches_the_oracle_on_every_class():
-    for index in range(len(_COORDINATE_ALGEBRAS)):
-        datum, systems = _coordinate_classes(index)
+    # the coordinate map is positive_roots' dict: a positive root to its coordinates
+    for fam, kw in _COORDINATE_ALGEBRAS:
+        datum = build_root_datum(fam, **kw)
+        systems = enumerate_simple_systems(datum)
         roots = sorted(datum.all_roots, key=repr)
         # every root of the exceptional algebras; about six per class of the
         # series, a different six from class to class
         stride = 1 if len(roots) <= 36 else len(roots) // 6
         for k, system in enumerate(systems):
-            coordinates = _CoordinateMap(system)
+            pos = positive_roots(system)
             for root in roots[k % stride :: stride]:
                 sol = _solve_coordinates(system, root)
                 assert sol is not None and all(c.denominator == 1 for c in sol)
-                assert coordinates(root) == tuple(int(c) for c in sol), (system, root)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, len(_COORDINATE_ALGEBRAS) - 1), st.data())
-def test_coordinate_map_returns_the_coefficients_of_integer_combinations(index, data):
-    _, systems = _coordinate_classes(index)
-    system = data.draw(st.sampled_from(systems))
-    coefficients = data.draw(
-        st.lists(st.integers(-5, 5), min_size=system.rank, max_size=system.rank)
-    )
-    vector = WeightVector()
-    for k, b in zip(coefficients, system.roots):
-        vector = vector + b.scale(k)
-    assert root_coordinates(system, vector) == tuple(coefficients)
+                want = tuple(int(c) for c in sol) if min(sol) >= 0 else None
+                assert pos.get(root) == want, (system, root)
 
 
 def test_dependent_simple_roots_are_rejected():
@@ -456,8 +430,17 @@ def test_dependent_simple_roots_are_rejected():
     system = SimpleSystem(a10, [b, -b])
     with pytest.raises(InconsistencyError, match="linearly dependent"):
         positive_roots(system)
-    with pytest.raises(InconsistencyError, match="linearly dependent"):
-        root_coordinates(system, b)
+
+
+def test_a_system_of_the_wrong_size_is_rejected():
+    a10 = build_root_datum("A", m=1, n=0)
+    a1, a2 = distinguished_simple_system(a10).roots
+    # a1, a2 and a1 + a2 generate exactly half of the roots, with no root and its negative
+    dependent = "3 simple roots, .* span rank 2: they are linearly dependent"
+    with pytest.raises(InconsistencyError, match=dependent):
+        positive_roots(SimpleSystem(a10, [a1, a2, a1 + a2]))
+    with pytest.raises(InconsistencyError, match=r"1 simple roots, .* span rank 2$"):
+        positive_roots(SimpleSystem(a10, [a1]))
 
 
 def test_a_basis_that_is_not_simple_is_rejected():
