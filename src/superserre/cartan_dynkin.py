@@ -212,15 +212,6 @@ class DynkinDiagram:
             b if a == i else a for (a, b), e in self.edges.items() if i in (a, b) and e.count
         )
 
-    def is_connected(self):
-        rest = set(range(self.size))
-        stack = [rest.pop()] if rest else []
-        while stack:
-            reached = rest.intersection(self.neighbours(stack.pop()))
-            rest -= reached
-            stack.extend(reached)
-        return not rest
-
     def __eq__(self, other):
         return (
             isinstance(other, DynkinDiagram)

@@ -1,10 +1,10 @@
 """Command line front end.
 
 Families on the command line: A, B, C, D (with --m/--n as the family needs),
-F4, G3 and D21a (with an optional rational --alpha); a family option the
-family does not read is refused, never ignored.  Numeric output is
-exact everywhere: fractions and parameter expressions are rendered as
-strings, so golden files are stable.
+F4, G3 and D21a (with an optional rational --alpha, no exponent); the
+options given go to `build_root_datum` as they are, which refuses one the
+family does not read.  Numeric output is exact everywhere: fractions and
+parameter expressions are rendered as strings, so golden files are stable.
 """
 
 from __future__ import annotations
@@ -37,37 +37,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# the family options each family reads; any other one given is refused
-_FAMILY_OPTIONS = {
-    "A": ("m", "n"), "B": ("m", "n"), "C": ("n",), "D": ("m", "n"),
-    "F4": (), "G3": (), "D21a": ("alpha",),
-}
-
-
 def make_datum(args):
-    family = args.family
-    if family not in _FAMILY_OPTIONS:
-        raise UsageError(f"unknown family {family!r}; use A, B, C, D, F4, G3 or D21a")
-    for option in ("m", "n", "alpha"):
-        if getattr(args, option) is not None and option not in _FAMILY_OPTIONS[family]:
-            raise UsageError(f"family {family} does not take --{option}")
-    if family in ("A", "B", "D"):
-        if args.m is None or args.n is None:
-            raise UsageError(f"family {family} needs --m and --n")
-        return build_root_datum(family, m=args.m, n=args.n)
-    if family == "C":
-        if args.n is None:
-            raise UsageError("family C needs --n (with n > 2)")
-        return build_root_datum("C", n=args.n)
-    if family in ("F4", "G3"):
-        return build_root_datum(family)
-    alpha = None
-    if args.alpha not in (None, "generic"):
+    """The datum of the family named, from the family options given; an
+    option given counts even as `--alpha generic`, passed as None."""
+    params = {p: getattr(args, p) for p in ("m", "n", "alpha") if getattr(args, p) is not None}
+    if params.get("alpha") == "generic":
+        params["alpha"] = None
+    elif "alpha" in params:
+        # an exponent would let a few characters pin the CPU inside `Fraction`
+        if "e" in args.alpha.lower():
+            raise UsageError(f"--alpha takes no exponent, got {args.alpha!r}")
         try:
-            alpha = Fraction(args.alpha)
+            params["alpha"] = Fraction(args.alpha)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"--alpha must be a rational number, got {args.alpha!r}") from None
-    return build_root_datum("D21a", alpha=alpha)
+    return build_root_datum(args.family, **params)
 
 
 def select_systems(datum, selector):

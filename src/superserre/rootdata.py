@@ -10,10 +10,10 @@ Basis symbols are strings: "e1", "e2", ... for the epsilons, "d1", "d2", ...
 for the deltas, and a single "d" in F(4), G(3) and D(2,1;a).  The form is
 diagonal in them, so a datum carries it as the norm (s, s) of each symbol.
 
-The root sets follow the table of root systems in Kac, *Lie superalgebras*
-(Adv. Math. 26, 1977), one row per family, built from a few shared root
-shapes (see `build_root_datum`).  The distinguished systems of A, B, C and
-D are chains x1 - x2, x2 - x3, ... through the symbols plus one last root.
+Each family is one branch of `build_root_datum`, its row of the table of
+root systems in Kac, *Lie superalgebras* (Adv. Math. 26, 1977): its name,
+roots built from a few shared root shapes, and distinguished simple roots,
+in A, B, C and D a chain x1 - x2, x2 - x3, ... plus one last root.
 """
 
 from __future__ import annotations
@@ -39,7 +39,11 @@ class InconsistencyError(RuntimeError):
     """A simple system fails to generate exactly half of the roots."""
 
 
-FAMILIES = ("A", "B", "C", "D", "F4", "G3", "D21a")
+# the parameters each family reads, named as the command-line options
+FAMILY_PARAMETERS = {
+    "A": ("m", "n"), "B": ("m", "n"), "C": ("n",), "D": ("m", "n"),
+    "F4": (), "G3": (), "D21a": ("alpha",),
+}
 
 
 def _coefficient(c):
@@ -158,10 +162,10 @@ def wv(data):
 
 
 class RootDatum:
-    """A root system with its bilinear form.
+    """A root system with its bilinear form and distinguished simple roots.
 
     alpha is None for the generic D(2,1;a) (scalars live in Q(a)) and a
-    Fraction for a specialised member; it is ignored for other families.
+    Fraction for a specialised member; it is None for every other family.
 
     The form of every family is diagonal in the basis symbols, so it is
     given as `norms`: symbol s -> (s, s), each an exact value that
@@ -170,10 +174,9 @@ class RootDatum:
     for l_m^2, and `all_roots` and the rank are stored once.
     """
 
-    def __init__(self, family, m, n, norms, even_roots, odd_roots, alpha=None):
+    def __init__(self, family, name, norms, even_roots, odd_roots, simple_roots, alpha=None):
         self.family = family
-        self.m = m
-        self.n = n
+        self.name = name
         self.even_roots = frozenset(even_roots)
         self.odd_roots = frozenset(odd_roots)
         self.all_roots = self.even_roots | self.odd_roots
@@ -199,23 +202,8 @@ class RootDatum:
                     least = q
         self.isotropic_roots = frozenset(isotropic)
         self.min_square_length = least  # least fixed nonzero |(b, b)|, None if there is none
-        # the number of simple roots, from the distinguished system's roots
-        # (no `SimpleSystem`, so no root-membership checks)
-        self.rank = len(_distinguished_roots(self))
-
-    @property
-    def name(self):
-        if self.family == "A":
-            return f"A({self.m},{self.n})"
-        if self.family == "B":
-            return f"B({self.m},{self.n})"
-        if self.family == "C":
-            return f"C({self.n})"
-        if self.family == "D":
-            return f"D({self.m},{self.n})"
-        if self.family == "D21a":
-            return "D(2,1;a)" if self.alpha is None else f"D(2,1;{self.alpha})"
-        return {"F4": "F(4)", "G3": "G(3)"}[self.family]
+        self.simple_roots = tuple(simple_roots)  # the distinguished system's, in order
+        self.rank = len(self.simple_roots)
 
     def is_odd(self, root):
         if root in self.odd_roots:
@@ -299,57 +287,80 @@ def _epsilons_deltas(m, n):
     return eps, dts, {**dict.fromkeys(eps, 1), **dict.fromkeys(dts, -1)}
 
 
-def build_root_datum(family, m=None, n=None, alpha=None):
+def build_root_datum(family, **params):
     """Construct the root datum of a family; parameters are validated.
 
-    Each branch is one row of the table of root systems in Kac, *Lie
-    superalgebras* (Adv. Math. 26, 1977): the basis symbols with their
-    norms (s, s), then the even roots Delta_0 and the odd roots Delta_1,
-    built from the root shapes +-x +- y (`_pairs`), +-c*x (`_multiples`),
-    x - y (`_differences`) and every signed sum (`_signed`).  Only G(3)
-    has a shape of its own, +-(2e_k - e_i - e_j).
+    Each branch is one family's row of Kac's table: the parameters it needs,
+    its name, the norms (s, s) of the basis symbols, the even roots Delta_0
+    and odd roots Delta_1, built from the root shapes +-x +- y (`_pairs`),
+    +-c*x (`_multiples`), x - y (`_differences`) and every signed sum
+    (`_signed`), and the distinguished simple roots.  Only G(3) has a root
+    shape of its own, +-(2e_k - e_i - e_j).
 
-    `alpha` specialises D(2,1;a) to a rational a, given as an `int` or a
-    `Fraction`; None keeps a generic.  A float is refused with TypeError.
+    `params` are named as the command-line options; one its family does not
+    read is refused, even passed as None.  `alpha` specialises D(2,1;a) to
+    a rational a, an `int` or a `Fraction` (a float raises TypeError); None
+    keeps a generic.
     """
+    if family not in FAMILY_PARAMETERS:
+        *rest, last = FAMILY_PARAMETERS
+        raise ParameterError(f"unknown family {family!r}; use {', '.join(rest)} or {last}")
+    for p in params:
+        if p not in FAMILY_PARAMETERS[family]:
+            raise ParameterError(f"family {family} does not take --{p}")
+    m, n = params.get("m"), params.get("n")
+
     if family == "A":
-        if m is None or n is None or m < 0 or n < 0 or (m, n) == (0, 0):
+        if m is None or n is None:
+            raise ParameterError("family A needs --m and --n")
+        if m < 0 or n < 0 or (m, n) == (0, 0):
             raise ParameterError("A(m,n) needs m,n >= 0 and (m,n) != (0,0)")
         eps, dts, norms = _epsilons_deltas(m + 1, n + 1)
         even = _differences(eps, eps) | _differences(dts, dts)
         odd = _differences(eps, dts) | _differences(dts, eps)
-        return RootDatum("A", m, n, norms, even, odd)
+        return RootDatum("A", f"A({m},{n})", norms, even, odd, _chain(eps + dts))
 
     if family == "B":
-        if m is None or n is None or m < 0 or n < 1:
+        if m is None or n is None:
+            raise ParameterError("family B needs --m and --n")
+        if m < 0 or n < 1:
             raise ParameterError("B(m,n) needs m >= 0 and n >= 1")
         eps, dts, norms = _epsilons_deltas(m, n)
         even = _pairs(eps, eps) | _multiples(eps, 1) | _pairs(dts, dts) | _multiples(dts, 2)
         odd = _pairs(eps, dts) | _multiples(dts, 1)
-        return RootDatum("B", m, n, norms, even, odd)
+        # ends in the short root e_m, or d_n in B(0,n)
+        simple = _chain(dts + eps) + [wv({(dts + eps)[-1]: 1})]
+        return RootDatum("B", f"B({m},{n})", norms, even, odd, simple)
 
     if family == "C":
-        if n is None or n <= 2:
+        if n is None:
+            raise ParameterError("family C needs --n (with n > 2)")
+        if n <= 2:
             raise ParameterError("C(n) needs n > 2")
         eps, dts, norms = _epsilons_deltas(1, n - 1)
         even = _pairs(dts, dts) | _multiples(dts, 2)
         odd = _pairs(eps, dts)
-        return RootDatum("C", None, n, norms, even, odd)
+        simple = _chain(eps + dts) + [wv({dts[-1]: 2})]
+        return RootDatum("C", f"C({n})", norms, even, odd, simple)
 
     if family == "D":
-        if m is None or n is None or m <= 1 or n < 1:
+        if m is None or n is None:
+            raise ParameterError("family D needs --m and --n")
+        if m <= 1 or n < 1:
             raise ParameterError("D(m,n) needs m > 1 and n >= 1")
         eps, dts, norms = _epsilons_deltas(m, n)
         even = _pairs(eps, eps) | _pairs(dts, dts) | _multiples(dts, 2)
         odd = _pairs(eps, dts)
-        return RootDatum("D", m, n, norms, even, odd)
+        simple = _chain(dts + eps) + [wv({eps[-2]: 1, eps[-1]: 1})]
+        return RootDatum("D", f"D({m},{n})", norms, even, odd, simple)
 
     if family == "F4":
         eps = ["e1", "e2", "e3"]
-        norms = {"e1": 2, "e2": 2, "e3": 2, "d": -6}
+        norms, half = {"e1": 2, "e2": 2, "e3": 2, "d": -6}, Fraction(1, 2)
         even = _pairs(eps, eps) | _multiples(eps, 1) | _multiples(["d"], 1)
-        odd = _signed([(s, Fraction(1, 2)) for s in norms])
-        return RootDatum("F4", None, None, norms, even, odd)
+        odd = _signed([(s, half) for s in norms])
+        simple = [wv(dict.fromkeys(norms, half)), wv({"e1": -1}), *_chain(eps)]
+        return RootDatum("F4", "F(4)", norms, even, odd, simple)
 
     if family == "G3":
         eps = ["e1", "e2", "e3"]
@@ -361,20 +372,26 @@ def build_root_datum(family, m=None, n=None, alpha=None):
         }
         even = short | long | _multiples(["d"], 2)
         odd = {b + c for b in short for c in _multiples(["d"], 1)} | _multiples(["d"], 1)
-        return RootDatum("G3", None, None, norms, even, odd)
+        simple = [
+            wv({"d": 1, "e1": -1, "e3": 1}),
+            wv({"e1": 1, "e2": -1}),
+            wv({"e2": 2, "e1": -1, "e3": -1}),
+        ]
+        return RootDatum("G3", "G(3)", norms, even, odd, simple)
 
-    if family == "D21a":
-        if alpha is not None:
-            alpha = exact(alpha)
-            if alpha in (Fraction(0), Fraction(-1)):
-                raise ParameterError("D(2,1;a) needs a outside {0, -1}")
-        a_val = ALPHA if alpha is None else alpha
-        norms = {"e1": 1, "e2": a_val, "d": -(1 + a_val)}
-        even = _multiples(norms, 2)
-        odd = _signed([(s, 1) for s in norms])
-        return RootDatum("D21a", 2, 1, norms, even, odd, alpha=alpha)
-
-    raise ParameterError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    # D(2,1;a), the one family left
+    alpha = params.get("alpha")
+    if alpha is not None:
+        alpha = exact(alpha)
+        if alpha in (Fraction(0), Fraction(-1)):
+            raise ParameterError("D(2,1;a) needs a outside {0, -1}")
+    a_val = ALPHA if alpha is None else alpha
+    norms = {"e1": 1, "e2": a_val, "d": -(1 + a_val)}
+    even = _multiples(norms, 2)
+    odd = _signed([(s, 1) for s in norms])
+    simple = [wv({"d": 1, "e1": -1, "e2": -1}), wv({"e1": 2}), wv({"e2": 2})]
+    name = "D(2,1;a)" if alpha is None else f"D(2,1;{alpha})"
+    return RootDatum("D21a", name, norms, even, odd, simple, alpha=alpha)
 
 
 class SimpleSystem:
@@ -411,44 +428,9 @@ class SimpleSystem:
         return f"SimpleSystem({self.datum.name}, {list(self.roots)})"
 
 
-def _distinguished_roots(datum):
-    """The simple roots of the distinguished system, in order."""
-    f = datum.family
-    eps = [s for s in datum.norms if s.startswith("e")]
-    dts = [s for s in datum.norms if s.startswith("d")]
-    if f == "A":
-        roots = _chain(eps + dts)
-    elif f == "B":
-        # ends in the short root e_m, or d_n in B(0,n)
-        roots = _chain(dts + eps) + [wv({(dts + eps)[-1]: 1})]
-    elif f == "C":
-        roots = _chain(eps + dts) + [wv({dts[-1]: 2})]
-    elif f == "D":
-        roots = _chain(dts + eps) + [wv({eps[-2]: 1, eps[-1]: 1})]
-    elif f == "F4":
-        half = Fraction(1, 2)
-        roots = [
-            wv({"e1": half, "e2": half, "e3": half, "d": half}),
-            wv({"e1": -1}),
-            wv({"e1": 1, "e2": -1}),
-            wv({"e2": 1, "e3": -1}),
-        ]
-    elif f == "G3":
-        roots = [
-            wv({"d": 1, "e1": -1, "e3": 1}),
-            wv({"e1": 1, "e2": -1}),
-            wv({"e2": 2, "e1": -1, "e3": -1}),
-        ]
-    elif f == "D21a":
-        roots = [wv({"d": 1, "e1": -1, "e2": -1}), wv({"e1": 2}), wv({"e2": 2})]
-    else:
-        raise ParameterError(f"unknown family {f!r}")
-    return roots
-
-
 def distinguished_simple_system(datum):
     """The simple system with exactly one odd simple root."""
-    system = SimpleSystem(datum, _distinguished_roots(datum))
+    system = SimpleSystem(datum, datum.simple_roots)
     if len(system.theta) != 1:
         raise InconsistencyError(f"distinguished system of {datum.name} has theta {set(system.theta)}")
     return system

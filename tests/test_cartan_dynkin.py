@@ -391,8 +391,15 @@ def test_sl22_ascii():
 
 
 def _is_path(diag):
-    deg = [len(diag.neighbours(v)) for v in range(diag.size)]
-    return diag.is_connected() and all(d <= 2 for d in deg) and (
+    neighbours = [diag.neighbours(v) for v in range(diag.size)]
+    deg = [len(ns) for ns in neighbours]
+    reached, stack = {0}, [0]  # a walk from node 0 over the neighbours
+    while stack:
+        for u in neighbours[stack.pop()]:
+            if u not in reached:
+                reached.add(u)
+                stack.append(u)
+    return len(reached) == diag.size and all(d <= 2 for d in deg) and (
         diag.size == 1 or deg.count(1) == 2
     )
 
@@ -499,7 +506,7 @@ def test_minimal_square_length_needs_a_non_isotropic_root():
     from superserre.rootdata import RootDatum, wv
 
     odd = [wv({"e1": 1, "d1": -1}), wv({"e1": -1, "d1": 1})]
-    datum = RootDatum("A", 0, 0, {"e1": ONE, "d1": -ONE}, [], odd)
+    datum = RootDatum("A", "A(0,0)", {"e1": ONE, "d1": -ONE}, [], odd, odd[:1])
     with pytest.raises(CartanDataError):
         minimal_square_length(datum)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import jsonschema
 import pytest
@@ -280,6 +281,9 @@ def test_jobs_below_one_is_a_usage_error(jobs, capsys):
         (["diagram", "D21a", "--n", "1"], "--n"),
         (["verify", "C", "--m", "1", "--n", "3"], "--m"),  # C reads --n only
         (["verify", "D21a", "--alpha", "-1/2"], "--alpha"),  # read as an option: --alpha=-1/2
+        (["borels", "D21a", "--alpha=1e5000"], "--alpha"),  # no exponent
+        (["cartan", "A", "--m", "1"], "--n"),
+        (["cartan", "C"], "--n"),
     ],
 )
 def test_refused_input_names_its_cause(argv, cause, capsys):
@@ -288,6 +292,15 @@ def test_refused_input_names_its_cause(argv, cause, capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and cause in err[0]
+
+
+def test_alpha_with_a_huge_exponent_is_refused_promptly(capsys):
+    # `Fraction` would spend minutes expanding 10^100000000
+    start = time.process_time()
+    assert main(["borels", "D21a", "--alpha=1e100000000"]) == 2
+    assert time.process_time() - start < 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--alpha" in err[0]
 
 
 def test_zgrading_refuses_d_before_verifying(monkeypatch, capsys):

@@ -82,6 +82,33 @@ def test_alpha_must_be_exact():
     assert build_root_datum("D21a", alpha=2).name == "D(2,1;2)"
 
 
+@pytest.mark.parametrize(
+    "family, params, unread",
+    [
+        ("F4", dict(m=3), "m"),
+        ("C", dict(m=1, n=3), "m"),  # C reads n only
+        ("A", dict(m=1, n=0, alpha=2), "alpha"),
+        ("D21a", dict(n=1), "n"),
+        ("G3", dict(alpha=None), "alpha"),  # passed counts as given, even as None
+        ("B", dict(k=1), "k"),  # no family reads k
+    ],
+)
+def test_a_parameter_the_family_does_not_read_is_refused(family, params, unread):
+    with pytest.raises(ParameterError, match=f"family {family} does not take --{unread}$"):
+        build_root_datum(family, **params)
+
+
+def test_each_family_row_gives_a_distinct_name_and_its_simple_roots():
+    names = []
+    for r in range(1, 9):
+        for fam, kw in algebras_of_rank(r):
+            datum = build_root_datum(fam, **kw)
+            names.append(datum.name)
+            assert distinguished_simple_system(datum).roots == datum.simple_roots, datum.name
+            assert datum.rank == r, datum.name
+    assert len(names) == len(set(names)) == 85
+
+
 def test_root_coefficients_must_be_exact():
     with pytest.raises(TypeError, match="0.5"):
         wv({"e1": 0.5})
