@@ -397,11 +397,17 @@ def _path_order(diag):
     The walk from the first node of degree 1 goes on to the one neighbour
     other than the node it came from.  Every node it leaves then has no
     further neighbour, so it reaches all nodes exactly when the diagram is
-    a path, and no separate connectivity or degree test is needed.
+    a path, and no separate connectivity or degree test is needed.  The
+    walk never depends on the order of a node's neighbours, so they are
+    collected in one pass over the edges.
     """
     if diag.size == 1:
         return [0]
-    neighbours = [diag.neighbours(v) for v in range(diag.size)]
+    neighbours = [[] for _ in range(diag.size)]
+    for (a, b), e in diag.edges.items():
+        if e.count:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
     ends = [v for v in range(diag.size) if len(neighbours[v]) == 1]
     if not ends:
         return None

@@ -23,7 +23,7 @@ from itertools import product
 from math import lcm
 from operator import add, neg
 
-from .scalars import ALPHA, Scalar, exact, native, ratio
+from .scalars import ALPHA, FORBIDDEN_ALPHA, Scalar, exact, native, ratio
 
 
 class ParameterError(ValueError):
@@ -383,7 +383,7 @@ def build_root_datum(family, **params):
     alpha = params.get("alpha")
     if alpha is not None:
         alpha = exact(alpha)
-        if alpha in (Fraction(0), Fraction(-1)):
+        if alpha in FORBIDDEN_ALPHA:
             raise ParameterError("D(2,1;a) needs a outside {0, -1}")
     a_val = ALPHA if alpha is None else alpha
     norms = {"e1": 1, "e2": a_val, "d": -(1 + a_val)}

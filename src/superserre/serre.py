@@ -2,9 +2,13 @@
 of higher order Serre elements attached to full sub-diagrams.
 
 Pattern matching consumes Cartan data (colors, edge counts, arrows, Gram
-signs and, in type D(2,1;a), edge labels), never the drawn picture.  Node
-indices in emitted elements are 1-based generator indices.  Each element is
-emitted once, so none is expanded into free-Lie words to find repeats.
+signs and, in type D(2,1;a), edge labels), never the drawn picture.  Each
+pattern is one condition on one ordering of its sub-diagram's nodes: the
+chain patterns on a path's order and its reverse (`_match_path`), the
+triangle patterns on every ordering of a triangle (`_match_triangle`,
+`_match_d21a`).  Node indices in emitted elements are 1-based generator
+indices.  Each element is emitted once, so none is expanded into free-Lie
+words to find repeats.
 """
 
 from __future__ import annotations
@@ -145,156 +149,95 @@ def _quartic(t, j, k):
     return {(t, (j, (t, k))): 1}
 
 
-def _match_3node(sub, nodes):
-    """Yield (case name, element terms dict, nodes) for one connected 3-node
-    full sub-diagram.
+def _match_path(sub, nodes):
+    """Yield (case name, element terms dict, nodes) for one connected 3- or
+    4-node full sub-diagram: the chain cases 1-4, 9, 11 and 12 on three
+    nodes and 5, 7 and 8 on four.
 
     `nodes` are the original 1-based generator indices; `sub` uses local
-    indices 0,1,2 in the same order.
-    """
-    c = sub.nodes
-    cnt = sub.count
-    arrow = sub.arrow
-    for t in range(3):
-        if c[t] != GREY:
-            continue
-        others = [x for x in range(3) if x != t]
-        for j, k in (others, others[::-1]):
-            # chain j - t - k, no j-k edge
-            if cnt(j, k) != 0:
-                continue
-            gj, gt, gk = nodes[j], nodes[t], nodes[k]
-            if cnt(j, t) == 1 and cnt(t, k) == 1 and c[j] in _CROSS and c[k] in _CROSS:
-                if sub.sign(j, t) * sub.sign(t, k) == -1 and j < k:
-                    yield "case-1", _quartic(gt, gj, gk), (gj, gt, gk)
-            if cnt(j, t) == 1 and cnt(t, k) == 2 and c[j] in _CROSS and arrow(t, k) == k:
-                if c[k] == WHITE:
-                    yield "case-2", _quartic(gt, gj, gk), (gj, gt, gk)
-                elif c[k] == BLACK:
-                    yield "case-3", _quartic(gt, gj, gk), (gj, gt, gk)
-            if cnt(j, t) == 1 and cnt(t, k) == 2 and c[j] == GREY and c[k] == WHITE and arrow(t, k) == t:
-                yield "case-4", {((gj, gt), ((gj, gt), (gt, gk))): 1}, (gj, gt, gk)
-            if cnt(j, t) == 2 and cnt(t, k) == 2 and c[j] == GREY and c[k] == WHITE and arrow(t, k) == t:
-                # white k => grey t = grey j (the renormalised sl(1|3) shape)
-                yield "case-9", _quartic(gt, gj, gk), (gk, gt, gj)
+    indices in the same order.  Every chain pattern n1 - n2 - ... has edges
+    between adjacent nodes only, so only an ordering along a path can match:
+    the path's order and its reverse, and no ordering of any other
+    sub-diagram.  Along an ordering `cnt` holds the edge counts and `to` the
+    arrow directions, +1 towards the later node, -1 towards the earlier, 0
+    for no arrow.
 
-    # triangle patterns
-    if all(cnt(a, b) for a in range(3) for b in range(a + 1, 3)):
-        counts = sorted((cnt(0, 1), cnt(0, 2), cnt(1, 2)))
-        if counts == [1, 1, 2]:
-            for i in range(3):
-                t, s = [x for x in range(3) if x != i]
-                if (
-                    c[i] in _CROSS
-                    and c[t] == GREY
-                    and c[s] == GREY
-                    and cnt(i, t) == 1
-                    and cnt(i, s) == 1
-                    and cnt(t, s) == 2
-                ):
-                    gi, gt, gs = nodes[i], nodes[t], nodes[s]
-                    yield "case-6", {(gt, (gs, gi)): 1, (gs, (gt, gi)): -1}, (gi, gt, gs)
-                    break
-        if counts == [1, 2, 3] and all(col == GREY for col in c):
-            # roles by edge multiplicities: i on {1,2}, j on {1,3}, k on {2,3}
-            for i, j, k in permutations(range(3)):
-                if cnt(i, j) == 1 and cnt(i, k) == 2 and cnt(j, k) == 3:
-                    gi, gj, gk = nodes[i], nodes[j], nodes[k]
-                    yield "case-10", {(gi, (gk, gj)): 2, (gj, (gk, gi)): 3}, (gi, gj, gk)
-                    break
-        if counts == [1, 2, 3] and sorted(c) == sorted([WHITE, GREY, GREY]):
-            for n1, n2, n3 in permutations(range(3)):
-                if (
-                    c[n1] == WHITE
-                    and c[n2] == GREY
-                    and c[n3] == GREY
-                    and cnt(n1, n2) == 1
-                    and cnt(n1, n3) == 2
-                    and cnt(n2, n3) == 3
-                ):
-                    g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
-                    yield "case-13", {(g2, (g3, g1)): 1, (g3, (g2, g1)): -2}, (g1, g2, g3)
-                    break
-
-    # chains with multiplicities {1, 3} or {2, 3}
-    for n2 in range(3):
-        if c[n2] != GREY:
-            continue
-        others = [x for x in range(3) if x != n2]
-        for n1, n3 in (others, others[::-1]):
-            if cnt(n1, n3) != 0:
-                continue
-            if (
-                c[n1] == GREY
-                and c[n3] == WHITE
-                and cnt(n1, n2) == 1
-                and cnt(n2, n3) == 3
-                and arrow(n2, n3) == n2
-            ):
-                g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
-                e12 = (g1, g2)
-                yield "case-11", {(e12, (e12, (e12, (g2, g3)))): 1}, (g1, g2, g3)
-            if (
-                c[n1] == BLACK
-                and c[n3] == WHITE
-                and cnt(n1, n2) == 2
-                and arrow(n1, n2) == n1
-                and cnt(n2, n3) == 3
-                and arrow(n2, n3) == n2
-            ):
-                g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
-                yield (
-                    "case-12",
-                    {
-                        ((g2, g1), (g3, (g2, g1))): 1,
-                        ((g2, g3), ((g1, g1), g2)): -1,
-                    },
-                    (g1, g2, g3),
-                )
-
-
-def _match_4node(sub, nodes):
-    """Yield (case name, element terms dict, nodes) for one connected 4-node
-    full sub-diagram, which matches only as a path.
-
-    The patterns are chains n1 - n2 - n3 - n4 with no other edge, so only an
-    ordering in which every edge joins adjacent nodes can match: a path's
-    order and its reverse, and no ordering of any other sub-diagram.
-    `_path_order` starts at the smaller end, so the order precedes its
-    reverse among all 24 orderings, and the two are visited in that order.
-    Each ordering yields at most one element per case, and distinct
-    orderings give distinct node tuples, so no element repeats.  Cases 7
-    and 8 give the grey node edges of multiplicities {3, 2} and {3, 1},
-    case 5 gives it {1, 2}, so no sub-diagram matches both kinds, and one
-    pass over the orderings yields them in the same order as a pass per kind.
+    At most one case fires per ordering: cases with the same node count
+    differ in `cnt`, or in an arrow or a colour.  No case's `cnt` is
+    another's reversed, and only cases 1 (1, 1) and 9 (2, 2) have a `cnt`
+    that reads the same reversed; case 1 is taken on the order only, and
+    case 9's colours (G, G, W) are no palindrome.  So a path yields at most
+    one element.  `_path_order` starts at the smaller
+    end, so the order precedes its reverse among all orderings.
     """
     order = _path_order(sub)
     if order is None:
         return
-    c = sub.nodes
-    cnt = sub.count
-    arrow = sub.arrow
     for perm in (order, order[::-1]):
-        colours = tuple(c[v] for v in perm)
-        chain_78 = colours == (WHITE, GREY, WHITE, WHITE)
-        chain_5 = colours[0] in _CROSS and colours[1:] == (WHITE, GREY, WHITE)
-        if not (chain_78 or chain_5):
+        col = [sub.nodes[v] for v in perm]
+        # every chain pattern has a grey inner node
+        if GREY not in col[1:-1]:
             continue
-        n1, n2, n3, n4 = perm
-        g1, g2, g3, g4 = (nodes[v] for v in perm)
-        if chain_78 and cnt(n1, n2) == 3 and arrow(n1, n2) == n2:
-            if cnt(n2, n3) == 2 and arrow(n2, n3) == n2 and cnt(n3, n4) == 1:
-                e = ((g1, g2), (g2, g3))
-                yield "case-7", {(e, (e, (g2, (g3, g4)))): 1}, (g1, g2, g3, g4)
-            if cnt(n2, n3) == 1 and cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
-                a12, a23, a34 = (g1, g2), (g2, g3), (g3, g4)
-                terms = {(a12, (a23, a34)): 1, (a23, (a12, a34)): -1}
-                yield "case-8", terms, (g1, g2, g3, g4)
-        # case 5: chain i - j - t <= k with t grey
-        elif chain_5 and cnt(n1, n2) == 1 and cnt(n2, n3) == 1:
-            if cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
-                jt = (g2, g3)
-                yield "case-5", {((g1, jt), (jt, (g3, g4))): 1}, (g1, g2, g3, g4)
+        edges = [sub.edge(a, b) for a, b in zip(perm, perm[1:])]
+        cnt = [e.count for e in edges]
+        to = [(e.arrow_towards == b) - (e.arrow_towards == a) for e, a, b in zip(edges, perm, perm[1:])]
+        g = [nodes[v] for v in perm]
+        if len(perm) == 3:
+            g1, g2, g3 = g
+            sign = edges[0].sign * edges[1].sign
+            if cnt == [1, 1] and sign == -1 and col[0] in _CROSS and col[2] in _CROSS and perm is order:
+                yield "case-1", _quartic(g2, g1, g3), (g1, g2, g3)
+            elif cnt == [1, 2] and to[1] == 1 and col[0] in _CROSS and col[2] == WHITE:
+                yield "case-2", _quartic(g2, g1, g3), (g1, g2, g3)
+            elif cnt == [1, 2] and to[1] == 1 and col[0] in _CROSS and col[2] == BLACK:
+                yield "case-3", _quartic(g2, g1, g3), (g1, g2, g3)
+            elif cnt == [1, 2] and to[1] == -1 and col[0] == GREY and col[2] == WHITE:
+                yield "case-4", {((g1, g2), ((g1, g2), (g2, g3))): 1}, (g1, g2, g3)
+            elif cnt == [2, 2] and to[1] == -1 and col[0] == GREY and col[2] == WHITE:
+                # white g3 => grey g2 = grey g1 (the renormalised sl(1|3) shape)
+                yield "case-9", _quartic(g2, g1, g3), (g3, g2, g1)
+            elif cnt == [1, 3] and to[1] == -1 and col[0] == GREY and col[2] == WHITE:
+                e12 = (g1, g2)
+                yield "case-11", {(e12, (e12, (e12, (g2, g3)))): 1}, (g1, g2, g3)
+            elif cnt == [2, 3] and to == [-1, -1] and col[0] == BLACK and col[2] == WHITE:
+                terms = {((g2, g1), (g3, (g2, g1))): 1, ((g2, g3), ((g1, g1), g2)): -1}
+                yield "case-12", terms, (g1, g2, g3)
+            continue
+        g1, g2, g3, g4 = g
+        if col == [WHITE, GREY, WHITE, WHITE] and cnt == [3, 2, 1] and to[0] == 1 and to[1] == -1:
+            e = ((g1, g2), (g2, g3))
+            yield "case-7", {(e, (e, (g2, (g3, g4)))): 1}, (g1, g2, g3, g4)
+        elif col == [WHITE, GREY, WHITE, WHITE] and cnt == [3, 1, 2] and to[0] == 1 and to[2] == -1:
+            a12, a23, a34 = (g1, g2), (g2, g3), (g3, g4)
+            yield "case-8", {(a12, (a23, a34)): 1, (a23, (a12, a34)): -1}, (g1, g2, g3, g4)
+        elif col[0] in _CROSS and col[1:] == [WHITE, GREY, WHITE] and cnt == [1, 1, 2] and to[2] == -1:
+            jt = (g2, g3)
+            yield "case-5", {((g1, jt), (jt, (g3, g4))): 1}, (g1, g2, g3, g4)
+
+
+def _match_triangle(sub, nodes):
+    """Yield (case name, element terms dict, nodes) for one 3-node full
+    sub-diagram with all three edges: cases 6, 10 and 13.
+
+    One pass over the orderings n1, n2, n3 reads the counts of n1-n2, n1-n3
+    and n2-n3.  Cases 10 and 13 need (1, 2, 3), which fixes the ordering,
+    and differ in the colour of n1; case 6 needs (1, 1, 2), which fixes n1
+    and leaves two orderings, of which `n2 < n3` keeps one.  So at most one
+    ordering matches, and it yields one element.  A triangle is not a path,
+    so no chain case matches it, and a chain has too few edges to get here.
+    """
+    if sub.size != 3 or len(sub.edges) != 3:
+        return
+    c, cnt = sub.nodes, sub.count
+    for n1, n2, n3 in permutations(range(3)):
+        counts = (cnt(n1, n2), cnt(n1, n3), cnt(n2, n3))
+        g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
+        if counts == (1, 1, 2) and c[n1] in _CROSS and c[n2] == c[n3] == GREY and n2 < n3:
+            yield "case-6", {(g2, (g3, g1)): 1, (g3, (g2, g1)): -1}, (g1, g2, g3)
+        elif counts == (1, 2, 3) and c[n1] == c[n2] == c[n3] == GREY:
+            yield "case-10", {(g1, (g3, g2)): 2, (g2, (g3, g1)): 3}, (g1, g2, g3)
+        elif counts == (1, 2, 3) and c[n1] == WHITE and c[n2] == c[n3] == GREY:
+            yield "case-13", {(g2, (g3, g1)): 1, (g3, (g2, g1)): -2}, (g1, g2, g3)
 
 
 def _match_d21a(sub, nodes):
@@ -303,60 +246,58 @@ def _match_d21a(sub, nodes):
     Roles are fixed by the labels: the n1-n2 edge carries 1, the n1-n3 edge
     carries the parameter and the n2-n3 edge carries minus one plus the
     parameter.  The parameter is read off the matched labels, so generating
-    relations commutes with specialising it to a rational value.
+    relations commutes with specialising it to a rational value.  A
+    specialised parameter can put 1 on more than one edge, so more than one
+    ordering can match; the orderings come in lexicographic order, and the
+    first match, the least, is the one taken.
     """
     if any(col != GREY for col in sub.nodes):
         return
     if not all(sub.count(a, b) == 1 for a in range(3) for b in range(a + 1, 3)):
         return
-    matches = []
     for n1, n2, n3 in permutations(range(3)):
         if sub.b_label(n1, n2) != 1:
             continue
         alpha = sub.b_label(n1, n3)
         if sub.b_label(n2, n3) == -(1 + alpha):
-            matches.append(((n1, n2, n3), alpha))
-    if not matches:
-        return
-    (n1, n2, n3), alpha = min(matches, key=lambda m: m[0])
-    g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
-    terms = {(g1, (g2, g3)): alpha, (g2, (g1, g3)): 1 + alpha}
-    yield "case-14", terms, (g1, g2, g3)
+            g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
+            yield "case-14", {(g1, (g2, g3)): alpha, (g2, (g1, g3)): 1 + alpha}, (g1, g2, g3)
+            return
 
 
 def higher_order_serre_elements(cd, diag):
     """Matches of the fourteen patterns in match order, each emitted once.
 
     D(2,1;a)-type diagrams (labelled edges) carry only the labelled-triangle
-    pattern; all other diagrams are matched against patterns 1-13.  Every
-    pattern is a connected sub-diagram, so only connected ones are matched.
+    pattern; all other diagrams are matched against patterns 1-13, the
+    3-node sub-diagrams first, then the 4-node ones.  Every pattern is a
+    connected sub-diagram, so only connected ones are matched.
 
     No two matches have the same expansion into free-Lie words, so none is
     expanded here.  An element's content has support its matched node set,
     so sub-diagrams differ in content, and one sub-diagram yields at most
-    one element per content: the 3-node chain loops reach only the middle
-    node; cases 1, 2, 3 and 9 share a content shape and exclude each other
-    by edge counts (1/1, 1/2 with the arrow at k, 2/2) and, 2 against 3,
-    by the colour of k; `j < k` fixes case 1's orientation, colours or the
-    double edge fix the other chain cases'; cases 11 and 12 need a triple
-    edge and differ in the n1-n2 count; each triangle case breaks after its
-    first match, and triangles are not chains; `_match_4node` argues its
-    cases, and none matches a path both ways, the colour patterns (W,G,W,W)
-    and (x,W,G,W) not being palindromes; `_match_d21a` yields one element.
-    Expansions are homogeneous, so distinct contents give distinct ones
-    unless both are zero, and none is: that depends only on the pattern and
-    the parities its colours fix (in case 14 on a too, the coefficient of
-    the word g1 g2 g3), and each such pair occurs, nonzero, by rank 8.
+    one element: chains and triangles exclude each other, `_match_path`
+    and `_match_triangle` let at most one ordering of a sub-diagram match
+    and each ordering match at most one case, and `_match_d21a` stops at
+    its first match.  Expansions are homogeneous, so distinct contents give
+    distinct ones unless both are zero, and none is: that depends only on
+    the pattern and the parities its colours fix (in case 14 on a too, the
+    coefficient of the word g1 g2 g3), and each such pair occurs, nonzero,
+    by rank 8.
     """
     out = []
-    matchers = ((3, _match_d21a),) if diag.labelled else ((3, _match_3node), (4, _match_4node))
-    for size, match in matchers:
+    if diag.labelled:
+        matchers = ((3, (_match_d21a,)),)
+    else:
+        matchers = ((3, (_match_path, _match_triangle)), (4, (_match_path,)))
+    for size, matches in matchers:
         if size > cd.rank:
             break
         for subset, sub in full_subdiagrams(diag, size):
             nodes = tuple(v + 1 for v in subset)
-            for case, terms, assign in match(sub, nodes):
-                out.append(SerrePolynomial(terms, "e", case, assign, cd.rank))
+            for match in matches:
+                for case, terms, assign in match(sub, nodes):
+                    out.append(SerrePolynomial(terms, "e", case, assign, cd.rank))
     return out
 
 

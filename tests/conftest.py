@@ -2,10 +2,10 @@
 
 from itertools import permutations
 
-from superserre.cartan_dynkin import build_diagram, cartan_matrix
+from superserre.cartan_dynkin import BLACK, GREY, WHITE, build_diagram, cartan_matrix, full_subdiagrams
 from superserre.quotient import quotient_dimensions
 from superserre.freelie import expand_terms
-from superserre.serre import SerrePolynomial, ad_power, higher_order_serre_elements
+from superserre.serre import SerrePolynomial, ad_power
 from superserre.verify import reference_multiplicities
 
 
@@ -70,17 +70,209 @@ def _paper_standard_elements(cd):
     return out
 
 
+# -- higher order patterns, matched independently of `superserre.serre` --------
+#
+# The matchers below are a fixed copy of an earlier form of the pattern code:
+# each 3-node shape by loops of its own over middle nodes and permutations,
+# and each 4-node path on all 24 orderings.  The expansion oracle takes its
+# higher order candidates from them, so a change to the library's matchers
+# shows up as a difference from the oracle.
+
+_CROSS = (WHITE, GREY)  # "x" nodes in the reference tables are white or grey
+
+
+def _quartic(t, j, k):
+    return {(t, (j, (t, k))): 1}
+
+
+def _match_3node(sub, nodes):
+    """Yield (case name, element terms dict, nodes) for one connected 3-node
+    full sub-diagram.
+
+    `nodes` are the original 1-based generator indices; `sub` uses local
+    indices 0,1,2 in the same order.
+    """
+    c = sub.nodes
+    cnt = sub.count
+    arrow = sub.arrow
+    for t in range(3):
+        if c[t] != GREY:
+            continue
+        others = [x for x in range(3) if x != t]
+        for j, k in (others, others[::-1]):
+            # chain j - t - k, no j-k edge
+            if cnt(j, k) != 0:
+                continue
+            gj, gt, gk = nodes[j], nodes[t], nodes[k]
+            if cnt(j, t) == 1 and cnt(t, k) == 1 and c[j] in _CROSS and c[k] in _CROSS:
+                if sub.sign(j, t) * sub.sign(t, k) == -1 and j < k:
+                    yield "case-1", _quartic(gt, gj, gk), (gj, gt, gk)
+            if cnt(j, t) == 1 and cnt(t, k) == 2 and c[j] in _CROSS and arrow(t, k) == k:
+                if c[k] == WHITE:
+                    yield "case-2", _quartic(gt, gj, gk), (gj, gt, gk)
+                elif c[k] == BLACK:
+                    yield "case-3", _quartic(gt, gj, gk), (gj, gt, gk)
+            if cnt(j, t) == 1 and cnt(t, k) == 2 and c[j] == GREY and c[k] == WHITE and arrow(t, k) == t:
+                yield "case-4", {((gj, gt), ((gj, gt), (gt, gk))): 1}, (gj, gt, gk)
+            if cnt(j, t) == 2 and cnt(t, k) == 2 and c[j] == GREY and c[k] == WHITE and arrow(t, k) == t:
+                # white k => grey t = grey j (the renormalised sl(1|3) shape)
+                yield "case-9", _quartic(gt, gj, gk), (gk, gt, gj)
+
+    # triangle patterns
+    if all(cnt(a, b) for a in range(3) for b in range(a + 1, 3)):
+        counts = sorted((cnt(0, 1), cnt(0, 2), cnt(1, 2)))
+        if counts == [1, 1, 2]:
+            for i in range(3):
+                t, s = [x for x in range(3) if x != i]
+                if (
+                    c[i] in _CROSS
+                    and c[t] == GREY
+                    and c[s] == GREY
+                    and cnt(i, t) == 1
+                    and cnt(i, s) == 1
+                    and cnt(t, s) == 2
+                ):
+                    gi, gt, gs = nodes[i], nodes[t], nodes[s]
+                    yield "case-6", {(gt, (gs, gi)): 1, (gs, (gt, gi)): -1}, (gi, gt, gs)
+                    break
+        if counts == [1, 2, 3] and all(col == GREY for col in c):
+            # roles by edge multiplicities: i on {1,2}, j on {1,3}, k on {2,3}
+            for i, j, k in permutations(range(3)):
+                if cnt(i, j) == 1 and cnt(i, k) == 2 and cnt(j, k) == 3:
+                    gi, gj, gk = nodes[i], nodes[j], nodes[k]
+                    yield "case-10", {(gi, (gk, gj)): 2, (gj, (gk, gi)): 3}, (gi, gj, gk)
+                    break
+        if counts == [1, 2, 3] and sorted(c) == sorted([WHITE, GREY, GREY]):
+            for n1, n2, n3 in permutations(range(3)):
+                if (
+                    c[n1] == WHITE
+                    and c[n2] == GREY
+                    and c[n3] == GREY
+                    and cnt(n1, n2) == 1
+                    and cnt(n1, n3) == 2
+                    and cnt(n2, n3) == 3
+                ):
+                    g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
+                    yield "case-13", {(g2, (g3, g1)): 1, (g3, (g2, g1)): -2}, (g1, g2, g3)
+                    break
+
+    # chains with multiplicities {1, 3} or {2, 3}
+    for n2 in range(3):
+        if c[n2] != GREY:
+            continue
+        others = [x for x in range(3) if x != n2]
+        for n1, n3 in (others, others[::-1]):
+            if cnt(n1, n3) != 0:
+                continue
+            if (
+                c[n1] == GREY
+                and c[n3] == WHITE
+                and cnt(n1, n2) == 1
+                and cnt(n2, n3) == 3
+                and arrow(n2, n3) == n2
+            ):
+                g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
+                e12 = (g1, g2)
+                yield "case-11", {(e12, (e12, (e12, (g2, g3)))): 1}, (g1, g2, g3)
+            if (
+                c[n1] == BLACK
+                and c[n3] == WHITE
+                and cnt(n1, n2) == 2
+                and arrow(n1, n2) == n1
+                and cnt(n2, n3) == 3
+                and arrow(n2, n3) == n2
+            ):
+                g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
+                yield (
+                    "case-12",
+                    {
+                        ((g2, g1), (g3, (g2, g1))): 1,
+                        ((g2, g3), ((g1, g1), g2)): -1,
+                    },
+                    (g1, g2, g3),
+                )
+
+
+def _match_4node_every_ordering(sub, nodes):
+    """The three 4-node path patterns tried on all 24 orderings of the
+    nodes, an ordering kept when every edge of `sub` joins two nodes
+    adjacent in it: no path order is computed."""
+    c, cnt, arrow = sub.nodes, sub.count, sub.arrow
+    for perm in permutations(range(4)):
+        chain = {frozenset(p) for p in zip(perm, perm[1:])}
+        if not all(frozenset(ij) in chain for ij, e in sub.edges.items() if e.count):
+            continue
+        colours = tuple(c[v] for v in perm)
+        chain_78 = colours == (WHITE, GREY, WHITE, WHITE)
+        chain_5 = colours[0] in (WHITE, GREY) and colours[1:] == (WHITE, GREY, WHITE)
+        n1, n2, n3, n4 = perm
+        g1, g2, g3, g4 = (nodes[v] for v in perm)
+        if chain_78 and cnt(n1, n2) == 3 and arrow(n1, n2) == n2:
+            if cnt(n2, n3) == 2 and arrow(n2, n3) == n2 and cnt(n3, n4) == 1:
+                e = ((g1, g2), (g2, g3))
+                yield "case-7", {(e, (e, (g2, (g3, g4)))): 1}, (g1, g2, g3, g4)
+            if cnt(n2, n3) == 1 and cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
+                a12, a23, a34 = (g1, g2), (g2, g3), (g3, g4)
+                yield "case-8", {(a12, (a23, a34)): 1, (a23, (a12, a34)): -1}, (g1, g2, g3, g4)
+        elif chain_5 and cnt(n1, n2) == 1 and cnt(n2, n3) == 1:
+            if cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
+                jt = (g2, g3)
+                yield "case-5", {((g1, jt), (jt, (g3, g4))): 1}, (g1, g2, g3, g4)
+
+
+def _match_d21a(sub, nodes):
+    """Pattern 14: the all-grey labelled triangle of D(2,1;a).
+
+    Roles are fixed by the labels: the n1-n2 edge carries 1, the n1-n3 edge
+    carries the parameter and the n2-n3 edge carries minus one plus the
+    parameter.  The parameter is read off the matched labels, so generating
+    relations commutes with specialising it to a rational value.
+    """
+    if any(col != GREY for col in sub.nodes):
+        return
+    if not all(sub.count(a, b) == 1 for a in range(3) for b in range(a + 1, 3)):
+        return
+    matches = []
+    for n1, n2, n3 in permutations(range(3)):
+        if sub.b_label(n1, n2) != 1:
+            continue
+        alpha = sub.b_label(n1, n3)
+        if sub.b_label(n2, n3) == -(1 + alpha):
+            matches.append(((n1, n2, n3), alpha))
+    if not matches:
+        return
+    (n1, n2, n3), alpha = min(matches, key=lambda m: m[0])
+    g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
+    terms = {(g1, (g2, g3)): alpha, (g2, (g1, g3)): 1 + alpha}
+    yield "case-14", terms, (g1, g2, g3)
+
+
+def higher_order_oracle(cd, diag):
+    """Every higher order match of the matchers above, in match order."""
+    out = []
+    matchers = ((3, _match_d21a),) if diag.labelled else ((3, _match_3node), (4, _match_4node_every_ordering))
+    for size, match in matchers:
+        if size > cd.rank:
+            break
+        for subset, sub in full_subdiagrams(diag, size):
+            nodes = tuple(v + 1 for v in subset)
+            for case, terms, assign in match(sub, nodes):
+                out.append(SerrePolynomial(terms, "e", case, assign, cd.rank))
+    return out
+
+
 def expansion_oracle(datum, system):
     """The e side of a presentation built with no shortcut: the unfiltered
-    standard elements, then every higher order match, the first of each
-    expansion into free-Lie words kept in order of first appearance.
+    standard elements, then every higher order match of this module's own
+    matchers, the first of each expansion into free-Lie words kept in order
+    of first appearance.
 
     Coefficients are canonical, so two expansions are equal exactly when
     their (word, coefficient) sets are.  The terms would not do as a key:
     distinct bracket monomials can be the same Lie element, as [e_i, e_j]
     and [e_j, e_i] are for odd e_i and e_j."""
     cd = cartan_matrix(datum, system)
-    elements = _paper_standard_elements(cd) + higher_order_serre_elements(cd, build_diagram(cd))
+    elements = _paper_standard_elements(cd) + higher_order_oracle(cd, build_diagram(cd))
     seen = {}
     for el in elements:
         seen.setdefault(frozenset(expand_terms(el.terms, cd.parities).items()), el)

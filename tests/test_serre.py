@@ -1,17 +1,17 @@
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
-from superserre.cartan_dynkin import (
-    GREY,
-    WHITE,
-    _path_order,
-    build_diagram,
-    cartan_matrix,
-    full_subdiagrams,
+from superserre.cartan_dynkin import _path_order, build_diagram, cartan_matrix, full_subdiagrams
+from conftest import (
+    CATALOGUE,
+    FAMILY_MATRIX,
+    _match_3node,
+    _match_4node_every_ordering,
+    _match_d21a as oracle_match_d21a,
+    algebras_of_rank,
+    expansion_oracle,
 )
-from conftest import CATALOGUE, FAMILY_MATRIX, algebras_of_rank, expansion_oracle
 from superserre.rootdata import (
     build_root_datum,
     distinguished_simple_system,
@@ -20,7 +20,9 @@ from superserre.rootdata import (
 from superserre.scalars import ALPHA, ONE, Scalar
 from superserre.serre import (
     SerrePolynomial,
-    _match_4node,
+    _match_d21a,
+    _match_path,
+    _match_triangle,
     higher_order_serre_elements,
     presentation,
     standard_serre_elements,
@@ -300,33 +302,6 @@ def test_relation_set_equals_the_expansion_oracle_up_to_rank_6():
     assert classes == 446
 
 
-def _match_4node_every_ordering(sub, nodes):
-    """Oracle for `_match_4node`: the three path patterns tried on all 24
-    orderings of the nodes, an ordering kept when every edge of `sub` joins
-    two nodes adjacent in it."""
-    c, cnt, arrow = sub.nodes, sub.count, sub.arrow
-    for perm in permutations(range(4)):
-        chain = {frozenset(p) for p in zip(perm, perm[1:])}
-        if not all(frozenset(ij) in chain for ij, e in sub.edges.items() if e.count):
-            continue
-        colours = tuple(c[v] for v in perm)
-        chain_78 = colours == (WHITE, GREY, WHITE, WHITE)
-        chain_5 = colours[0] in (WHITE, GREY) and colours[1:] == (WHITE, GREY, WHITE)
-        n1, n2, n3, n4 = perm
-        g1, g2, g3, g4 = (nodes[v] for v in perm)
-        if chain_78 and cnt(n1, n2) == 3 and arrow(n1, n2) == n2:
-            if cnt(n2, n3) == 2 and arrow(n2, n3) == n2 and cnt(n3, n4) == 1:
-                e = ((g1, g2), (g2, g3))
-                yield "case-7", {(e, (e, (g2, (g3, g4)))): 1}, (g1, g2, g3, g4)
-            if cnt(n2, n3) == 1 and cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
-                a12, a23, a34 = (g1, g2), (g2, g3), (g3, g4)
-                yield "case-8", {(a12, (a23, a34)): 1, (a23, (a12, a34)): -1}, (g1, g2, g3, g4)
-        elif chain_5 and cnt(n1, n2) == 1 and cnt(n2, n3) == 1:
-            if cnt(n3, n4) == 2 and arrow(n3, n4) == n3:
-                jt = (g2, g3)
-                yield "case-5", {((g1, jt), (jt, (g3, g4))): 1}, (g1, g2, g3, g4)
-
-
 def test_match_4node_equals_the_every_ordering_oracle():
     # every connected 4-node sub-diagram of the matrix and of the catalogue
     # algebras, whose D-type fork is a 4-node claw (connected, not a path)
@@ -340,10 +315,39 @@ def test_match_4node_equals_the_every_ordering_oracle():
                 continue
             for subset, sub in full_subdiagrams(diag, 4):
                 nodes = tuple(v + 1 for v in subset)
-                got = list(_match_4node(sub, nodes))
+                got = list(_match_path(sub, nodes))
                 assert got == list(_match_4node_every_ordering(sub, nodes)), (datum.name, subset)
                 cases |= {case for case, _, _ in got}
                 not_paths += _path_order(sub) is None
                 subs += 1
     assert cases == {"case-5", "case-7", "case-8"}
     assert not_paths and subs > not_paths
+
+
+def test_matchers_equal_the_oracle_matchers_on_every_sub_diagram_up_to_rank_6():
+    # every connected 3- and 4-node sub-diagram of every class up to rank 6
+    # and of D(2,1;a), generic and specialised, against the test suite's own
+    # matchers, one sub-diagram at a time; all fourteen cases occur
+    special = [("D21a", dict(alpha=x)) for x in (2, Fraction(-1, 2), 1)]
+    cases = set()
+    for r in range(3, 7):
+        for fam, kw in algebras_of_rank(r) + (special if r == 3 else []):
+            datum = build_root_datum(fam, **kw)
+            for system in enumerate_simple_systems(datum):
+                diag = build_diagram(cartan_matrix(datum, system))
+                for size in range(3, min(diag.size, 4) + 1):
+                    for subset, sub in full_subdiagrams(diag, size):
+                        nodes = tuple(v + 1 for v in subset)
+                        if diag.labelled:
+                            got = list(_match_d21a(sub, nodes))
+                            want = list(oracle_match_d21a(sub, nodes))
+                        elif size == 3:
+                            got = list(_match_path(sub, nodes)) + list(_match_triangle(sub, nodes))
+                            want = list(_match_3node(sub, nodes))
+                        else:
+                            got = list(_match_path(sub, nodes))
+                            want = list(_match_4node_every_ordering(sub, nodes))
+                        assert got == want, (datum.name, subset)
+                        assert len(got) <= 1, (datum.name, subset)
+                        cases |= {case for case, _, _ in got}
+    assert cases == {f"case-{n}" for n in range(1, 15)}
