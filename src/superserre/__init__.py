@@ -5,7 +5,6 @@ from .scalars import ALPHA, ONE, Scalar, ZERO, parse_scalar
 from .rootdata import (
     SimpleSystem,
     WeightVector,
-    bilinear,
     build_root_datum,
     distinguished_simple_system,
     enumerate_simple_systems,
@@ -32,7 +31,6 @@ __all__ = [
     "parse_scalar",
     "WeightVector",
     "SimpleSystem",
-    "bilinear",
     "build_root_datum",
     "distinguished_simple_system",
     "enumerate_simple_systems",

@@ -195,10 +195,6 @@ class DynkinDiagram:
         e = self.edge(i, j)
         return e.count if e else 0
 
-    def arrow(self, i, j):
-        e = self.edge(i, j)
-        return e.arrow_towards if e else None
-
     def sign(self, i, j):
         e = self.edge(i, j)
         return e.sign if e else 0

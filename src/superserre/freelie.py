@@ -11,15 +11,15 @@ indices.  The module provides:
 * the dimension of every multidegree component (`free_dimension`), counted
   by the Witt formula for Lyndon words plus the squares of odd elements of
   half the multidegree;
-* the lowering operators ad f_i on the positive part (`lower_terms`);
-* a brute-force dimension oracle (`span_dimension_by_identities`) that
-  counts bracket monomials modulo the defining identities alone, against
-  which `free_dimension` and the echelon-based ranks are checked.
+* the lowering operators ad f_i on the positive part (`lower_terms`).
+
+The brute-force dimension oracle that `free_dimension` and the echelon-based
+ranks are checked against lives with the tests (`tests/conftest.py`), so the
+package ships none of it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import axpy
@@ -57,14 +57,6 @@ def tree_render(tree, letter="e"):
     if is_leaf(tree):
         return f"{letter}{tree}"
     return f"[{tree_render(tree[0], letter)},{tree_render(tree[1], letter)}]"
-
-
-def left_normed_tree(word):
-    """[[..[e_{w1}, e_{w2}], ...], e_{wh}] for a word of generator indices."""
-    tree = word[0]
-    for i in word[1:]:
-        tree = (tree, i)
-    return tree
 
 
 # -- associative expansion ----------------------------------------------------
@@ -118,31 +110,7 @@ def generator_bracket_word(i, vec, parity_i, parity_vec):
     return axpy(out, {w + (i,): c for w, c in vec.items()}, -koszul)
 
 
-# -- words and dimension formulas ----------------------------------------------
-
-
-def _all_words(content):
-    """Distinct arrangements of the multiset, in lexicographic order."""
-    word = []
-    for i, k in enumerate(content, start=1):
-        word.extend([i] * k)
-    if not word:
-        return []
-    out = [tuple(word)]
-    n = len(word)
-    while True:
-        # standard next-permutation step
-        k = n - 2
-        while k >= 0 and word[k] >= word[k + 1]:
-            k -= 1
-        if k < 0:
-            return out
-        m = n - 1
-        while word[m] <= word[k]:
-            m -= 1
-        word[k], word[m] = word[m], word[k]
-        word[k + 1:] = reversed(word[k + 1:])
-        out.append(tuple(word))
+# -- dimension formulas --------------------------------------------------------
 
 
 def _halved(content):
@@ -264,157 +232,3 @@ def lower_terms(cd, i, terms):
         axpy(out, d, coeff)
         h_coeff = h_coeff + coeff * h
     return out, h_coeff
-
-
-# -- brute-force dimension oracle ---------------------------------------------
-
-
-def _tree_shapes(h):
-    if h == 1:
-        return [None]  # a single leaf slot
-    out = []
-    for k in range(1, h):
-        for left in _tree_shapes(k):
-            for right in _tree_shapes(h - k):
-                out.append((k, left, right))
-    return out
-
-
-def _fill(shape, word):
-    if shape is None:
-        return word[0]
-    k, left, right = shape
-    return (_fill(left, word[:k]), _fill(right, word[k:]))
-
-
-class _SignedUnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-        self.sign = [1] * n
-        self.dead = [False] * n
-
-    def find(self, x):
-        if self.parent[x] == x:
-            return x, self.sign[x]
-        root, s = self.find(self.parent[x])
-        self.parent[x] = root
-        self.sign[x] *= s
-        return root, self.sign[x]
-
-    def union(self, x, y, s):
-        """Impose m_x = s * m_y."""
-        rx, sx = self.find(x)
-        ry, sy = self.find(y)
-        if rx == ry:
-            if sx != s * sy:
-                self.dead[rx] = True
-            return
-        # m_x = sx*rx and m_y = sy*ry, so rx = (s*sy/sx)*ry with sx in {1,-1}
-        self.parent[rx] = ry
-        self.sign[rx] = s * sy * sx
-        self.dead[ry] = self.dead[ry] or self.dead[rx]
-
-
-def span_dimension_by_identities(parities, content):
-    """Independent oracle: dimension of the multidegree component computed as
-    the span of all bracket monomials modulo super antisymmetry and the super
-    Jacobi identity only (no normal-form theory involved).
-
-    Antisymmetry instances are folded into a signed union-find over monomial
-    trees; Jacobi instances become sparse rows whose exact rank is subtracted.
-    The rank comes from a plain `Fraction` elimination written out here, not
-    from `linalg.Echelon`: this oracle is what the echelon-based ranks are
-    checked against, so it must not share their code.
-    """
-    h = content_height(content)
-    r = len(content)
-    monomials = []
-    for shape in _tree_shapes(h):
-        for word in _all_words(content):
-            monomials.append(_fill(shape, word))
-    monomials = sorted(set(monomials), key=repr)
-    index = {m: k for k, m in enumerate(monomials)}
-    uf = _SignedUnionFind(len(monomials))
-
-    def par(tree):
-        return content_parity(tree_content(tree, r), parities)
-
-    def node_swaps(tree):
-        if is_leaf(tree):
-            return
-        u, v = tree
-        koszul = -1 if (par(u) and par(v)) else 1
-        yield (v, u), -koszul
-        for sub, s in node_swaps(u):
-            yield (sub, v), s
-        for sub, s in node_swaps(v):
-            yield (u, sub), s
-
-    for m in monomials:
-        for other, s in node_swaps(m):
-            uf.union(index[m], index[other], s)
-
-    columns = {}
-    for k in range(len(monomials)):
-        root, _ = uf.find(k)
-        if not uf.dead[root] and root not in columns:
-            columns[root] = len(columns)
-    if not columns:
-        return 0
-
-    def to_row(entries):
-        row = {}
-        for tree, coeff in entries:
-            root, s = uf.find(index[tree])
-            if uf.dead[root]:
-                continue
-            col = columns[root]
-            row[col] = row.get(col, 0) + coeff * s
-        return {c: v for c, v in row.items() if v}
-
-    def jacobi_rows(tree, context):
-        if is_leaf(tree):
-            return
-        u, v = tree
-        if not is_leaf(v):
-            y, z = v
-            s = -1 if (par(u) and par(y)) else 1
-            yield [
-                (context((u, (y, z))), 1),
-                (context(((u, y), z)), -1),
-                (context((y, (u, z))), -s),
-            ]
-        yield from jacobi_rows(u, lambda t, _v=v: context((t, _v)))
-        yield from jacobi_rows(v, lambda t, _u=u: context((_u, t)))
-
-    rows = []
-    seen = set()
-    for m in monomials:
-        for entries in jacobi_rows(m, lambda t: t):
-            row = to_row(entries)
-            if row:
-                key = tuple(sorted(row.items()))
-                if key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = {c: Fraction(v) for c, v in row.items()}
-        while row:
-            col = min(row)
-            piv = pivots.get(col)
-            if piv is None:
-                inv = 1 / row[col]
-                pivots[col] = {c: v * inv for c, v in row.items()}
-                rank += 1
-                break
-            f = row[col]
-            for c, v in piv.items():
-                nv = row.get(c, Fraction(0)) - f * v
-                if nv:
-                    row[c] = nv
-                else:
-                    row.pop(c, None)
-    return len(columns) - rank

@@ -18,8 +18,10 @@ Two engines agree on every weight:
   below and not yet of full relation rank.  Reported ideal ranks are free
   dimension minus quotient dimension.
 
-`check_lowering_stability` builds a covering engine only when some lowered
-element needs one, and its levels only as high as such an element reaches.
+A presentation owns one covering engine (`Presentation.engine`), made when
+first read.  Verification, the necessity test and the stability check all
+read its levels through `CoveringEngine.level`, which builds each level
+once, in order, when a caller first asks for it.
 
 A closed report gives the total dimension (`GradedQuotientReport.total_dim`);
 the Z-grading tables are read off a verification report, by
@@ -114,13 +116,12 @@ class IdealWordEngine:
 class GradedQuotientReport:
     """Per-weight dimensions of the presented positive part."""
 
-    def __init__(self, rank, per_weight, max_height_reached, closed, warning, engine):
+    def __init__(self, rank, per_weight, max_height_reached, closed, warning):
         self.rank = rank
         self.per_weight = per_weight  # content -> (free_dim, ideal_rank, quotient_dim)
         self.max_height_reached = max_height_reached
         self.closed = closed
         self.warning = warning
-        self.engine = engine  # the CoveringEngine that built the levels
 
     @property
     def positive_dimension(self):
@@ -188,6 +189,7 @@ class CoveringEngine:
         self.parity_of = []
         self.height_of = []
         self.level_ids = {}  # height -> list of ids, ordered by weight then id
+        self.dims = {}  # height -> {weight: new dimension}, as build_level returned it
         self.products = {}  # canonical (x, y) with x <= y -> vec over ids
         self._rho_memo = {}
         self.completed = 0
@@ -204,6 +206,7 @@ class CoveringEngine:
         self.level_ids[1] = [
             self._new_basis(_unit(self.r, i), self.parities[i - 1], 1) for i in range(1, self.r + 1)
         ]
+        self.dims[1] = {_unit(self.r, i): 1 for i in range(1, self.r + 1)}
         self.completed = 1
 
     def _koszul(self, x, y):
@@ -277,6 +280,13 @@ class CoveringEngine:
 
     # -- level construction -------------------------------------------------------
 
+    def level(self, h):
+        """Weight -> new dimension at height h, building the levels up to h
+        in order first.  A level is built once; a later call reads it."""
+        while self.completed < h:
+            self.build_level(self.completed + 1)
+        return self.dims[h]
+
     def jacobi_rows(self, h, weights):
         """(w, J(x, y, z)) per sorted basis triple x <= y <= z of height h and
         weight w in `weights`, which is read as they go (a weight taken out
@@ -325,7 +335,8 @@ class CoveringEngine:
         return symbols
 
     def build_level(self, h_next):
-        """Construct level h_next = completed + 1; returns per-weight new dims.
+        """Construct level h_next = completed + 1; returns per-weight new dims,
+        also kept as `dims[h_next]`.
 
         Every weight that carries pair symbols gets an entry, but only live
         weights get linear algebra.  Two kinds of weight are dead:
@@ -394,6 +405,7 @@ class CoveringEngine:
                 )
             ids.extend(new_id.values())
         self.level_ids[h_next] = ids
+        self.dims[h_next] = new_dims
         self.completed = h_next
         return new_dims
 
@@ -414,13 +426,15 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
     keep growing above a strict excess, so callers comparing against
     reference multiplicities lose nothing by stopping there).
 
-    The report keeps the engine, whose levels up to `max_height_reached`
-    stay available for rewriting (`CoveringEngine.rho`).
+    The levels are read from `presentation.engine`, so a second run on the
+    same presentation builds only the levels the first did not reach, and
+    they stay there for the other checks to rewrite on
+    (`CoveringEngine.rho`).
     """
     if max_height < 1:
         raise ValueError("maxHeight must be >= 1")
     parities = presentation.parities
-    engine = CoveringEngine(parities, presentation.e_side)
+    engine = presentation.engine
     per_weight = {}
     r = len(parities)
     for i in range(1, r + 1):
@@ -430,7 +444,7 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
     h = 1
     while h < max_height:
         h += 1
-        dims = engine.build_level(h)
+        dims = engine.level(h)
         alive = 0
         for w, q in sorted(dims.items()):
             free = free_dimension(parities, w)
@@ -452,7 +466,7 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
             f"no closure within the height cap {max_height}: "
             "the presented algebra may be infinite dimensional"
         )
-    return GradedQuotientReport(r, per_weight, h, closed, warning, engine)
+    return GradedQuotientReport(r, per_weight, h, closed, warning)
 
 
 # -- lowering stability ---------------------------------------------------------
@@ -512,22 +526,16 @@ def check_lowering_stability(presentation):
     are read from `CartanData.native_a`, so over Q the whole check runs on
     `int` and `Fraction`.  Each (element, i) entry is decided on the spot.
     An empty word expansion of the lowered element is `zero`.  Any other
-    entry is rewritten in basis coordinates on one covering engine, made at
-    the first such entry, with levels built up to the height of nu but not
-    past an all-zero level: `ideal` if the image is zero, `violation` if
-    not.  The span of the e-side elements of weight nu lies in the ideal,
-    so a lowered element in that span comes out `ideal` with no stage of
-    its own.
-
-    Building on demand changes no verdict.  Level k depends only on the
-    relation elements and the levels below it.  Every level above an
-    all-zero level is zero, the algebra being generated in degree 1, so a
-    weight up there is `ideal`.
+    entry is rewritten in basis coordinates on the presentation's engine,
+    its levels read up to the height of nu: `ideal` if the image is zero,
+    `violation` if not.  The span of the e-side elements of weight nu lies
+    in the ideal, so a lowered element in that span comes out `ideal` with
+    no stage of its own.  A class whose entries are all `zero` never reads
+    the engine, so none is made for it.
     """
     cd = presentation.cartan
     parities = presentation.parities
     r = presentation.rank
-    engine = None
 
     entries = []
     for idx, el in enumerate(presentation.e_side):
@@ -535,15 +543,11 @@ def check_lowering_stability(presentation):
             lowered, _ = lower_terms(cd, i, el.terms)
             how = "zero"
             if expand_terms(lowered, parities):  # not zero: rewrite it on the engine
-                if engine is None:
-                    engine = CoveringEngine(parities, presentation.e_side)
-                h = content_height(el.content) - 1  # the height of nu
-                while engine.completed < h and engine.level_ids[engine.completed]:
-                    engine.build_level(engine.completed + 1)
+                engine = presentation.engine
+                engine.level(content_height(el.content) - 1)  # the height of nu
                 image = {}
-                if h <= engine.completed:
-                    for tree, coeff in lowered.items():
-                        axpy(image, engine.rho(tree), coeff)
+                for tree, coeff in lowered.items():
+                    axpy(image, engine.rho(tree), coeff)
                 how = "violation" if image else "ideal"
             entries.append(StabilityEntry(idx, el.provenance, i, how != "violation", how))
     return StabilityReport(entries)

@@ -248,10 +248,6 @@ class RootDatum:
         return total if parameter_part is None else native(total + parameter_part)
 
 
-def bilinear(datum, lam, mu):
-    return datum.form_value(lam, mu)
-
-
 def _signed(terms):
     """Every sum of +-c*x over the (symbol x, coefficient c) pairs of terms."""
     return {

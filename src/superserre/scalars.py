@@ -490,11 +490,18 @@ class Scalar:
     # -- text form ---------------------------------------------------------
 
     def render(self):
-        """Fixed textual grammar: rationals as 'p/q', e.g. '-(1+a)/a'."""
+        """Fixed textual grammar: rationals as 'p/q', e.g. '-(1+a)/a'.
+
+        A numerator of several terms is parenthesised unless its text is
+        already '-(...)'.  `_render_poly` never starts with '(', and starts
+        with '-(' only when it negates several terms, which it then wraps
+        whole, with no parenthesis inside (its terms are signed
+        coefficients and powers of a).  So '-(' at the start means the
+        parentheses span the rest of the text."""
         num, den = _render_poly(self.num), _render_poly(self.den)
         if self.den == _ONE_POLY:
             return num
-        if _needs_parens(self.num) and not _is_wrapped(num):
+        if _needs_parens(self.num) and not num.startswith("-("):
             num = f"({num})"
         if _needs_parens(self.den) or den.startswith("-"):
             den = f"({den})"
@@ -553,25 +560,6 @@ def render(c):
 
 def _needs_parens(p):
     return sum(1 for c in p.coeffs if c != 0) > 1
-
-
-def _is_wrapped(text):
-    """True for '(...)' or '-(...)' with the parentheses spanning everything."""
-    if text.startswith("-("):
-        body = text[1:]
-    elif text.startswith("("):
-        body = text
-    else:
-        return False
-    if not body.endswith(")"):
-        return False
-    depth = 0
-    for k, ch in enumerate(body):
-        depth += ch == "("
-        depth -= ch == ")"
-        if depth == 0 and k < len(body) - 1:
-            return False
-    return True
 
 
 def _render_poly(p):

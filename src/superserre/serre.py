@@ -14,10 +14,12 @@ words to find repeats.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from itertools import permutations
 
 from .cartan_dynkin import BLACK, GREY, WHITE, _path_order, build_diagram, cartan_matrix, full_subdiagrams
 from .freelie import tree_content, tree_render
+from .quotient import CoveringEngine
 from .rootdata import PreconditionError
 from .scalars import native, render
 
@@ -318,6 +320,18 @@ class Presentation:
         """The mirrors of the e-side elements, built when read: the engines
         read the e side only."""
         return [el.mirrored() for el in self.e_side]
+
+    @cached_property
+    def engine(self):
+        """The covering engine of the e side, made when first read.
+
+        It travels with the presentation, as a verification report carries
+        its presentation, so verification, the necessity test and the
+        stability check of one class read one set of levels
+        (`CoveringEngine.level`).  Nothing is shared between presentations:
+        `without_element` returns a new one, with an engine of its own.
+        """
+        return CoveringEngine(self.parities, self.e_side)
 
     @property
     def higher_order(self):

@@ -117,40 +117,38 @@ class NecessityResult:
 
 
 def _necessity(pres, indices):
-    """Necessity of the higher order elements of `pres` at `indices`, decided
-    on one covering engine of `pres` built to one level below the highest of
-    them.  Element j is necessary when it does not lie in the ideal generated
-    by the other elements.
+    """Necessity of the higher order elements of `pres` at `indices`, each
+    decided on the presentation's covering engine, its levels read up to one
+    below the element's height.  Element j is necessary when it does not lie
+    in the ideal generated by the other elements.
 
     Let j have weight nu and height h.  Deleting j changes no relation below
     h, so the levels below h are the engine's, and at height h only j's row
     at nu goes: the Jacobi rows and the other relation rows at nu come from
-    those levels.  If j's row lies in their span, or the engine closed below
-    h - 1 (every level above an all-zero level is zero), every level is
-    unchanged.  Otherwise the quotient at nu grows by exactly 1 and no other
-    weight of height h moves.  So on a presentation that passes verification,
-    as every class up to rank 8 does, j is necessary exactly when deleting it
-    lets some weight exceed its reference multiplicity, nu first.
+    those levels.  If j's row lies in their span, every level is unchanged.
+    Otherwise the quotient at nu grows by exactly 1 and no other weight of
+    height h moves.  So on a presentation that passes verification, as every
+    class up to rank 8 does, j is necessary exactly when deleting it lets
+    some weight exceed its reference multiplicity, nu first.
     """
     elements = pres.e_side
     for j in indices:
         if not (0 <= j < len(elements) and elements[j].provenance != "standard"):
             raise PreconditionError(f"element index {j} is outside the higher order elements")
-    top = max(content_height(elements[j].content) for j in indices)
-    engine = quotient_dimensions(pres, top - 1).engine
+    engine = pres.engine
     results = []
     for j in indices:
         el, nu = elements[j], elements[j].content
-        row, h = {}, content_height(nu)
-        if engine.completed >= h - 1:
-            span = Echelon()
-            for _, jacobi in engine.jacobi_rows(h, {nu}):
-                span.insert(jacobi)
-            for k, other in enumerate(elements):
-                if k != j and other.content == nu:
-                    span.insert(engine.rho_pair(other.terms))
-            row = engine.rho_pair(el.terms)
-            span.reduce(row)
+        h = content_height(nu)
+        engine.level(h - 1)
+        span = Echelon()
+        for _, jacobi in engine.jacobi_rows(h, {nu}):
+            span.insert(jacobi)
+        for k, other in enumerate(elements):
+            if k != j and other.content == nu:
+                span.insert(engine.rho_pair(other.terms))
+        row = engine.rho_pair(el.terms)
+        span.reduce(row)
         results.append(NecessityResult(bool(row), nu if row else None, el.provenance, el.nodes))
     return results
 
@@ -163,7 +161,7 @@ def necessity_test(datum, system, relation_index):
 
 def necessity_survey(datum, system):
     """Necessity of every higher order element of the presentation, all on
-    one covering engine."""
+    its one covering engine."""
     pres = presentation(datum, system)
     indices = [idx for idx, el in enumerate(pres.e_side) if el.provenance != "standard"]
     return _necessity(pres, indices) if indices else []

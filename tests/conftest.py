@@ -1,10 +1,11 @@
 """Shared helpers for the test suite."""
 
+from fractions import Fraction
 from itertools import permutations
 
 from superserre.cartan_dynkin import BLACK, GREY, WHITE, build_diagram, cartan_matrix, full_subdiagrams
 from superserre.quotient import quotient_dimensions
-from superserre.freelie import expand_terms
+from superserre.freelie import content_height, content_parity, expand_terms, is_leaf, tree_content
 from superserre.serre import SerrePolynomial, ad_power
 from superserre.verify import reference_multiplicities
 
@@ -81,6 +82,17 @@ def _paper_standard_elements(cd):
 _CROSS = (WHITE, GREY)  # "x" nodes in the reference tables are white or grey
 
 
+def _arrow_of(sub):
+    """(i, j) -> the node that the arrow of the i-j edge of `sub` points to,
+    or None."""
+
+    def arrow(i, j):
+        e = sub.edge(i, j)
+        return e.arrow_towards if e else None
+
+    return arrow
+
+
 def _quartic(t, j, k):
     return {(t, (j, (t, k))): 1}
 
@@ -94,7 +106,7 @@ def _match_3node(sub, nodes):
     """
     c = sub.nodes
     cnt = sub.count
-    arrow = sub.arrow
+    arrow = _arrow_of(sub)
     for t in range(3):
         if c[t] != GREY:
             continue
@@ -197,7 +209,7 @@ def _match_4node_every_ordering(sub, nodes):
     """The three 4-node path patterns tried on all 24 orderings of the
     nodes, an ordering kept when every edge of `sub` joins two nodes
     adjacent in it: no path order is computed."""
-    c, cnt, arrow = sub.nodes, sub.count, sub.arrow
+    c, cnt, arrow = sub.nodes, sub.count, _arrow_of(sub)
     for perm in permutations(range(4)):
         chain = {frozenset(p) for p in zip(perm, perm[1:])}
         if not all(frozenset(ij) in chain for ij, e in sub.edges.items() if e.count):
@@ -306,6 +318,195 @@ def necessity_oracle(pres):
             }
         )
     return out
+
+
+# -- brute-force free-Lie dimension oracle ------------------------------------
+#
+# `free_dimension` and the echelon-based ranks are checked against these:
+# bracket monomials counted modulo the defining identities alone.
+
+
+def left_normed_tree(word):
+    """[[..[e_{w1}, e_{w2}], ...], e_{wh}] for a word of generator indices."""
+    tree = word[0]
+    for i in word[1:]:
+        tree = (tree, i)
+    return tree
+
+
+def _all_words(content):
+    """Distinct arrangements of the multiset, in lexicographic order."""
+    word = []
+    for i, k in enumerate(content, start=1):
+        word.extend([i] * k)
+    if not word:
+        return []
+    out = [tuple(word)]
+    n = len(word)
+    while True:
+        # standard next-permutation step
+        k = n - 2
+        while k >= 0 and word[k] >= word[k + 1]:
+            k -= 1
+        if k < 0:
+            return out
+        m = n - 1
+        while word[m] <= word[k]:
+            m -= 1
+        word[k], word[m] = word[m], word[k]
+        word[k + 1:] = reversed(word[k + 1:])
+        out.append(tuple(word))
+
+
+def _tree_shapes(h):
+    if h == 1:
+        return [None]  # a single leaf slot
+    out = []
+    for k in range(1, h):
+        for left in _tree_shapes(k):
+            for right in _tree_shapes(h - k):
+                out.append((k, left, right))
+    return out
+
+
+def _fill(shape, word):
+    if shape is None:
+        return word[0]
+    k, left, right = shape
+    return (_fill(left, word[:k]), _fill(right, word[k:]))
+
+
+class _SignedUnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.sign = [1] * n
+        self.dead = [False] * n
+
+    def find(self, x):
+        if self.parent[x] == x:
+            return x, self.sign[x]
+        root, s = self.find(self.parent[x])
+        self.parent[x] = root
+        self.sign[x] *= s
+        return root, self.sign[x]
+
+    def union(self, x, y, s):
+        """Impose m_x = s * m_y."""
+        rx, sx = self.find(x)
+        ry, sy = self.find(y)
+        if rx == ry:
+            if sx != s * sy:
+                self.dead[rx] = True
+            return
+        # m_x = sx*rx and m_y = sy*ry, so rx = (s*sy/sx)*ry with sx in {1,-1}
+        self.parent[rx] = ry
+        self.sign[rx] = s * sy * sx
+        self.dead[ry] = self.dead[ry] or self.dead[rx]
+
+
+def span_dimension_by_identities(parities, content):
+    """Independent oracle: dimension of the multidegree component computed as
+    the span of all bracket monomials modulo super antisymmetry and the super
+    Jacobi identity only (no normal-form theory involved).
+
+    Antisymmetry instances are folded into a signed union-find over monomial
+    trees; Jacobi instances become sparse rows whose exact rank is subtracted.
+    The rank comes from a plain `Fraction` elimination written out here, not
+    from `linalg.Echelon`: this oracle is what the echelon-based ranks are
+    checked against, so it must not share their code.
+    """
+    h = content_height(content)
+    r = len(content)
+    monomials = []
+    for shape in _tree_shapes(h):
+        for word in _all_words(content):
+            monomials.append(_fill(shape, word))
+    monomials = sorted(set(monomials), key=repr)
+    index = {m: k for k, m in enumerate(monomials)}
+    uf = _SignedUnionFind(len(monomials))
+
+    def par(tree):
+        return content_parity(tree_content(tree, r), parities)
+
+    def node_swaps(tree):
+        if is_leaf(tree):
+            return
+        u, v = tree
+        koszul = -1 if (par(u) and par(v)) else 1
+        yield (v, u), -koszul
+        for sub, s in node_swaps(u):
+            yield (sub, v), s
+        for sub, s in node_swaps(v):
+            yield (u, sub), s
+
+    for m in monomials:
+        for other, s in node_swaps(m):
+            uf.union(index[m], index[other], s)
+
+    columns = {}
+    for k in range(len(monomials)):
+        root, _ = uf.find(k)
+        if not uf.dead[root] and root not in columns:
+            columns[root] = len(columns)
+    if not columns:
+        return 0
+
+    def to_row(entries):
+        row = {}
+        for tree, coeff in entries:
+            root, s = uf.find(index[tree])
+            if uf.dead[root]:
+                continue
+            col = columns[root]
+            row[col] = row.get(col, 0) + coeff * s
+        return {c: v for c, v in row.items() if v}
+
+    def jacobi_rows(tree, context):
+        if is_leaf(tree):
+            return
+        u, v = tree
+        if not is_leaf(v):
+            y, z = v
+            s = -1 if (par(u) and par(y)) else 1
+            yield [
+                (context((u, (y, z))), 1),
+                (context(((u, y), z)), -1),
+                (context((y, (u, z))), -s),
+            ]
+        yield from jacobi_rows(u, lambda t, _v=v: context((t, _v)))
+        yield from jacobi_rows(v, lambda t, _u=u: context((_u, t)))
+
+    rows = []
+    seen = set()
+    for m in monomials:
+        for entries in jacobi_rows(m, lambda t: t):
+            row = to_row(entries)
+            if row:
+                key = tuple(sorted(row.items()))
+                if key not in seen:
+                    seen.add(key)
+                    rows.append(row)
+
+    pivots = {}
+    rank = 0
+    for row in rows:
+        row = {c: Fraction(v) for c, v in row.items()}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = 1 / row[col]
+                pivots[col] = {c: v * inv for c, v in row.items()}
+                rank += 1
+                break
+            f = row[col]
+            for c, v in piv.items():
+                nv = row.get(c, Fraction(0)) - f * v
+                if nv:
+                    row[c] = nv
+                else:
+                    row.pop(c, None)
+    return len(columns) - rank
 
 
 def diagram_shape(diag):

@@ -7,7 +7,14 @@ import json
 import pathlib
 import random
 
-from conftest import FAMILY_MATRIX, make_shape, shape_of
+from conftest import (
+    FAMILY_MATRIX,
+    _all_words,
+    left_normed_tree,
+    make_shape,
+    shape_of,
+    span_dimension_by_identities,
+)
 from superserre.cartan_dynkin import (
     GREY,
     WHITE,
@@ -16,13 +23,7 @@ from superserre.cartan_dynkin import (
     diagram_to_json_dict,
     serialize_diagram,
 )
-from superserre.freelie import (
-    _all_words,
-    expand_terms,
-    free_dimension,
-    left_normed_tree,
-    span_dimension_by_identities,
-)
+from superserre.freelie import expand_terms, free_dimension
 from superserre.linalg import Echelon
 from superserre.quotient import check_lowering_stability
 from superserre.rootdata import build_root_datum, enumerate_simple_systems

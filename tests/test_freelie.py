@@ -1,15 +1,13 @@
 import random
 from itertools import product
 
+from conftest import _all_words, left_normed_tree, span_dimension_by_identities
 from superserre.cartan_dynkin import cartan_matrix
 from superserre.freelie import (
-    _all_words,
     expand_terms,
     free_dimension,
-    left_normed_tree,
     lower_terms,
     lyndon_count,
-    span_dimension_by_identities,
     tree_render,
 )
 from superserre.linalg import Echelon

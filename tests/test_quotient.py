@@ -19,7 +19,7 @@ from superserre.rootdata import (
     enumerate_simple_systems,
 )
 from superserre.scalars import Scalar
-from superserre.serre import SerrePolynomial, presentation
+from superserre.serre import Presentation, SerrePolynomial, presentation
 from superserre.verify import compare_z_grading, verify_presentation
 
 
@@ -46,8 +46,27 @@ def test_quotient_dimensions_a10():
     assert rep.surviving_weights() == {(1, 0): 1, (0, 1): 1, (1, 1): 1}
     assert rep.positive_dimension == 3
     assert rep.total_dim == 8
-    # the report keeps the engine that built its levels
-    assert rep.engine.completed == rep.max_height_reached
+    # the presentation keeps the engine that built the report's levels
+    assert pres.engine.completed == rep.max_height_reached
+
+
+def _report_data(rep):
+    return rep.to_json(), rep.per_weight, rep.max_height_reached, rep.closed, rep.warning
+
+
+def test_runs_on_one_presentation_read_its_levels():
+    # a lower run, a higher one and a repeat on one presentation: each
+    # report is the fresh presentation's, and the engine holds no level
+    # above the last report's
+    for fam, kw in (("A", dict(m=2, n=1)), ("G3", {}), ("F4", {}), ("D21a", {})):
+        datum = build_root_datum(fam, **kw)
+        for system in enumerate_simple_systems(datum):
+            pres = presentation(datum, system)
+            for cap in (2, 8, 8):
+                rep = quotient_dimensions(pres, cap)
+                fresh = quotient_dimensions(presentation(datum, system), cap)
+                assert _report_data(rep) == _report_data(fresh), (datum.name, cap)
+            assert pres.engine.completed == rep.max_height_reached
 
 
 def test_quotient_dimensions_a11_center_survives():
@@ -129,11 +148,9 @@ def test_omega_symmetry_f_side_runs_identically():
     pres = presentation(datum, system)
     rep_e = quotient_dimensions(pres, 20)
 
-    class FSide:
-        parities = pres.parities
-        e_side = pres.f_side  # same trees relabelled; engine sees identical data
-
-    rep_f = quotient_dimensions(FSide, 20)
+    # same trees relabelled; the engine sees identical data
+    f_side = Presentation(datum, system, pres.cartan, pres.diagram, pres.f_side)
+    rep_f = quotient_dimensions(f_side, 20)
     assert rep_e.per_weight == rep_f.per_weight
 
 
@@ -272,8 +289,9 @@ def test_engine_coefficients_are_native_rationals_over_q():
     # a presentation without the parameter runs on int and Fraction only
     datum = build_root_datum("F4")
     for system in enumerate_simple_systems(datum):
-        rep = quotient_dimensions(presentation(datum, system), 26)
-        coeffs = _coefficients(rep.engine)
+        pres = presentation(datum, system)
+        rep = quotient_dimensions(pres, 26)
+        coeffs = _coefficients(pres.engine)
         assert rep.closed and coeffs
         assert all(type(c) in (int, Fraction) for c in coeffs)
 
@@ -283,8 +301,9 @@ def test_engine_coefficients_keep_the_parameter_as_scalar():
     # of any class is ever a float
     datum = build_root_datum("D21a")
     for k, system in enumerate(enumerate_simple_systems(datum)):
-        rep = quotient_dimensions(presentation(datum, system), 10)
-        coeffs = _coefficients(rep.engine)
+        pres = presentation(datum, system)
+        quotient_dimensions(pres, 10)
+        coeffs = _coefficients(pres.engine)
         assert all(type(c) in (int, Fraction, Scalar) for c in coeffs)
         if k == 1:
             assert any(isinstance(c, Scalar) and not c.is_constant() for c in coeffs)

@@ -13,7 +13,6 @@ from superserre.rootdata import (
     PreconditionError,
     SimpleSystem,
     WeightVector,
-    bilinear,
     build_root_datum,
     distinguished_simple_system,
     enumerate_simple_systems,
@@ -120,21 +119,21 @@ def test_root_coefficients_must_be_exact():
 
 def test_bilinear_examples():
     a10 = build_root_datum("A", m=1, n=0)
-    assert bilinear(a10, wv({"e1": 1, "e2": -1}), wv({"e2": 1, "d1": -1})) == Scalar(-1)
+    assert a10.form_value(wv({"e1": 1, "e2": -1}), wv({"e2": 1, "d1": -1})) == Scalar(-1)
     lam = wv({"e1": 1, "d1": -1})
-    assert not bilinear(a10, lam, lam)
+    assert not a10.form_value(lam, lam)
     d21a = build_root_datum("D21a")
-    assert bilinear(d21a, wv({"e2": 2}), wv({"e2": 2})) == ALPHA * 4
-    assert bilinear(d21a, wv({"d": 1}), wv({"d": 1})) == -(ONE + ALPHA)
+    assert d21a.form_value(wv({"e2": 2}), wv({"e2": 2})) == ALPHA * 4
+    assert d21a.form_value(wv({"d": 1}), wv({"d": 1})) == -(ONE + ALPHA)
     f4 = build_root_datum("F4")
-    assert bilinear(f4, wv({"d": 1}), wv({"d": 1})) == Scalar(-6)
-    assert bilinear(f4, wv({"e1": 1}), wv({"e1": 1})) == Scalar(2)
+    assert f4.form_value(wv({"d": 1}), wv({"d": 1})) == Scalar(-6)
+    assert f4.form_value(wv({"e1": 1}), wv({"e1": 1})) == Scalar(2)
 
 
 def test_bilinear_foreign_symbol():
     a10 = build_root_datum("A", m=1, n=0)
     with pytest.raises(TypeError):
-        bilinear(a10, wv({"e9": 1}), wv({"e1": 1}))
+        a10.form_value(wv({"e9": 1}), wv({"e1": 1}))
 
 
 def test_distinguished_systems():
@@ -227,12 +226,12 @@ def test_positive_roots_half_property_and_length_multiset():
                     ("D", dict(m=2, n=1)), ("G3", {}), ("D21a", {})]:
         d = build_root_datum(fam, **kw)
         lengths = sorted(
-            render(bilinear(d, b, b)) for b in d.all_roots
+            render(d.form_value(b, b)) for b in d.all_roots
         )
         for system in enumerate_simple_systems(d):
             assert 2 * len(positive_roots(system)) == len(d.all_roots)
             # odd reflections permute the ambient roots, lengths unchanged
-            assert sorted(render(bilinear(d, b, b)) for b in d.all_roots) == lengths
+            assert sorted(render(d.form_value(b, b)) for b in d.all_roots) == lengths
 
 
 def test_enumeration_is_order_independent():

@@ -1,5 +1,6 @@
-"""Lowering stability: coefficient types of the lowering operators, and the
-rule that the covering engine is built only where a residual survives."""
+"""Lowering stability: coefficient types of the lowering operators, the
+rule that the covering engine is built only where a residual survives, and
+the one engine that verification, necessity and stability share."""
 
 from fractions import Fraction
 
@@ -8,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import superserre.quotient as quotient
+from conftest import FAMILY_MATRIX
 from superserre.freelie import expand_terms, lower_terms
 from superserre.quotient import check_lowering_stability
 from superserre.rootdata import build_root_datum, enumerate_simple_systems
 from superserre.scalars import Scalar
 from superserre.serre import presentation
+from superserre.verify import _necessity, necessity_survey, verify_presentation
 
 
 def _presentation(family, k, **kw):
@@ -172,3 +175,22 @@ def test_one_engine_when_an_entry_needs_the_ideal(family, kw, k, engine_builds, 
         if e.how in ("ideal", "violation")
     )
     assert heights and max(heights) <= top
+
+
+def test_verify_necessity_and_stability_share_one_engine(engine_builds):
+    # on every matrix class the three checks read the levels of one engine,
+    # the verified presentation's, and each gives what it gives on a fresh
+    # presentation
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        for k, system in enumerate(enumerate_simple_systems(datum)):
+            engine_builds[0] = 0
+            report = verify_presentation(datum, system)
+            pres = report.presentation
+            higher = [j for j, el in enumerate(pres.e_side) if el.provenance != "standard"]
+            necessity = [res.to_json() for res in _necessity(pres, higher)] if higher else []
+            stability = check_lowering_stability(pres).to_json()
+            assert report.passed and engine_builds[0] == 1, (datum.name, k)
+            assert necessity == [res.to_json() for res in necessity_survey(datum, system)], (datum.name, k)
+            fresh = check_lowering_stability(presentation(datum, system)).to_json()
+            assert stability == fresh, (datum.name, k)

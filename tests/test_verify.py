@@ -242,22 +242,28 @@ def test_an_element_in_the_ideal_by_jacobi_is_not_necessary(monkeypatch):
 
 def test_runs_stop_by_themselves_and_stability_needs_no_span(monkeypatch):
     # verify's guarded run closes at or below top + 1; the necessity survey
-    # makes at most one run per class, stopped below its highest element;
-    # and every lowered element is zero or rewrites to zero on the engine,
-    # with no verdict left to a span stage
+    # makes an engine only for a class with higher order elements and reads
+    # its levels only below the highest of them; and every lowered element
+    # is zero or rewrites to zero on the engine, with no verdict left to a
+    # span stage
     import superserre.verify as verify
     from superserre.freelie import content_height
     from superserre.quotient import check_lowering_stability
 
-    runs = []
-    quotient_dimensions = verify.quotient_dimensions
+    runs, made = [], []
+    quotient_dimensions, presentation = verify.quotient_dimensions, verify.presentation
 
     def recording(pres, max_height, excess_guard=None):
         report = quotient_dimensions(pres, max_height, excess_guard)
         runs.append(report)
         return report
 
+    def recording_presentation(datum, system):
+        made.append(presentation(datum, system))
+        return made[-1]
+
     monkeypatch.setattr(verify, "quotient_dimensions", recording)
+    monkeypatch.setattr(verify, "presentation", recording_presentation)
     for fam, kw, _ in FAMILY_MATRIX:
         datum = build_root_datum(fam, **kw)
         for system in enumerate_simple_systems(datum):
@@ -267,10 +273,12 @@ def test_runs_stop_by_themselves_and_stability_needs_no_span(monkeypatch):
             assert runs == [report.quotient_report], datum.name
             assert report.quotient_report.closed, datum.name
             assert report.quotient_report.max_height_reached <= top + 1, datum.name
-            del runs[:]
+            del made[:]
             necessity_survey(datum, system)
-            heights = [content_height(el.content) for el in report.presentation.higher_order]
-            assert len(runs) == (1 if heights else 0), datum.name
-            assert all(rep.max_height_reached < max(heights) for rep in runs), datum.name
+            (pres,) = made
+            heights = [content_height(el.content) for el in pres.higher_order]
+            assert ("engine" in vars(pres)) == bool(heights), datum.name
+            if heights:
+                assert pres.engine.completed < max(heights), datum.name
             hows = {e.how for e in check_lowering_stability(report.presentation).entries}
             assert hows <= {"zero", "ideal"}, (datum.name, hows)
