@@ -55,7 +55,7 @@ class CartanData:
     methods; nothing in the package reads them.
     """
 
-    def __init__(self, family, b, d, theta, kappa, lm2, parities):
+    def __init__(self, family, b, d, theta, kappa, lm2):
         self.family = family
         self.rank = len(b)
         self.native_b = b
@@ -63,7 +63,7 @@ class CartanData:
         self.theta = frozenset(theta)
         self.kappa = kappa
         self.lm2 = lm2
-        self.parities = tuple(parities)
+        self.parities = tuple(int(i in self.theta) for i in range(1, self.rank + 1))
         self.native_a = [[_quotient(x, di) for x in row] for row, di in zip(b, d)]
         self.sgn = [[_sign(x) for x in row] for row in b]
         self._validate()
@@ -147,8 +147,7 @@ def cartan_matrix(datum, system):
     kappa = 0 if datum.family == "B" else 1
     iso_d = _quotient(lm2, 2 ** kappa)
     d = [_quotient(b[i][i], 2) if b[i][i] else iso_d for i in range(r)]
-    parities = tuple(1 if datum.is_odd(roots[i]) else 0 for i in range(r))
-    return CartanData(datum.family, b, d, system.theta, kappa, lm2, parities)
+    return CartanData(datum.family, b, d, system.theta, kappa, lm2)
 
 
 class Edge:

@@ -432,7 +432,7 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
     (`CoveringEngine.rho`).
     """
     if max_height < 1:
-        raise ValueError("maxHeight must be >= 1")
+        raise ValueError("max_height must be >= 1")
     parities = presentation.parities
     engine = presentation.engine
     per_weight = {}

@@ -205,13 +205,6 @@ class RootDatum:
         self.simple_roots = tuple(simple_roots)  # the distinguished system's, in order
         self.rank = len(self.simple_roots)
 
-    def is_odd(self, root):
-        if root in self.odd_roots:
-            return True
-        if root in self.even_roots:
-            return False
-        raise TypeError(f"{root} is not a root of {self.name}")
-
     def form_value(self, lam, mu):
         """(lam, mu), canonical through `scalars.native`: an `int` or a
         `Fraction` with denominator other than 1, and a `Scalar` only where

@@ -87,7 +87,7 @@ def test_quotient_dimensions_d21a_generic():
 def test_zero_max_height_is_rejected():
     datum = build_root_datum("A", m=1, n=1)
     pres = presentation(datum, distinguished_simple_system(datum))
-    with pytest.raises(ValueError, match="maxHeight"):
+    with pytest.raises(ValueError, match="max_height"):
         quotient_dimensions(pres, 0)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_MATRIX, algebras_of_rank
+from conftest import algebras_of_rank
 from superserre.rootdata import (
     InconsistencyError,
     ParameterError,
@@ -353,9 +353,10 @@ def _matrix_rank(vectors):
     return rank
 
 
-def test_borel_class_counts_up_to_rank_7():
+def check_borel_classes(max_rank):
+    """(algebras, classes) up to `max_rank`, every class count as classified."""
     algebras = classes = 0
-    for r in range(1, 8):
+    for r in range(1, max_rank + 1):
         for fam, kw in algebras_of_rank(r):
             datum = build_root_datum(fam, **kw)
             systems = enumerate_simple_systems(datum)
@@ -369,7 +370,11 @@ def test_borel_class_counts_up_to_rank_7():
                 positive_roots(system)  # raises unless exactly half the roots are positive
             algebras += 1
             classes += len(systems)
-    assert (algebras, classes) == (66, 912)
+    return algebras, classes
+
+
+def test_borel_class_counts_up_to_rank_7():
+    assert check_borel_classes(7) == (66, 912)
 
 
 def _solve_coordinates(system, vector):
@@ -404,17 +409,27 @@ def _solve_coordinates(system, vector):
     return tuple(sol)
 
 
-def test_positive_roots_match_per_root_solver_on_the_matrix():
-    for fam, kw, _ in FAMILY_MATRIX:
-        datum = build_root_datum(fam, **kw)
-        for system in enumerate_simple_systems(datum):
-            expected = {}
-            for root in datum.all_roots:
-                sol = _solve_coordinates(system, root)
-                assert sol is not None and all(c.denominator == 1 for c in sol)
-                if all(c >= 0 for c in sol):
-                    expected[root] = tuple(int(c) for c in sol)
-            assert positive_roots(system) == expected, system
+def check_positive_roots(max_rank):
+    """(algebras, classes) up to `max_rank`, every positive root as the solver's."""
+    algebras = classes = 0
+    for r in range(1, max_rank + 1):
+        for fam, kw in algebras_of_rank(r):
+            datum = build_root_datum(fam, **kw)
+            for k, system in enumerate(enumerate_simple_systems(datum)):
+                expected = {}
+                for root in datum.all_roots:
+                    sol = _solve_coordinates(system, root)
+                    assert sol is not None and all(c.denominator == 1 for c in sol), (datum.name, k, root)
+                    if min(sol) >= 0:
+                        expected[root] = tuple(int(c) for c in sol)
+                assert positive_roots(system) == expected, (datum.name, k)
+                classes += 1
+            algebras += 1
+    return algebras, classes
+
+
+def test_positive_roots_match_per_root_solver_up_to_rank_4():
+    assert check_positive_roots(4) == (23, 98)
 
 
 # the three catalogue-sized series algebras, the exceptional ones, and

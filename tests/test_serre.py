@@ -170,6 +170,7 @@ def _native_or_parametric(c):
 
 
 _ALGEBRAS = [(fam, kw) for fam, kw, _ in FAMILY_MATRIX] + [("D21a", dict(alpha=2))]
+_ALGEBRAS += [("B", dict(m=3, n=3)), ("D", dict(m=3, n=3)), ("A", dict(m=4, n=2))]
 
 
 @pytest.mark.parametrize(
@@ -283,15 +284,20 @@ def test_distinguished_systems_reduce_to_the_two_patterns():
             assert el.nodes[1] == s and el.nodes[0] == s - 1, el
 
 
-def test_relation_set_equals_the_expansion_oracle_up_to_rank_6():
-    # the standard list leaves out [e_i, e_j] with i > j of two odd
-    # generators and no list is deduplicated; the oracle keeps both orders
-    # of every pair and deduplicates everything by key, so a repeated
-    # element makes the built list the longer
-    # D(2,1;a) also with a specialised to 2, -1/2 and 1
+def check_relation_sets(max_rank):
+    """(algebras, classes) up to `max_rank`, and D(2,1;a) with a = 2, -1/2, 1,
+    every relation set as the expansion oracle's.
+
+    The builder leaves out [e_i, e_j], i > j, of two odd generators and
+    expands nothing; the oracle keeps both orders of every standard pair and
+    deduplicates by expansion into free-Lie words, so a repeated element
+    makes the built list the longer.  Its higher order matches come from the
+    tests' own copy of the earlier matchers (a loop per 3-node shape, all 24
+    orderings of a 4-node path), not the library's, so a matcher change
+    shows up as a difference."""
     special = [("D21a", dict(alpha=x)) for x in (2, Fraction(-1, 2), 1)]
-    classes = 0
-    for r in range(1, 7):
+    algebras = classes = 0
+    for r in range(1, max_rank + 1):
         for fam, kw in algebras_of_rank(r) + (special if r == 3 else []):
             datum = build_root_datum(fam, **kw)
             for k, system in enumerate(enumerate_simple_systems(datum)):
@@ -299,7 +305,12 @@ def test_relation_set_equals_the_expansion_oracle_up_to_rank_6():
                 want = [el.to_json() for el in expansion_oracle(datum, system)]
                 assert got == want, (datum.name, k)
                 classes += 1
-    assert classes == 446
+            algebras += 1
+    return algebras, classes
+
+
+def test_relation_set_equals_the_expansion_oracle_up_to_rank_6():
+    assert check_relation_sets(6) == (52, 446)
 
 
 def test_match_4node_equals_the_every_ordering_oracle():

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import FAMILY_MATRIX, necessity_oracle
+from conftest import FAMILY_MATRIX, algebras_of_rank, necessity_oracle
 from superserre.rootdata import (
     PreconditionError,
     build_root_datum,
@@ -206,14 +206,27 @@ def test_a_redundant_element_is_not_necessary(monkeypatch):
     assert verify_presentation(datum, system).passed
 
 
-def test_necessity_survey_matches_the_rerun_oracle():
+def check_necessity(max_rank):
+    """(algebras, classes) up to `max_rank`, every necessity verdict as the rerun oracle's."""
     from superserre.serre import presentation
 
-    for fam, kw, _ in FAMILY_MATRIX:
-        datum = build_root_datum(fam, **kw)
-        for k, system in enumerate(enumerate_simple_systems(datum)):
-            got = [res.to_json() for res in necessity_survey(datum, system)]
-            assert got == necessity_oracle(presentation(datum, system)), (datum.name, k)
+    algebras = classes = 0
+    for r in range(1, max_rank + 1):
+        for fam, kw in algebras_of_rank(r):
+            datum = build_root_datum(fam, **kw)
+            for k, system in enumerate(enumerate_simple_systems(datum)):
+                got = [res.to_json() for res in necessity_survey(datum, system)]
+                assert got == necessity_oracle(presentation(datum, system)), (datum.name, k)
+                classes += 1
+            algebras += 1
+    return algebras, classes
+
+
+def test_necessity_survey_matches_the_rerun_oracle():
+    # ranks 1 to 4, here and for positive roots, hold every matrix algebra
+    within = [alg for r in range(1, 5) for alg in algebras_of_rank(r)]
+    assert all((fam, kw) in within for fam, kw, _ in FAMILY_MATRIX)
+    assert check_necessity(4) == (23, 98)
 
 
 def test_an_element_in_the_ideal_by_jacobi_is_not_necessary(monkeypatch):
