@@ -19,6 +19,7 @@ from .verify import (
     compare_z_grading,
     necessity_survey,
     necessity_test,
+    survey_presentation,
     verify_all_borels,
     verify_presentation,
 )
@@ -55,6 +56,7 @@ __all__ = [
     "verify_all_borels",
     "necessity_test",
     "necessity_survey",
+    "survey_presentation",
     "compare_z_grading",
 ]
 

@@ -14,6 +14,16 @@ converts them once), and only coefficients that involve a are `Scalar`,
 which meets an `int` or a `Fraction` through its coercion.  Zero is tested
 with `not c`.  No float ever arises: the one inversion, `_reciprocal`,
 never divides an `int` with `/`.
+
+What the echelon makes, it makes native: a reciprocal, a stored row or
+coordinate entry and a read-off coefficient that is a `Fraction` with
+denominator 1 is kept as its `int` (in `_reciprocal` and `_settle`, a rule
+of this module, so that it imports nothing from `scalars`).  Only the type
+changes: an `int` equals, and hashes as, the `Fraction` it replaces, so
+every value, hence every support, pivot and read-off, is what it was.
+Later arithmetic on that entry runs on `int` and skips `Fraction`'s
+normalisation, and a pivot `Fraction(1)` becomes the `int` 1 that spares a
+row its rescaling.
 """
 
 from __future__ import annotations
@@ -39,16 +49,30 @@ def axpy(dst, src, c=1):
     return dst
 
 
+def _settle(vec, c=1):
+    """vec scaled by c in place, each `Fraction` entry with denominator 1
+    replaced by its `int`; returns vec.  The `int` 1 skips the
+    multiplication."""
+    unit = type(c) is int and c == 1
+    for k, v in vec.items():
+        if not unit:
+            v = c * v
+        vec[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+    return vec
+
+
 def _reciprocal(c):
-    """1 / c exactly, in c's own type where possible.
+    """1 / c exactly, never a float, and an `int` when it is integral.
 
     A bare `1 / c` turns an `int` into a float, so an `int` goes through
     `Fraction(1, c)`, and the units 1 and -1 stay `int`.  `Fraction` and
-    `Scalar` invert exactly with `/`.
+    `Scalar` invert exactly with `/`; the inverse of a `Fraction` 1/n is
+    the `int` n, so a pivot `Fraction(1)` or `Fraction(-1)` gives a unit.
     """
     if type(c) is int:
         return c if c == 1 or c == -1 else Fraction(1, c)
-    return 1 / c
+    inv = 1 / c
+    return inv.numerator if type(inv) is Fraction and inv.denominator == 1 else inv
 
 
 class Echelon:
@@ -85,17 +109,19 @@ class Echelon:
     def insert(self, vec, coords=None):
         """Reduce and, if independent, store; returns the new pivot or None.
 
-        `vec` is reduced in place and, when its pivot is already the `int`
-        1, stored as it is, so the caller must not reuse it."""
+        `vec` and `coords` are reduced, scaled to pivot 1 and stored in
+        place, so the caller must not reuse them.  The scaling keeps each
+        integral entry as an `int` (`_settle`), the pivot included, also
+        when the pivot was already 1 and nothing is multiplied: reduction
+        by rows with `Fraction` entries may leave a `Fraction(n)` behind."""
         self.reduce(vec, coords)
         if not vec:
             return None
         pivot = min(vec)
         inv = _reciprocal(vec[pivot])
-        if not (type(inv) is int and inv == 1):
-            vec = {k: c * inv for k, c in vec.items()}
-            if coords is not None:
-                coords = {j: c * inv for j, c in coords.items()}
+        _settle(vec, inv)
+        if coords is not None:
+            _settle(coords, inv)
         self.rows[pivot] = (vec, coords)
         return pivot
 
@@ -108,5 +134,5 @@ class Echelon:
             for q, c in self.rows[p][0].items():
                 if q != p:
                     axpy(acc, expr.get(q, {q: 1}), -c)
-            expr[p] = acc
+            expr[p] = _settle(acc)
         return expr

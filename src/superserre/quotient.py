@@ -172,6 +172,11 @@ class CoveringEngine:
     non-pivot symbols and the read-off products, is the same as with all
     ordered triples.
 
+    Each row is written in one pass: `_bracket_into` adds c * [x, yvec]
+    straight into the row's one dict as canonical pair symbols, so a
+    boundary's three terms and a relation element's products make no
+    vector or symbol dict of their own.
+
     Coefficients are the relation terms' own: a presentation without the
     parameter a runs on Python's own rationals, and only coefficients that
     involve a are `Scalar` (mixed rows go through `Scalar`'s coercion).
@@ -243,21 +248,37 @@ class CoveringEngine:
 
     # -- pair symbols at the level being built ----------------------------------
 
-    def _sym(self, x, y):
-        """Canonical pair-symbol vector of [x, y] at the current level."""
-        if x == y:
-            if self.parity_of[x] == 0:
-                return {}
-            return {(x, x): 1}
-        if x < y:
-            return {(x, y): 1}
-        sign = self._koszul(x, y)
-        return {(y, x): -sign}
+    def _bracket_into(self, out, c, x, yvec):
+        """out += c * [x, yvec] as canonical pair symbols at the current
+        level, in place; returns out.
 
-    def _sym_vec_right(self, x, yvec):
-        out = {}
-        for y, c in yvec.items():
-            axpy(out, self._sym(x, y), c)
+        [x, y] is the symbol (x, y) for x < y, -(-1)^{|x||y|} (y, x) for
+        x > y, (x, x) for x = y odd and zero for x = y even.  Entries that
+        cancel are dropped, and the `int` 1 skips the multiplication, as
+        in `axpy`."""
+        parity_of = self.parity_of
+        odd_x = parity_of[x]
+        unit = type(c) is int and c == 1
+        for y, v in yvec.items():
+            if x < y:
+                key = (x, y)
+            elif x > y:
+                key = (y, x)
+                if not (odd_x and parity_of[y]):
+                    v = -v
+            elif odd_x:
+                key = (x, x)
+            else:
+                continue
+            if not unit:
+                v = c * v
+            old = out.get(key)
+            if old is not None:
+                v = old + v
+            if v:
+                out[key] = v
+            else:
+                out.pop(key, None)
         return out
 
     def rho_pair(self, terms):
@@ -266,17 +287,17 @@ class CoveringEngine:
         for (u, v), coeff in terms.items():  # relation elements have height >= 2
             rv = self.rho(v)
             for x, cx in self.rho(u).items():
-                axpy(out, self._sym_vec_right(x, rv), coeff * cx)
+                self._bracket_into(out, coeff * cx, x, rv)
         return out
 
     def _jacobi_boundary(self, x, y, z):
         """Pair-symbol vector of [x,[y,z]] - [[x,y],z] - (-1)^{|x||y|} [y,[x,z]],
-        with -[[x,y],z] written as (-1)^{(|x|+|y|)|z|} [z,[x,y]]."""
-        vec = self._sym_vec_right(x, self.product(y, z))
+        with -[[x,y],z] written as (-1)^{(|x|+|y|)|z|} [z,[x,y]], its three
+        terms added into one dict."""
+        vec = self._bracket_into({}, 1, x, self.product(y, z))
         sign = -1 if self.parity_of[x] != self.parity_of[y] and self.parity_of[z] else 1
-        axpy(vec, self._sym_vec_right(z, self.product(x, y)), sign)
-        axpy(vec, self._sym_vec_right(y, self.product(x, z)), -self._koszul(x, y))
-        return vec
+        self._bracket_into(vec, sign, z, self.product(x, y))
+        return self._bracket_into(vec, -self._koszul(x, y), y, self.product(x, z))
 
     # -- level construction -------------------------------------------------------
 

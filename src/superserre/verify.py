@@ -159,12 +159,18 @@ def necessity_test(datum, system, relation_index):
     return _necessity(presentation(datum, system), [relation_index])[0]
 
 
-def necessity_survey(datum, system):
-    """Necessity of every higher order element of the presentation, all on
-    its one covering engine."""
-    pres = presentation(datum, system)
+def survey_presentation(pres):
+    """Necessity of every higher order element of `pres`, all on its one
+    covering engine, so a presentation that verification has run on (a
+    `VerificationReport.presentation`) reuses the levels already built."""
     indices = [idx for idx, el in enumerate(pres.e_side) if el.provenance != "standard"]
     return _necessity(pres, indices) if indices else []
+
+
+def necessity_survey(datum, system):
+    """Necessity of every higher order element of the class's presentation:
+    `survey_presentation` on a presentation of its own."""
+    return survey_presentation(presentation(datum, system))
 
 
 def verify_all_borels(datum):

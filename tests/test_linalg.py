@@ -124,25 +124,33 @@ def test_read_off_annihilates_every_inserted_row(rows):
     assert all(_no_float(e) for e in expr.values())
 
 
+def _settled(v):
+    """An int, or a Fraction that is not an integer."""
+    return type(v) is int or (type(v) is Fraction and v.denominator != 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(_vectors(_native), max_size=6))
 def test_native_rows_stay_native(rows):
-    # over Q the echelon never leaves int and Fraction: no float, no Scalar
+    # over Q the echelon never leaves int and Fraction: no float, no Scalar,
+    # and no Fraction with denominator 1 in a stored row, its coordinates or
+    # a read-off
     ech = _echelon_of(rows)
     for vec, coords in ech.rows.values():
         for v in list(vec.values()) + list(coords.values()):
-            assert type(v) in (int, Fraction)
+            assert _settled(v), v
     for e in ech.read_off().values():
-        assert all(type(v) in (int, Fraction) for v in e.values())
+        assert all(_settled(v) for v in e.values())
 
 
 def test_native_pivots_are_exact():
-    # an int pivot is inverted as a Fraction, never as a float
+    # an int pivot is inverted as a Fraction, never as a float; the stored
+    # pivot is the int 1
     ech = Echelon()
     assert ech.insert({0: 3, 1: 1}) == 0
     (vec, _), = ech.rows.values()
     assert vec == {0: 1, 1: Fraction(1, 3)}
-    assert all(type(v) is Fraction for v in vec.values())
+    assert type(vec[0]) is int and type(vec[1]) is Fraction
     # unit pivots keep the row on int; a negative unit flips its sign
     ech.insert({2: -1, 3: 4})
     assert ech.rows[2][0] == {2: 1, 3: -4}

@@ -1,11 +1,13 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from superserre.freelie import expand_terms, free_dimension
+from conftest import algebras_of_rank
+from superserre.freelie import content_height, expand_terms, free_dimension
+from superserre.linalg import axpy
 from superserre.quotient import (
     CoveringEngine,
     IdealWordEngine,
@@ -129,6 +131,30 @@ def test_cross_validation_against_word_engine():
                 assert free == free_dimension(pres.parities, nu)
                 assert word.rank(nu) == ideal_rank, (fam, nu)
                 assert free - ideal_rank == q
+
+
+def check_word_engine(max_rank, max_height=5):
+    """(algebras, classes) up to `max_rank`, each class verified and every
+    ideal rank of height <= `max_height` as the word engine's."""
+    algebras = classes = 0
+    for r in range(1, max_rank + 1):
+        for fam, kw in algebras_of_rank(r):
+            datum = build_root_datum(fam, **kw)
+            for k, system in enumerate(enumerate_simple_systems(datum)):
+                report = verify_presentation(datum, system)
+                assert report.passed, (datum.name, k)
+                pres = report.presentation
+                word = IdealWordEngine(pres.parities, pres.e_side)
+                for nu, (_, ideal_rank, _) in report.quotient_report.per_weight.items():
+                    if sum(nu) <= max_height:
+                        assert word.rank(nu) == ideal_rank, (datum.name, k, nu)
+                classes += 1
+            algebras += 1
+    return algebras, classes
+
+
+def test_word_engine_ranks_up_to_rank_4():
+    assert check_word_engine(4) == (23, 98)
 
 
 def test_monotonicity_more_relations_never_grow():
@@ -281,12 +307,80 @@ def test_jacobi_boundary_permutations_span_one_line(family, k, over_qa):
     assert bool(qa_terms) == over_qa
 
 
+# Oracle for the one-pass row kernel `CoveringEngine._bracket_into`: one
+# dict per pair symbol and one per right-hand vector, summed with `axpy`.
+
+
+def _sym(engine, x, y):
+    """Canonical pair-symbol vector of [x, y] at the current level."""
+    if x == y:
+        if engine.parity_of[x] == 0:
+            return {}
+        return {(x, x): 1}
+    if x < y:
+        return {(x, y): 1}
+    sign = engine._koszul(x, y)
+    return {(y, x): -sign}
+
+
+def _sym_vec_right(engine, x, yvec):
+    out = {}
+    for y, c in yvec.items():
+        axpy(out, _sym(engine, x, y), c)
+    return out
+
+
+def _rho_pair_oracle(engine, terms):
+    out = {}
+    for (u, v), coeff in terms.items():
+        rv = engine.rho(v)
+        for x, cx in engine.rho(u).items():
+            axpy(out, _sym_vec_right(engine, x, rv), coeff * cx)
+    return out
+
+
+def _jacobi_boundary_oracle(engine, x, y, z):
+    vec = _sym_vec_right(engine, x, engine.product(y, z))
+    sign = -1 if engine.parity_of[x] != engine.parity_of[y] and engine.parity_of[z] else 1
+    axpy(vec, _sym_vec_right(engine, z, engine.product(x, y)), sign)
+    axpy(vec, _sym_vec_right(engine, y, engine.product(x, z)), -engine._koszul(x, y))
+    return vec
+
+
+@pytest.mark.parametrize("family,k", [("F4", 0), ("D21a", 0), ("D21a", 1)])
+def test_one_pass_rows_match_the_per_symbol_oracle(family, k):
+    # every ordered basis triple of height <= 4 and every relation element of
+    # height <= 4 gives the row the per-symbol composition gives; F(4) runs
+    # over Q, generic D(2,1;a) class 1 over Q(a)
+    datum = build_root_datum(family)
+    pres = presentation(datum, enumerate_simple_systems(datum)[k])
+    engine = CoveringEngine(pres.parities, pres.e_side)
+    for h in (2, 3):
+        engine.build_level(h)
+    height = {b: h for h, ids in engine.level_ids.items() for b in ids}
+    triples = nonzero = 0
+    for triple in product(sorted(height), repeat=3):
+        if sum(height[b] for b in triple) <= 4:
+            got = engine._jacobi_boundary(*triple)
+            assert got == _jacobi_boundary_oracle(engine, *triple), triple
+            triples += 1
+            nonzero += bool(got)
+    rows = 0
+    for el in pres.e_side:
+        if content_height(el.content) <= 4:
+            got = engine.rho_pair(el.terms)
+            assert got == _rho_pair_oracle(engine, el.terms), el.render()
+            rows += bool(got)
+    assert nonzero and rows and triples > nonzero
+
+
 def _coefficients(engine):
     return [c for vec in engine.products.values() for c in vec.values()]
 
 
 def test_engine_coefficients_are_native_rationals_over_q():
-    # a presentation without the parameter runs on int and Fraction only
+    # a presentation without the parameter runs on int and Fraction only,
+    # and no structure constant is a Fraction with denominator 1
     datum = build_root_datum("F4")
     for system in enumerate_simple_systems(datum):
         pres = presentation(datum, system)
@@ -294,6 +388,7 @@ def test_engine_coefficients_are_native_rationals_over_q():
         coeffs = _coefficients(pres.engine)
         assert rep.closed and coeffs
         assert all(type(c) in (int, Fraction) for c in coeffs)
+        assert not any(type(c) is Fraction and c.denominator == 1 for c in coeffs)
 
 
 def test_engine_coefficients_keep_the_parameter_as_scalar():

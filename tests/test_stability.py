@@ -15,7 +15,7 @@ from superserre.quotient import check_lowering_stability
 from superserre.rootdata import build_root_datum, enumerate_simple_systems
 from superserre.scalars import Scalar
 from superserre.serre import presentation
-from superserre.verify import _necessity, necessity_survey, verify_presentation
+from superserre.verify import necessity_survey, survey_presentation, verify_presentation
 
 
 def _presentation(family, k, **kw):
@@ -189,8 +189,7 @@ def test_verify_necessity_and_stability_share_one_engine(engine_builds):
             engine_builds[0] = 0
             report = verify_presentation(datum, system)
             pres = report.presentation
-            higher = [j for j, el in enumerate(pres.e_side) if el.provenance != "standard"]
-            necessity = [res.to_json() for res in _necessity(pres, higher)] if higher else []
+            necessity = [res.to_json() for res in survey_presentation(pres)]
             stability = check_lowering_stability(pres)
             assert report.passed and engine_builds[0] == 1, (datum.name, k)
             assert necessity == [res.to_json() for res in necessity_survey(datum, system)], (datum.name, k)
