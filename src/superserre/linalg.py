@@ -17,10 +17,10 @@ never divides an `int` with `/`.
 
 What the echelon makes, it makes native: a reciprocal, a stored row or
 coordinate entry and a read-off coefficient that is a `Fraction` with
-denominator 1 is kept as its `int` (in `_reciprocal` and `_settle`, a rule
-of this module, so that it imports nothing from `scalars`).  Only the type
-changes: an `int` equals, and hashes as, the `Fraction` it replaces, so
-every value, hence every support, pivot and read-off, is what it was.
+denominator 1 is kept as its `int` (`_native`, a rule of this module, so
+that it imports nothing from `scalars`).  Only the type changes: an `int`
+equals, and hashes as, the `Fraction` it replaces, so every value, hence
+every support, pivot and read-off, is what it was.
 Later arithmetic on that entry runs on `int` and skips `Fraction`'s
 normalisation, and a pivot `Fraction(1)` becomes the `int` 1 that spares a
 row its rescaling.
@@ -49,6 +49,11 @@ def axpy(dst, src, c=1):
     return dst
 
 
+def _native(v):
+    """v, or its `int` when v is a `Fraction` with denominator 1."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
 def _settle(vec, c=1):
     """vec scaled by c in place, each `Fraction` entry with denominator 1
     replaced by its `int`; returns vec.  The `int` 1 skips the
@@ -57,7 +62,7 @@ def _settle(vec, c=1):
     for k, v in vec.items():
         if not unit:
             v = c * v
-        vec[k] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
+        vec[k] = _native(v)
     return vec
 
 
@@ -71,8 +76,7 @@ def _reciprocal(c):
     """
     if type(c) is int:
         return c if c == 1 or c == -1 else Fraction(1, c)
-    inv = 1 / c
-    return inv.numerator if type(inv) is Fraction and inv.denominator == 1 else inv
+    return _native(1 / c)
 
 
 class Echelon:

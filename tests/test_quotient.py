@@ -133,9 +133,9 @@ def test_cross_validation_against_word_engine():
                 assert free - ideal_rank == q
 
 
-def check_word_engine(max_rank, max_height=5):
+def check_word_engine(max_rank):
     """(algebras, classes) up to `max_rank`, each class verified and every
-    ideal rank of height <= `max_height` as the word engine's."""
+    ideal rank of height <= 5 as the word engine's."""
     algebras = classes = 0
     for r in range(1, max_rank + 1):
         for fam, kw in algebras_of_rank(r):
@@ -146,7 +146,7 @@ def check_word_engine(max_rank, max_height=5):
                 pres = report.presentation
                 word = IdealWordEngine(pres.parities, pres.e_side)
                 for nu, (_, ideal_rank, _) in report.quotient_report.per_weight.items():
-                    if sum(nu) <= max_height:
+                    if sum(nu) <= 5:
                         assert word.rank(nu) == ideal_rank, (datum.name, k, nu)
                 classes += 1
             algebras += 1
