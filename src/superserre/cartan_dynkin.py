@@ -9,8 +9,9 @@ glyphs alone do not determine.
 Every entry is exact and native (`scalars.native`): an `int`, a `Fraction`
 with denominator other than 1, or a `Scalar` only where the parameter a of
 the generic D(2,1;a) appears.  The Gram entries arrive that way from
-`RootDatum.form_value`, and D and A are formed by `_quotient`, so no
-`Scalar` is built for a datum without the parameter.
+`RootDatum.form_value`, D and A are formed by `_quotient`, and the edge
+labels of a D(2,1;a) diagram are native too, so no `Scalar` is built for a
+datum without the parameter.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ class Edge:
         self.count = count
         self.arrow_towards = arrow_towards  # 0-based node index or None
         self.sign = sign
-        self.b_label = b_label  # Scalar, populated for D(2,1;a) only
+        self.b_label = b_label  # native value, populated for D(2,1;a) only
 
     def __eq__(self, other):
         return (
@@ -171,7 +172,7 @@ class Edge:
         if self.arrow_towards is not None:
             bits.append(f"arrow->{self.arrow_towards}")
         if self.b_label is not None:
-            bits.append(f"label={self.b_label.render()}")
+            bits.append(f"label={render(self.b_label)}")
         return "Edge(" + ", ".join(bits) + ")"
 
 
@@ -242,7 +243,7 @@ def build_diagram(cd):
             for j in range(i + 1, r):
                 if not cd.native_a[i][j]:
                     continue
-                label = Scalar(cd.native_b[i][j] * scale)
+                label = native(cd.native_b[i][j] * scale)
                 edges[(i, j)] = Edge(1, None, cd.sgn[i][j], label)
         return DynkinDiagram(colors, edges, labelled=True)
 
@@ -317,7 +318,7 @@ def diagram_to_json_dict(diag):
                 "count": e.count,
                 "arrowTowards": e.arrow_towards,
                 "sign": e.sign,
-                "bLabel": e.b_label.render() if e.b_label is not None else None,
+                "bLabel": render(e.b_label) if e.b_label is not None else None,
             }
         )
     return {"nodes": list(diag.nodes), "edges": edges, "labelled": diag.labelled}
@@ -370,7 +371,7 @@ def diagram_from_json_dict(data):
         if label is not None and not isinstance(label, str):
             raise ValueError(f"{where}.bLabel = {label!r} is not null or a string")
         try:
-            b_label = parse_scalar(label) if label is not None else None
+            b_label = native(parse_scalar(label)) if label is not None else None
         except (ValueError, ZeroDivisionError, RecursionError) as exc:
             raise ValueError(f"{where}.bLabel: {exc}") from None
         edges[(i, j)] = Edge(count, arrow, sign, b_label)
@@ -422,7 +423,7 @@ def _edge_ascii(diag, i, j):
     bar = _BAR[e.count]
     decorations = []
     if e.b_label is not None:
-        decorations.append("{" + e.b_label.render() + "}")
+        decorations.append("{" + render(e.b_label) + "}")
     elif e.sign:
         decorations.append("[-]" if e.sign < 0 else "[+]")
     middle = "".join(decorations) or bar
@@ -459,7 +460,7 @@ def _diagram_latex(diag):
         elif e.arrow_towards == i:
             core = "<" + core
         if e.b_label is not None:
-            core += "^{" + e.b_label.render() + "}"
+            core += "^{" + render(e.b_label) + "}"
         return r"\;" + core + r"\;"
 
     if order is not None:

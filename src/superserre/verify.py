@@ -125,7 +125,12 @@ def _necessity(pres, indices):
     Let j have weight nu and height h.  Deleting j changes no relation below
     h, so the levels below h are the engine's, and at height h only j's row
     at nu goes: the Jacobi rows and the other relation rows at nu come from
-    those levels.  If j's row lies in their span, every level is unchanged.
+    those levels.  A presentation built by `serre.presentation` has no other
+    row at nu: higher order contents are pairwise distinct
+    (`serre.higher_order_serre_elements`) with at least 3 nonzero
+    coordinates, and standard ones have at most 2.  One built by hand can
+    have some, say an element added twice.  If j's row lies in their span,
+    every level is unchanged.
     Otherwise the quotient at nu grows by exactly 1 and no other weight of
     height h moves.  So on a presentation that passes verification, as every
     class up to rank 8 does, j is necessary exactly when deleting it lets

@@ -6,6 +6,7 @@ from itertools import permutations
 from superserre.cartan_dynkin import BLACK, GREY, WHITE, build_diagram, cartan_matrix, full_subdiagrams
 from superserre.quotient import quotient_dimensions
 from superserre.freelie import content_height, content_parity, expand_terms, is_leaf, tree_content
+from superserre.scalars import parse_scalar, render
 from superserre.serre import SerrePolynomial, ad_power
 from superserre.verify import reference_multiplicities
 
@@ -525,7 +526,7 @@ def diagram_shape(diag):
         for (i, j), e in diag.edges.items():
             a, b = remap[i], remap[j]
             arrow = remap[e.arrow_towards] if e.arrow_towards is not None else None
-            label = e.b_label.render() if e.b_label is not None else None
+            label = render(e.b_label) if e.b_label is not None else None
             edges.append((min(a, b), max(a, b), e.count, arrow, label))
         key = (nodes, tuple(sorted(edges)))
         if best is None or key < best:
@@ -543,7 +544,6 @@ def make_shape(colors, edges):
     `edges` is a list of (i, j, count, arrow_or_None, label_or_None).
     """
     from superserre.cartan_dynkin import DynkinDiagram, Edge
-    from superserre.scalars import parse_scalar
 
     e = {}
     for i, j, count, arrow, label in edges:

@@ -79,7 +79,7 @@ def test_d21a_lm2_and_labels():
     assert labels == {(0, 1): -ONE, (0, 2): -ALPHA}
     systems = enumerate_simple_systems(datum)
     tri = build_diagram(cartan_matrix(datum, systems[1]))
-    got = sorted(e.b_label.render() for e in tri.edges.values())
+    got = sorted(render(e.b_label) for e in tri.edges.values())
     assert got == sorted([ONE.render(), ALPHA.render(), (-(ONE + ALPHA)).render()])
 
 
@@ -467,13 +467,15 @@ def _canonical_entry(x):
     ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}{x}" for k, x in v.items()),
 )
 def test_native_cartan_entries_are_canonical(family, kw):
-    # B, D, A and l_m^2 are built natively: no float, no constant Scalar and
-    # no integral Fraction; the Scalar views hold the same values
+    # B, D, A, l_m^2 and the diagram labels are built natively: no float, no
+    # constant Scalar and no integral Fraction; the Scalar views hold the same
+    # values
     datum = build_root_datum(family, **kw)
     parametric = 0
     for system in enumerate_simple_systems(datum):
         cd = cartan_matrix(datum, system)
-        entries = [x for row in cd.native_b + cd.native_a for x in row] + [*cd.d, cd.lm2]
+        labels = [e.b_label for e in build_diagram(cd).edges.values() if e.b_label is not None]
+        entries = [x for row in cd.native_b + cd.native_a for x in row] + [*cd.d, cd.lm2, *labels]
         for x in entries:
             assert _canonical_entry(x), (datum.name, x, type(x))
         parametric += sum(type(x) is Scalar for x in entries)

@@ -1,27 +1,15 @@
-"""The root tables against Kac's classification, and their golden digests.
+"""The root tables against Kac's classification.
 
-`tests/golden/root_tables.json` holds, for every algebra of `GRID`, the
-SHA-256 of the sorted `repr`s of the even, odd and isotropic roots, of the
-basis symbols in their order with the norm (s, s) of each, of l_m^2 and of
-the ordered distinguished simple system.  Any change to a root set, the
-symbol order, the form or the distinguished system shows up here.
-
-Re-record (only when an output change is intended) with
-
-    PYTHONPATH=src python3 tests/test_root_tables.py
+`GRID` is also the list of algebras whose root tables
+`test_golden.root_table_digests` pins.
 """
 
-import hashlib
-import json
-import pathlib
 from fractions import Fraction
 
 import pytest
 
-from superserre.rootdata import build_root_datum, distinguished_simple_system, wv
-from superserre.scalars import render
+from superserre.rootdata import build_root_datum
 
-GOLDEN = pathlib.Path(__file__).parent / "golden" / "root_tables.json"
 GRID = {
     "A": [dict(m=m, n=n) for m in range(6) for n in range(6) if (m, n) != (0, 0)],
     "B": [dict(m=m, n=n) for m in range(6) for n in range(1, 6)],
@@ -41,32 +29,6 @@ KAC_COUNTS = {
 }
 
 
-def _sha(items):
-    return hashlib.sha256(json.dumps(items).encode()).hexdigest()
-
-
-def root_table_digests():
-    out = {}
-    for fam, cases in GRID.items():
-        for kw in cases:
-            datum = build_root_datum(fam, **kw)
-            units = [wv({s: 1}) for s in datum.norms]
-            out[datum.name] = {
-                "even": _sha(sorted(map(repr, datum.even_roots))),
-                "odd": _sha(sorted(map(repr, datum.odd_roots))),
-                "isotropic": _sha(sorted(map(repr, datum.isotropic_roots))),
-                "symbols": _sha([[repr(u), render(datum.form_value(u, u))] for u in units]),
-                "min_square_length": _sha(repr(datum.min_square_length)),
-                "distinguished": _sha([repr(b) for b in distinguished_simple_system(datum).roots]),
-            }
-    return out
-
-
-def test_root_tables_match_golden():
-    golden = json.loads(GOLDEN.read_text())
-    assert root_table_digests() == golden
-
-
 @pytest.mark.parametrize("fam", sorted(KAC_COUNTS))
 def test_root_counts_match_kac_table(fam):
     for kw in GRID[fam]:
@@ -74,6 +36,3 @@ def test_root_counts_match_kac_table(fam):
         expected = KAC_COUNTS[fam](**kw)
         assert (len(datum.even_roots), len(datum.odd_roots)) == expected, datum.name
 
-
-if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(root_table_digests(), indent=1, sort_keys=True) + "\n")

@@ -294,16 +294,21 @@ def check_relation_sets(max_rank):
     makes the built list the longer.  Its higher order matches come from the
     tests' own copy of the earlier matchers (a loop per 3-node shape, all 24
     orderings of a 4-node path), not the library's, so a matcher change
-    shows up as a difference."""
+    shows up as a difference.  No other element may have a higher order
+    element's content, as the docstring of `verify._necessity` argues."""
     special = [("D21a", dict(alpha=x)) for x in (2, Fraction(-1, 2), 1)]
     algebras = classes = 0
     for r in range(1, max_rank + 1):
         for fam, kw in algebras_of_rank(r) + (special if r == 3 else []):
             datum = build_root_datum(fam, **kw)
             for k, system in enumerate(enumerate_simple_systems(datum)):
-                got = [el.to_json() for el in presentation(datum, system).e_side]
+                pres = presentation(datum, system)
+                got = [el.to_json() for el in pres.e_side]
                 want = [el.to_json() for el in expansion_oracle(datum, system)]
                 assert got == want, (datum.name, k)
+                contents = [el.content for el in pres.e_side]
+                for el in pres.higher_order:
+                    assert contents.count(el.content) == 1, (datum.name, k, el.provenance)
                 classes += 1
             algebras += 1
     return algebras, classes
