@@ -163,6 +163,34 @@ def stability_digests():
     return out
 
 
+def engine_digests():
+    """For every Borel class of `MATRIX`, after `verify_presentation`, the
+    digest of three things on `report.presentation.engine`: `weight_of` in
+    id order, `level_ids`, and `products` with its keys sorted and every
+    coefficient rendered by `scalars.render`.  So every structure constant
+    of the basis, and the order in which the engine gives out ids, is
+    pinned, not only the dimensions the reports print."""
+    out = {}
+    for fam, kw in MATRIX:
+        datum = build_root_datum(fam, **kw)
+        rows = []
+        for system in enumerate_simple_systems(datum):
+            engine = verify_presentation(datum, system).presentation.engine
+            products = [
+                [list(key), [[b, render(c)] for b, c in sorted(vec.items())]]
+                for key, vec in sorted(engine.products.items())
+            ]
+            rows.append(
+                {
+                    "weights": sha_json([list(w) for w in engine.weight_of]),
+                    "levels": sha_json(sorted(engine.level_ids.items())),
+                    "products": sha_json(products),
+                }
+            )
+        out[datum.name] = rows
+    return out
+
+
 def zgrading_digests():
     """For every node d of every algebra of `MATRIX`, the digest of the
     standard output of
@@ -209,6 +237,7 @@ def root_table_digests():
 
 GOLDENS = {
     "cartan_digests": cartan_digests,
+    "engine_digests": engine_digests,
     "necessity_digests": necessity_digests,
     "quotient_digests": quotient_digests,
     "relation_digests": relation_digests,
