@@ -16,7 +16,10 @@ Two engines agree on every weight:
   quotient coordinates, so components stay tiny even when the ambient free
   components are huge, and only at live weights: reachable from the level
   below and not yet of full relation rank.  Reported ideal ranks are free
-  dimension minus quotient dimension.
+  dimension minus quotient dimension.  Inside the engine each weight is
+  also one packed int (`CoveringEngine.pack`), so a weight test is an int
+  addition and a set lookup; every weight it hands out is a tuple, and
+  `jacobi_rows` takes its weights packed.
 
 A presentation owns one covering engine (`Presentation.engine`), made when
 first read.  Verification, the necessity test and the stability check all
@@ -60,6 +63,15 @@ class EngineError(RuntimeError):
 
 def _unit(r, i):
     return tuple(1 if j == i - 1 else 0 for j in range(r))
+
+
+FIELD_BITS = 16  # bits per coordinate of a packed weight
+
+
+def _check_field(h):
+    """Refuse a level whose height does not fit a packed weight's field."""
+    if h >= 1 << FIELD_BITS:
+        raise EngineError(f"height {h} does not fit the {FIELD_BITS}-bit field of a packed weight")
 
 
 def _weight_sub(nu, i):
@@ -186,11 +198,13 @@ class CoveringEngine:
     def __init__(self, parities, elements):
         self.parities = tuple(parities)
         self.r = len(self.parities)
-        self.relations_at = {}  # height -> [(weight, terms)]
+        self._units = [self.pack(_unit(self.r, i)) for i in range(1, self.r + 1)]
+        self.relations_at = {}  # height -> [(packed weight, terms)]
         for el in elements:
             nu = el.content
-            self.relations_at.setdefault(content_height(nu), []).append((nu, el.terms))
+            self.relations_at.setdefault(content_height(nu), []).append((self.pack(nu), el.terms))
         self.weight_of = []
+        self.packed_of = []  # id -> `pack(weight_of[id])`
         self.parity_of = []
         self.height_of = []
         self.level_ids = {}  # height -> list of ids, ordered by weight then id
@@ -200,16 +214,30 @@ class CoveringEngine:
         self.completed = 0
         self._init_level1()
 
-    def _new_basis(self, weight, parity, height):
+    @staticmethod
+    def pack(w):
+        """The weight w as one int: coordinate k in the k-th `FIELD_BITS`-bit
+        field, coordinate 0 in the highest bits.  For weights of one rank
+        with every coordinate below 2^FIELD_BITS, the ints compare as the
+        tuples do lexicographically, and pack(a) + pack(b) = pack(a + b)
+        while every coordinate of a + b stays below 2^FIELD_BITS."""
+        p = 0
+        for c in w:
+            p = (p << FIELD_BITS) | c
+        return p
+
+    def _new_basis(self, weight, packed, parity, height):
         bid = len(self.weight_of)
         self.weight_of.append(weight)
+        self.packed_of.append(packed)
         self.parity_of.append(parity)
         self.height_of.append(height)
         return bid
 
     def _init_level1(self):
         self.level_ids[1] = [
-            self._new_basis(_unit(self.r, i), self.parities[i - 1], 1) for i in range(1, self.r + 1)
+            self._new_basis(_unit(self.r, i), self._units[i - 1], self.parities[i - 1], 1)
+            for i in range(1, self.r + 1)
         ]
         self.dims[1] = {_unit(self.r, i): 1 for i in range(1, self.r + 1)}
         self.completed = 1
@@ -310,24 +338,33 @@ class CoveringEngine:
 
     def jacobi_rows(self, h, weights):
         """(w, J(x, y, z)) per sorted basis triple x <= y <= z of height h and
-        weight w in `weights`, which is read as they go (a weight taken out
-        yields no more).  Ids grow with height, so hx <= hy <= hz, and a
-        level's ids are in weight order, so groupby reads off its groups."""
-        weight_of, level_ids = self.weight_of, self.level_ids
+        packed weight w in `weights` (see `pack`), which is read as they go
+        (a weight taken out yields no more).  Ids grow with height, so
+        hx <= hy <= hz, and a level's ids are in weight order, so groupby
+        reads off its groups.
+
+        A triple's weight is the sum of three packed weights.  No field
+        carries: every coordinate of a weight of height at most h is at most
+        h, and `build_level` has checked h < 2^FIELD_BITS, so each field of
+        a partial or full sum holds the coordinate sum itself.  So the test
+        is one int addition and one set lookup, and it hits exactly when the
+        tuple sum would.  The packed z groups are the tuple groups, in the
+        same order, since packing is one-to-one on these weights."""
+        packed_of, level_ids = self.packed_of, self.level_ids
         for hx in range(1, h // 3 + 1):
             for hy in range(hx, (h - hx) // 2 + 1):
                 z_ids = level_ids.get(h - hx - hy, ())
-                z_groups = [(wz, list(zs)) for wz, zs in groupby(z_ids, weight_of.__getitem__)]
+                z_groups = [(wz, list(zs)) for wz, zs in groupby(z_ids, packed_of.__getitem__)]
                 for x in level_ids.get(hx, ()):
-                    wx = weight_of[x]
+                    px = packed_of[x]
                     for y in level_ids.get(hy, ()):
                         if not weights:
                             return
                         if y < x:
                             continue
-                        wxy = tuple(map(add, wx, weight_of[y]))
+                        pxy = px + packed_of[y]
                         for wz, zs in z_groups:
-                            w = tuple(map(add, wxy, wz))
+                            w = pxy + wz
                             if w not in weights:
                                 continue
                             for z in zs:
@@ -337,20 +374,21 @@ class CoveringEngine:
                                         break
 
     def _pair_symbols(self, h_next):
-        """Weight -> sorted pair symbols (x, y), x < y or x = y odd, of total
-        height h_next."""
+        """Packed weight -> sorted pair symbols (x, y), x < y or x = y odd, of
+        total height h_next.  The packed sum is the packed tuple sum (no
+        field carries, see `jacobi_rows`)."""
         symbols = {}
-        weight_of = self.weight_of
+        packed_of = self.packed_of
         for hx in range(1, h_next // 2 + 1):
             hy = h_next - hx
             for x in self.level_ids.get(hx, []):
-                wx = weight_of[x]
+                px = packed_of[x]
                 for y in self.level_ids.get(hy, []):
                     if hx == hy and y < x:
                         continue
                     if x == y and self.parity_of[x] == 0:
                         continue
-                    symbols.setdefault(tuple(map(add, wx, weight_of[y])), []).append((x, y))
+                    symbols.setdefault(px + packed_of[y], []).append((x, y))
         for syms in symbols.values():
             syms.sort()
         return symbols
@@ -381,16 +419,31 @@ class CoveringEngine:
         the read-off of a live weight depends only on its row space (the
         pivots are the least keys of the span's vectors), not on the order
         in which rows arrive.
+
+        Weights are keyed on their packed ints (`pack`), and tuples are kept
+        for everything the engine hands out (`weight_of`, `dims`):
+
+        * No carry.  Every coordinate of a weight of height at most h_next
+          is at most h_next, and h_next < 2^FIELD_BITS (checked first), so
+          a sum of packed weights is the packed sum.
+        * No false borrow.  The live test reads pack(w) - pack(alpha_i) in
+          `below` with no guard on w_i.  If w_i >= 1 this is pack(w -
+          alpha_i).  If w_i = 0 the subtraction borrows: it is negative, or
+          its field i holds 2^FIELD_BITS - 1.  Packed weights are
+          nonnegative, and a weight of height h_next - 1 has every field
+          below 2^FIELD_BITS - 1, so neither is in `below`.
+        * Order.  Weights of one rank with every coordinate below
+          2^FIELD_BITS pack in lexicographic order, so sorting the packed
+          weights visits them, and gives out their ids, as sorting the
+          tuples would.  A weight's tuple is taken from its first symbol.
         """
+        _check_field(h_next)
         if h_next != self.completed + 1:
             raise EngineError("levels must be built in order")
         symbols = self._pair_symbols(h_next)
-        below = {self.weight_of[b] for b in self.level_ids[h_next - 1]}
-        live = {
-            w: Echelon()
-            for w in symbols
-            if any(w[i] and _weight_sub(w, i + 1) in below for i in range(self.r))
-        }
+        packed_of, units = self.packed_of, self._units
+        below = {packed_of[b] for b in self.level_ids[h_next - 1]}
+        live = {w: Echelon() for w in symbols if any(w - u in below for u in units)}
 
         relations = self.relations_at.get(h_next, ())
         relation_rows = ((nu, self.rho_pair(terms)) for nu, terms in relations if nu in live)
@@ -402,9 +455,12 @@ class CoveringEngine:
 
         new_dims = {}
         ids = []
-        for w in sorted(symbols):
-            syms = symbols[w]
-            ech = live.get(w)
+        weight_of = self.weight_of
+        for pw in sorted(symbols):
+            syms = symbols[pw]
+            x, y = syms[0]
+            w = tuple(map(add, weight_of[x], weight_of[y]))
+            ech = live.get(pw)
             if ech is None:
                 for s in syms:
                     self.products[s] = {}
@@ -412,7 +468,7 @@ class CoveringEngine:
                 continue
             expr = ech.read_off()
             parity = content_parity(w, self.parities)
-            new_id = {s: self._new_basis(w, parity, h_next) for s in syms if s not in expr}
+            new_id = {s: self._new_basis(w, pw, parity, h_next) for s in syms if s not in expr}
             for s in syms:
                 if s in expr:
                     self.products[s] = {new_id[q]: c for q, c in expr[s].items()}

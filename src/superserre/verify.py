@@ -147,7 +147,7 @@ def _necessity(pres, indices):
         h = content_height(nu)
         engine.level(h - 1)
         span = Echelon()
-        for _, jacobi in engine.jacobi_rows(h, {nu}):
+        for _, jacobi in engine.jacobi_rows(h, {engine.pack(nu)}):
             span.insert(jacobi)
         for k, other in enumerate(elements):
             if k != j and other.content == nu:

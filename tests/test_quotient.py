@@ -9,8 +9,11 @@ from conftest import algebras_of_rank
 from superserre.freelie import content_height, expand_terms, free_dimension
 from superserre.linalg import axpy
 from superserre.quotient import (
+    FIELD_BITS,
     CoveringEngine,
+    EngineError,
     IdealWordEngine,
+    _check_field,
     check_lowering_stability,
     quotient_dimensions,
 )
@@ -269,6 +272,74 @@ def test_engine_determinism():
     second = quotient_dimensions(presentation(datum, system), 20)
     assert first.per_weight == second.per_weight
     assert first.to_json() == second.to_json()
+
+
+pack = CoveringEngine.pack
+
+
+def _fields(v, r):
+    """The r fields of a nonnegative int below 2^(FIELD_BITS r), highest first."""
+    mask = (1 << FIELD_BITS) - 1
+    return [(v >> (FIELD_BITS * (r - 1 - k))) & mask for k in range(r)]
+
+
+def _weights(r, top=(1 << FIELD_BITS) - 1):
+    return st.lists(st.integers(0, top), min_size=r, max_size=r)
+
+
+_weight_pairs = st.integers(1, 8).flatmap(lambda r: st.tuples(_weights(r), _weights(r)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_pairs)
+def test_pack_preserves_order_within_a_rank(pair):
+    a, b = pair
+    assert (pack(a) < pack(b)) == (a < b)
+    assert (pack(a) == pack(b)) == (a == b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weight_pairs)
+def test_pack_adds_without_carry_below_the_field_width(pair):
+    a, b = pair
+    total = [x + y for x, y in zip(a, b)]
+    if max(total) < 1 << FIELD_BITS:
+        assert pack(a) + pack(b) == pack(total)
+        assert _fields(pack(total), len(total)) == total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda r: st.tuples(_weights(r, 8000), st.integers(0, r - 1))))
+def test_a_borrowing_unit_subtraction_is_no_weight(case):
+    # the live test of build_level reads pack(w) - pack(alpha_i) with no
+    # guard on w_i: where w_i = 0 the result must be the packed form of no
+    # weight whose coordinates are at most the height (8 * 8000 < 2^16 - 1)
+    w, i = case
+    w[i] = 0
+    h, r = sum(w), len(w)
+    unit = [1 if k == i else 0 for k in range(r)]
+    v = pack(w) - pack(unit)
+    assert v < 0 or max(_fields(v, r)) > h
+
+
+def test_packed_weights_match_the_tuples():
+    datum = build_root_datum("F4")
+    report = verify_presentation(datum, enumerate_simple_systems(datum)[1])
+    engine = report.presentation.engine
+    assert engine.packed_of == [pack(w) for w in engine.weight_of]
+
+
+def test_a_height_beyond_the_field_is_refused():
+    # the check alone, at its edge: no level is built
+    _check_field((1 << FIELD_BITS) - 1)
+    with pytest.raises(EngineError, match="field"):
+        _check_field(1 << FIELD_BITS)
+    # build_level checks the width before anything else
+    datum = build_root_datum("A", m=1, n=0)
+    engine = CoveringEngine(presentation(datum, enumerate_simple_systems(datum)[0]).parities, [])
+    with pytest.raises(EngineError, match="field"):
+        engine.build_level(1 << FIELD_BITS)
+    assert engine.completed == 1
 
 
 def test_ideal_component_row_values():

@@ -222,6 +222,28 @@ def check_necessity(max_rank):
     return algebras, classes
 
 
+def check_verify(max_rank):
+    """(algebras, classes) up to `max_rank`, every class verified and then
+    lowering-stable on the verify run's engine."""
+    from superserre.quotient import check_lowering_stability
+
+    algebras = classes = 0
+    for r in range(1, max_rank + 1):
+        for fam, kw in algebras_of_rank(r):
+            datum = build_root_datum(fam, **kw)
+            for k, system in enumerate(enumerate_simple_systems(datum)):
+                report = verify_presentation(datum, system)
+                assert report.passed, (datum.name, k)
+                assert check_lowering_stability(report.presentation).ok, (datum.name, k)
+                classes += 1
+            algebras += 1
+    return algebras, classes
+
+
+def test_verify_and_stability_sweep():
+    assert check_verify(4) == (23, 98)
+
+
 def test_necessity_survey_matches_the_rerun_oracle():
     # ranks 1 to 4, here and for positive roots, hold every matrix algebra
     within = [alg for r in range(1, 5) for alg in algebras_of_rank(r)]
