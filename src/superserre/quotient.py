@@ -61,17 +61,11 @@ class EngineError(RuntimeError):
     """Internal consistency violation in the quotient engine."""
 
 
-def _unit(r, i):
-    return tuple(1 if j == i - 1 else 0 for j in range(r))
-
-
 FIELD_BITS = 16  # bits per coordinate of a packed weight
 
 
-def _check_field(h):
-    """Refuse a level whose height does not fit a packed weight's field."""
-    if h >= 1 << FIELD_BITS:
-        raise EngineError(f"height {h} does not fit the {FIELD_BITS}-bit field of a packed weight")
+def _unit(r, i):
+    return tuple(1 if j == i - 1 else 0 for j in range(r))
 
 
 def _weight_sub(nu, i):
@@ -345,8 +339,9 @@ class CoveringEngine:
 
         A triple's weight is the sum of three packed weights.  No field
         carries: every coordinate of a weight of height at most h is at most
-        h, and `build_level` has checked h < 2^FIELD_BITS, so each field of
-        a partial or full sum holds the coordinate sum itself.  So the test
+        h, and h must be below 2^FIELD_BITS, as `build_level` checks for each
+        level it builds, so each field of a partial or full sum holds the
+        coordinate sum itself.  So the test
         is one int addition and one set lookup, and it hits exactly when the
         tuple sum would.  The packed z groups are the tuple groups, in the
         same order, since packing is one-to-one on these weights."""
@@ -437,7 +432,8 @@ class CoveringEngine:
           weights visits them, and gives out their ids, as sorting the
           tuples would.  A weight's tuple is taken from its first symbol.
         """
-        _check_field(h_next)
+        if h_next >= 1 << FIELD_BITS:
+            raise EngineError(f"height {h_next} does not fit the {FIELD_BITS}-bit field of a packed weight")
         if h_next != self.completed + 1:
             raise EngineError("levels must be built in order")
         symbols = self._pair_symbols(h_next)

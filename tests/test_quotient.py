@@ -13,7 +13,6 @@ from superserre.quotient import (
     CoveringEngine,
     EngineError,
     IdealWordEngine,
-    _check_field,
     check_lowering_stability,
     quotient_dimensions,
 )
@@ -330,15 +329,13 @@ def test_packed_weights_match_the_tuples():
 
 
 def test_a_height_beyond_the_field_is_refused():
-    # the check alone, at its edge: no level is built
-    _check_field((1 << FIELD_BITS) - 1)
-    with pytest.raises(EngineError, match="field"):
-        _check_field(1 << FIELD_BITS)
-    # build_level checks the width before anything else
-    datum = build_root_datum("A", m=1, n=0)
-    engine = CoveringEngine(presentation(datum, enumerate_simple_systems(datum)[0]).parities, [])
+    # build_level checks the width first, so no level is built: the
+    # highest height that fits passes on to the order check
+    engine = CoveringEngine((0, 1), [])
     with pytest.raises(EngineError, match="field"):
         engine.build_level(1 << FIELD_BITS)
+    with pytest.raises(EngineError, match="in order"):
+        engine.build_level((1 << FIELD_BITS) - 1)
     assert engine.completed == 1
 
 
