@@ -509,12 +509,9 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
     parities = presentation.parities
     engine = presentation.engine
     per_weight = {}
-    r = len(parities)
-    for i in range(1, r + 1):
-        per_weight[_unit(r, i)] = (1, 0, 1)
     closed = False
     guard_hit = None
-    h = 1
+    h = 0
     while h < max_height:
         h += 1
         dims = engine.level(h)
@@ -539,7 +536,7 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
             f"no closure within the height cap {max_height}: "
             "the presented algebra may be infinite dimensional"
         )
-    return GradedQuotientReport(r, per_weight, h, closed, warning)
+    return GradedQuotientReport(len(parities), per_weight, h, closed, warning)
 
 
 # -- lowering stability ---------------------------------------------------------

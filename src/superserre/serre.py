@@ -8,7 +8,9 @@ chain patterns on a path's order and its reverse (`_match_path`), the
 triangle patterns on every ordering of a triangle (`_match_triangle`,
 `_match_d21a`).  Node indices in emitted elements are 1-based generator
 indices.  Each element is emitted once, so none is expanded into free-Lie
-words to find repeats.
+words to find repeats.  Elements are stored on the e side only: the f side
+is their image under the anti-involution omega, with the same trees and
+coefficients, and is printed from them.
 """
 
 from __future__ import annotations
@@ -25,17 +27,17 @@ from .scalars import native, render
 
 
 class SerrePolynomial:
-    """Homogeneous combination of bracket words on one side (e or f), its
+    """Homogeneous combination of bracket words in the generators, its
     coefficients converted once by `scalars.native`: `int` or `Fraction`,
     `Scalar` only where the parameter a appears.  Every consumer reads the
     terms as they are.  `content`, the multidegree in `rank` generators, is
-    the one content that the constructor's homogeneity check finds."""
+    the one content that the constructor's homogeneity check finds.
+    `render` and `to_json` print it on the side whose letter they take."""
 
-    __slots__ = ("terms", "side", "provenance", "nodes", "content")
+    __slots__ = ("terms", "provenance", "nodes", "content")
 
-    def __init__(self, terms, side, provenance, nodes, rank):
+    def __init__(self, terms, provenance, nodes, rank):
         self.terms = {t: native(c) for t, c in terms.items()}
-        self.side = side
         self.provenance = provenance
         self.nodes = tuple(nodes)
         if not any(self.terms.values()):
@@ -45,32 +47,14 @@ class SerrePolynomial:
             raise ValueError(f"inhomogeneous Serre element: {contents}")
         (self.content,) = contents
 
-    def mirrored(self):
-        """The omega-image: same trees and coefficients on the other side.
-
-        The slots are copied, not rebuilt: this element's terms are already
-        native, nonzero and homogeneous, and the mirror has the same ones,
-        so the constructor's conversion and checks would find nothing new.
-        On the catalogue classes this is about a sixth of the constructor's
-        cost.  The terms dict is copied, as the constructor copies it.
-        """
-        mirror = SerrePolynomial.__new__(SerrePolynomial)
-        mirror.terms = dict(self.terms)
-        mirror.side = "f" if self.side == "e" else "e"
-        mirror.provenance = self.provenance
-        mirror.nodes = self.nodes
-        mirror.content = self.content
-        return mirror
-
-    def render(self, fmt="text"):
-        letter = self.side
+    def render(self, fmt="text", side="e"):
         latex = fmt == "latex"
         out = ""
         for t in sorted(self.terms, key=repr):
             c = self.terms[t]
-            body = tree_render(t, letter)
+            body = tree_render(t, side)
             if latex:
-                body = body.replace(letter, f"{letter}_")
+                body = body.replace(side, f"{side}_")
             if c == 1:
                 part = body
             elif c == -1:
@@ -80,14 +64,14 @@ class SerrePolynomial:
             out += part if not out or part.startswith("-") else "+" + part
         return out
 
-    def to_json(self):
+    def to_json(self, side="e"):
         def tree_json(t):
             if isinstance(t, int):
-                return f"{self.side}{t}"
+                return f"{side}{t}"
             return [tree_json(t[0]), tree_json(t[1])]
 
         return {
-            "side": self.side,
+            "side": side,
             "provenance": self.provenance,
             "nodes": list(self.nodes),
             "multidegree": list(self.content),
@@ -135,10 +119,10 @@ def standard_serre_elements(cd):
                 continue
             if n == 1 and i > j and odd[i - 1] and odd[j - 1]:
                 continue
-            out.append(SerrePolynomial({ad_power(i, j, n): 1}, "e", "standard", (i, j), r))
+            out.append(SerrePolynomial({ad_power(i, j, n): 1}, "standard", (i, j), r))
     for t in range(1, r + 1):
         if cd.is_isotropic(t):
-            out.append(SerrePolynomial({(t, t): 1}, "e", "standard", (t,), r))
+            out.append(SerrePolynomial({(t, t): 1}, "standard", (t,), r))
     return out
 
 
@@ -299,12 +283,13 @@ def higher_order_serre_elements(cd, diag):
             nodes = tuple(v + 1 for v in subset)
             for match in matches:
                 for case, terms, assign in match(sub, nodes):
-                    out.append(SerrePolynomial(terms, "e", case, assign, cd.rank))
+                    out.append(SerrePolynomial(terms, case, assign, cd.rank))
     return out
 
 
 class Presentation:
-    """Cartan data plus the full defining relation set (both sides)."""
+    """Cartan data plus the defining relation set: one list of e-side
+    elements, from which both sides are printed."""
 
     def __init__(self, datum, system, cd, diagram, e_side):
         self.datum = datum
@@ -314,12 +299,6 @@ class Presentation:
         self.rank = cd.rank
         self.parities = cd.parities
         self.e_side = list(e_side)
-
-    @property
-    def f_side(self):
-        """The mirrors of the e-side elements, built when read: the engines
-        read the e side only."""
-        return [el.mirrored() for el in self.e_side]
 
     @cached_property
     def engine(self):
@@ -338,8 +317,8 @@ class Presentation:
         return [el for el in self.e_side if el.provenance != "standard"]
 
     def without_element(self, index):
-        """Presentation with one e-side element (and its mirror) removed;
-        `index` must address an element, counted from 0."""
+        """Presentation with one element removed, from both sides; `index`
+        must address an element of `e_side`, counted from 0."""
         if not 0 <= index < len(self.e_side):
             raise PreconditionError(
                 f"element index {index} is outside 0..{len(self.e_side) - 1}"
@@ -355,7 +334,7 @@ class Presentation:
             "theta": sorted(self.cartan.theta),
             "cartan": self.cartan.to_json(),
             "eSide": [el.to_json() for el in self.e_side],
-            "fSide": [el.to_json() for el in self.f_side],
+            "fSide": [el.to_json("f") for el in self.e_side],
         }
 
     def render(self, fmt="text"):
@@ -365,14 +344,16 @@ class Presentation:
             f"presentation of {self.datum.name}, rank {self.rank}, theta {sorted(self.cartan.theta)}",
             "quadratic relations: [h_i,h_j]=0, [h_i,e_j]=a_ij e_j, [h_i,f_j]=-a_ij f_j, [e_i,f_j]=delta_ij h_i",
         ]
-        for el in self.e_side + self.f_side:
-            lines.append(f"  ({el.provenance}; nodes {list(el.nodes)})  {el.render(fmt)} = 0")
+        for side in "ef":
+            for el in self.e_side:
+                lines.append(f"  ({el.provenance}; nodes {list(el.nodes)})  {el.render(fmt, side)} = 0")
         return "\n".join(lines)
 
 
 def presentation(datum, system):
     """Full presentation: quadratic relations are implicit, Serre elements
-    are generated, each once, and mirrored to the f side.
+    are generated, each once, on the e side, and the f side is printed from
+    them.
 
     No element is expanded into words while it is built: neither the
     standard nor the higher order list repeats an expansion, and no higher

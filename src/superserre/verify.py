@@ -159,8 +159,8 @@ def _necessity(pres, indices):
 
 
 def necessity_test(datum, system, relation_index):
-    """Whether the addressed higher order element (and its mirror) is
-    necessary: see `_necessity`."""
+    """Whether the addressed higher order element, one object for both
+    sides, is necessary: see `_necessity`."""
     return _necessity(presentation(datum, system), [relation_index])[0]
 
 

@@ -65,10 +65,10 @@ def _paper_standard_elements(cd):
                 tree = (i, j)
             else:
                 continue
-            out.append(SerrePolynomial({tree: 1}, "e", "standard", (i, j), r))
+            out.append(SerrePolynomial({tree: 1}, "standard", (i, j), r))
     for t in range(1, r + 1):
         if cd.is_isotropic(t):
-            out.append(SerrePolynomial({(t, t): 1}, "e", "standard", (t,), r))
+            out.append(SerrePolynomial({(t, t): 1}, "standard", (t,), r))
     return out
 
 
@@ -270,7 +270,7 @@ def higher_order_oracle(cd, diag):
         for subset, sub in full_subdiagrams(diag, size):
             nodes = tuple(v + 1 for v in subset)
             for case, terms, assign in match(sub, nodes):
-                out.append(SerrePolynomial(terms, "e", case, assign, cd.rank))
+                out.append(SerrePolynomial(terms, case, assign, cd.rank))
     return out
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import algebras_of_rank
 from superserre.freelie import content_height, expand_terms, free_dimension
 from superserre.linalg import axpy
 from superserre.quotient import (
@@ -23,13 +22,13 @@ from superserre.rootdata import (
     enumerate_simple_systems,
 )
 from superserre.scalars import Scalar
-from superserre.serre import Presentation, SerrePolynomial, presentation
+from superserre.serre import SerrePolynomial, presentation
 from superserre.verify import compare_z_grading, verify_presentation
 
 
 def _element(terms, nodes, rank=2):
     """A native e-side relation element, as the engines take them."""
-    return SerrePolynomial(terms, "e", "standard", nodes, rank)
+    return SerrePolynomial(terms, "standard", nodes, rank)
 
 
 def test_ideal_component_examples():
@@ -135,30 +134,6 @@ def test_cross_validation_against_word_engine():
                 assert free - ideal_rank == q
 
 
-def check_word_engine(max_rank):
-    """(algebras, classes) up to `max_rank`, each class verified and every
-    ideal rank of height <= 5 as the word engine's."""
-    algebras = classes = 0
-    for r in range(1, max_rank + 1):
-        for fam, kw in algebras_of_rank(r):
-            datum = build_root_datum(fam, **kw)
-            for k, system in enumerate(enumerate_simple_systems(datum)):
-                report = verify_presentation(datum, system)
-                assert report.passed, (datum.name, k)
-                pres = report.presentation
-                word = IdealWordEngine(pres.parities, pres.e_side)
-                for nu, (_, ideal_rank, _) in report.quotient_report.per_weight.items():
-                    if sum(nu) <= 5:
-                        assert word.rank(nu) == ideal_rank, (datum.name, k, nu)
-                classes += 1
-            algebras += 1
-    return algebras, classes
-
-
-def test_word_engine_ranks_up_to_rank_4():
-    assert check_word_engine(4) == (23, 98)
-
-
 def test_monotonicity_more_relations_never_grow():
     datum = build_root_datum("A", m=1, n=1)
     pres = presentation(datum, distinguished_simple_system(datum))
@@ -168,18 +143,6 @@ def test_monotonicity_more_relations_never_grow():
     part = quotient_dimensions(smaller, 8)
     for nu, (_, _, q) in full.per_weight.items():
         assert q <= part.per_weight.get(nu, (0, 0, 0))[2] or nu not in part.per_weight
-
-
-def test_omega_symmetry_f_side_runs_identically():
-    datum = build_root_datum("G3")
-    system = enumerate_simple_systems(datum)[1]
-    pres = presentation(datum, system)
-    rep_e = quotient_dimensions(pres, 20)
-
-    # same trees relabelled; the engine sees identical data
-    f_side = Presentation(datum, system, pres.cartan, pres.diagram, pres.f_side)
-    rep_f = quotient_dimensions(f_side, 20)
-    assert rep_e.per_weight == rep_f.per_weight
 
 
 def test_z_grading_d_series_g3_vanishes():

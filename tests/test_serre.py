@@ -19,7 +19,6 @@ from superserre.rootdata import (
 )
 from superserre.scalars import ALPHA, ONE, Scalar
 from superserre.serre import (
-    SerrePolynomial,
     _match_d21a,
     _match_path,
     _match_triangle,
@@ -110,46 +109,46 @@ def test_f4_sextic_pair():
 def test_presentation_b01_quadratic_only():
     datum = build_root_datum("B", m=0, n=1)
     pres = presentation(datum, distinguished_simple_system(datum))
-    assert pres.e_side == [] and pres.f_side == []
+    assert pres.e_side == []
 
 
 def test_presentation_a10_counts():
     datum = build_root_datum("A", m=1, n=0)
     pres = presentation(datum, distinguished_simple_system(datum))
-    assert len(pres.e_side) == 2 and len(pres.f_side) == 2
+    assert len(pres.e_side) == 2
     assert pres.higher_order == []
 
 
+def _on_f_side(word):
+    """A json word tree with each leaf "eN" as "fN"."""
+    if isinstance(word, str):
+        assert word[0] == "e" and word[1:].isdigit(), word
+        return "f" + word[1:]
+    return [_on_f_side(w) for w in word]
+
+
 def test_f_side_mirrors_e_side():
-    for fam, kw in [("A", dict(m=1, n=1)), ("G3", {}), ("D21a", {})]:
-        datum = build_root_datum(fam, **kw)
-        for system in enumerate_simple_systems(datum):
-            pres = presentation(datum, system)
-            assert len(pres.e_side) == len(pres.f_side)
-            for e_el, f_el in zip(pres.e_side, pres.f_side):
-                assert e_el.terms == f_el.terms
-                assert e_el.side == "e" and f_el.side == "f"
-                assert f_el.render().count("f") == e_el.render().count("e")
-
-
-def test_mirror_equals_the_constructed_element():
-    # `mirrored` copies the validated slots instead of running the
-    # constructor; on every matrix class it gives what the constructor gives
+    # one element list prints both sides: the f side is the e side with the
+    # side and every leaf relabelled, in the same order
     for fam, kw, _ in FAMILY_MATRIX:
         datum = build_root_datum(fam, **kw)
         for system in enumerate_simple_systems(datum):
-            for el in presentation(datum, system).e_side:
-                mirror = el.mirrored()
-                assert mirror.terms is not el.terms
-                built = SerrePolynomial(el.terms, "f", el.provenance, el.nodes, len(el.content))
-                for slot in SerrePolynomial.__slots__:
-                    assert getattr(mirror, slot) == getattr(built, slot), (datum.name, el, slot)
-                assert [type(c) for c in mirror.terms.values()] == [
-                    type(c) for c in built.terms.values()
+            pres = presentation(datum, system)
+            data = pres.to_json()
+            assert len(data["fSide"]) == len(data["eSide"]) == len(pres.e_side)
+            for e_json, f_json in zip(data["eSide"], data["fSide"]):
+                want = dict(e_json, side="f")
+                want["terms"] = [
+                    dict(term, word=_on_f_side(term["word"])) for term in e_json["terms"]
                 ]
-                assert mirror.content == built.content
-                assert mirror.render("latex") == built.render("latex")
-                assert mirror.mirrored().side == "e"
+                assert f_json == want, (datum.name, e_json)
+            lines = pres.render().split("\n")[2:]
+            n = len(pres.e_side)
+            assert len(lines) == 2 * n
+            for el, e_line, f_line in zip(pres.e_side, lines, lines[n:]):
+                head = f"  ({el.provenance}; nodes {list(el.nodes)})  "
+                assert e_line == head + el.render() + " = 0"
+                assert f_line == head + el.render("text", "f") + " = 0"
 
 
 def test_elements_homogeneous_in_degree_and_parity():
@@ -181,7 +180,7 @@ _ALGEBRAS += [("B", dict(m=3, n=3)), ("D", dict(m=3, n=3)), ("A", dict(m=4, n=2)
     ],
 )
 def test_relation_coefficients_are_native_from_birth(family, kw):
-    # every side of every presentation, deletions included: no float and no
+    # every element of every presentation, deletions included: no float and no
     # constant Scalar, so the engines need no conversion of their own
     datum = build_root_datum(family, **kw)
     parametric = 0
@@ -190,7 +189,7 @@ def test_relation_coefficients_are_native_from_birth(family, kw):
         sides = [pres]
         sides += [pres.without_element(k) for k in range(len(pres.e_side))]
         for p in sides:
-            for el in p.e_side + p.f_side:
+            for el in p.e_side:
                 for c in el.terms.values():
                     assert _native_or_parametric(c), (datum.name, el, type(c))
                     parametric += type(c) is Scalar

@@ -13,6 +13,7 @@ from superserre.verify import (
     necessity_survey,
     necessity_test,
     reference_multiplicities,
+    survey_presentation,
     verify_all_borels,
     verify_presentation,
 )
@@ -195,7 +196,7 @@ def test_a_redundant_element_is_not_necessary(monkeypatch):
     pres = presentation(datum, system)
     case1 = next(el for el in pres.e_side if el.provenance == "case-1")
     doubled = SerrePolynomial(
-        {t: 2 * c for t, c in case1.terms.items()}, "e", case1.provenance, case1.nodes, len(case1.content)
+        {t: 2 * c for t, c in case1.terms.items()}, case1.provenance, case1.nodes, len(case1.content)
     )
     augmented = Presentation(datum, system, pres.cartan, pres.diagram, pres.e_side + [doubled])
     monkeypatch.setattr(verify, "presentation", lambda *_: augmented)
@@ -223,9 +224,11 @@ def check_necessity(max_rank):
 
 
 def check_verify(max_rank):
-    """(algebras, classes) up to `max_rank`, every class verified and then
-    lowering-stable on the verify run's engine."""
-    from superserre.quotient import check_lowering_stability
+    """(algebras, classes) up to `max_rank`, every class verified, with one
+    verify run per class whose presentation the other checks read: every
+    ideal rank of height <= 5 is the word engine's, every higher order
+    element is necessary, and the class is lowering-stable."""
+    from superserre.quotient import IdealWordEngine, check_lowering_stability
 
     algebras = classes = 0
     for r in range(1, max_rank + 1):
@@ -234,7 +237,14 @@ def check_verify(max_rank):
             for k, system in enumerate(enumerate_simple_systems(datum)):
                 report = verify_presentation(datum, system)
                 assert report.passed, (datum.name, k)
-                assert check_lowering_stability(report.presentation).ok, (datum.name, k)
+                pres = report.presentation
+                word = IdealWordEngine(pres.parities, pres.e_side)
+                for nu, (_, ideal_rank, _) in report.quotient_report.per_weight.items():
+                    if sum(nu) <= 5:
+                        assert word.rank(nu) == ideal_rank, (datum.name, k, nu)
+                for res in survey_presentation(pres):
+                    assert res.necessary, (datum.name, k, res.provenance, res.nodes)
+                assert check_lowering_stability(pres).ok, (datum.name, k)
                 classes += 1
             algebras += 1
     return algebras, classes
@@ -266,7 +276,7 @@ def test_an_element_in_the_ideal_by_jacobi_is_not_necessary(monkeypatch):
     pres = presentation(datum, system)
     case1 = next(el for el in pres.e_side if el.provenance == "case-1")
     assert case1.terms == {(2, (1, (2, 3))): 1}
-    rebracketed = SerrePolynomial({((2, 1), (2, 3)): 1}, "e", "case-1", case1.nodes, len(case1.content))
+    rebracketed = SerrePolynomial({((2, 1), (2, 3)): 1}, "case-1", case1.nodes, len(case1.content))
     augmented = Presentation(datum, system, pres.cartan, pres.diagram, pres.e_side + [rebracketed])
     monkeypatch.setattr(verify, "presentation", lambda *_: augmented)
     got = [res.to_json() for res in necessity_survey(datum, system)]
