@@ -5,9 +5,9 @@ Bracket monomials are binary trees whose leaves are 1-based generator
 indices.  The module provides:
 
 * the faithful word expansion into the free associative superalgebra
-  (`expand_tree`, `expand_terms`, `generator_bracket_word`): a Lie element
-  is zero exactly when its expansion is, so the word expansion decides
-  equality and carries the word-space engine's linear algebra;
+  (`expand_terms`, `generator_bracket_word`): a Lie element is zero
+  exactly when its expansion is, so the word expansion decides equality
+  and carries the word-space engine's linear algebra;
 * the dimension of every multidegree component (`free_dimension`), counted
   by the Witt formula for Lyndon words plus the squares of odd elements of
   half the multidegree;
@@ -62,17 +62,13 @@ def tree_render(tree, letter="e"):
 # -- associative expansion ----------------------------------------------------
 
 
-def expand_tree(tree, parities):
-    """Image of a bracket monomial in the free associative superalgebra.
+def _expand(tree, parities):
+    """(image of a bracket monomial in the free associative superalgebra,
+    parity of the monomial), the parity carried up the tree.
 
-    Returns a dict word-tuple -> int; the supercommutator [x, y] is
+    The image is a dict word-tuple -> int; the supercommutator [x, y] is
     xy - (-1)^{|x||y|} yx with parities read off the leaf content.
     """
-    return _expand(tree, parities)[0]
-
-
-def _expand(tree, parities):
-    """(expand_tree(tree), parity of tree), the parity carried up the tree."""
     if is_leaf(tree):
         return {(tree,): 1}, parities[tree - 1]
     left, pl = _expand(tree[0], parities)
@@ -93,13 +89,13 @@ def _expand(tree, parities):
 def expand_terms(terms, parities):
     """Expansion of a linear combination of trees; dict word -> coefficient.
 
-    The coefficients are the terms' own times the integers of `expand_tree`,
+    The coefficients are the terms' own times the integers of `_expand`,
     so they keep the terms' type: native `int`/`Fraction`, as a
     `SerrePolynomial` holds them, stay native and `Scalar` stays `Scalar`."""
     out = {}
     for tree, coeff in terms.items():
         if coeff:
-            axpy(out, expand_tree(tree, parities), coeff)
+            axpy(out, _expand(tree, parities)[0], coeff)
     return out
 
 

@@ -15,12 +15,12 @@ which meets an `int` or a `Fraction` through its coercion.  Zero is tested
 with `not c`.  No float ever arises: the one inversion, `_reciprocal`,
 never divides an `int` with `/`.
 
-What the echelon makes, it makes native: a reciprocal, a stored row or
-coordinate entry and a read-off coefficient that is a `Fraction` with
-denominator 1 is kept as its `int` (`_native`, a rule of this module, so
-that it imports nothing from `scalars`).  Only the type changes: an `int`
-equals, and hashes as, the `Fraction` it replaces, so every value, hence
-every support, pivot and read-off, is what it was.
+What the echelon makes, it makes native: a reciprocal, a stored row entry
+and a read-off coefficient that is a `Fraction` with denominator 1 is kept
+as its `int` (`_native`, a rule of this module, so that it imports nothing
+from `scalars`).  Only the type changes: an `int` equals, and hashes as,
+the `Fraction` it replaces, so every value, hence every support, pivot and
+read-off, is what it was.
 Later arithmetic on that entry runs on `int` and skips `Fraction`'s
 normalisation, and a pivot `Fraction(1)` becomes the `int` 1 that spares a
 row its rescaling.
@@ -85,48 +85,38 @@ class Echelon:
     Every stored row is scaled so that its pivot, the minimum of its
     support, has coefficient one; other entries lie above the pivot.
     Reducing by the least pivot hit therefore only introduces keys above it,
-    so the sweep visits pivots in ascending order and terminates.  Rows may
-    carry coordinates: the combination of inserted vectors they stand for.
+    so the sweep visits pivots in ascending order and terminates.
     """
 
     def __init__(self):
-        self.rows = {}  # pivot -> (vec, coords or None)
+        self.rows = {}  # pivot -> row vector
 
     @property
     def rank(self):
         return len(self.rows)
 
-    def reduce(self, vec, coords=None):
-        """Subtract stored rows from `vec` in place until no pivot is hit;
-        `coords` (if given) records minus the combination subtracted."""
+    def reduce(self, vec):
+        """Subtract stored rows from `vec` in place until no pivot is hit."""
         rows = self.rows
         while True:
             p = min((k for k in vec if k in rows), default=None)
             if p is None:
                 return
-            rvec, rcoords = rows[p]
-            c = -vec[p]
-            axpy(vec, rvec, c)
-            if coords is not None:
-                axpy(coords, rcoords, c)
+            axpy(vec, rows[p], -vec[p])
 
-    def insert(self, vec, coords=None):
+    def insert(self, vec):
         """Reduce and, if independent, store; returns the new pivot or None.
 
-        `vec` and `coords` are reduced, scaled to pivot 1 and stored in
-        place, so the caller must not reuse them.  The scaling keeps each
-        integral entry as an `int` (`_settle`), the pivot included, also
-        when the pivot was already 1 and nothing is multiplied: reduction
-        by rows with `Fraction` entries may leave a `Fraction(n)` behind."""
-        self.reduce(vec, coords)
+        `vec` is reduced, scaled to pivot 1 and stored in place, so the
+        caller must not reuse it.  The scaling keeps each integral entry as
+        an `int` (`_settle`), the pivot included, also when the pivot was
+        already 1 and nothing is multiplied: reduction by rows with
+        `Fraction` entries may leave a `Fraction(n)` behind."""
+        self.reduce(vec)
         if not vec:
             return None
         pivot = min(vec)
-        inv = _reciprocal(vec[pivot])
-        _settle(vec, inv)
-        if coords is not None:
-            _settle(coords, inv)
-        self.rows[pivot] = (vec, coords)
+        self.rows[pivot] = _settle(vec, _reciprocal(vec[pivot]))
         return pivot
 
     def read_off(self):
@@ -135,7 +125,7 @@ class Echelon:
         expr = {}
         for p in sorted(self.rows, reverse=True):
             acc = {}
-            for q, c in self.rows[p][0].items():
+            for q, c in self.rows[p].items():
                 if q != p:
                     axpy(acc, expr.get(q, {q: 1}), -c)
             expr[p] = _settle(acc)

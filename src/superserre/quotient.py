@@ -104,7 +104,7 @@ class IdealWordEngine:
                 mu = _weight_sub(nu, i)
                 sub = self.echelon(mu)
                 p_mu = content_parity(mu, self.parities)
-                for vec, _ in sub.rows.values():
+                for vec in sub.rows.values():
                     row = generator_bracket_word(i, vec, self.parities[i - 1], p_mu)
                     ech.insert(row)
             for vec in self.by_weight.get(nu, ()):

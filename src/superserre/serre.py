@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import permutations
 
 from .cartan_dynkin import BLACK, GREY, WHITE, _path_order, build_diagram, cartan_matrix, full_subdiagrams
-from .freelie import tree_content, tree_render
+from .freelie import content_height, tree_content, tree_render
 from .quotient import CoveringEngine
 from .rootdata import PreconditionError
 from .scalars import native, render
@@ -31,7 +31,8 @@ class SerrePolynomial:
     coefficients converted once by `scalars.native`: `int` or `Fraction`,
     `Scalar` only where the parameter a appears.  Every consumer reads the
     terms as they are.  `content`, the multidegree in `rank` generators, is
-    the one content that the constructor's homogeneity check finds.
+    the one content that the constructor's homogeneity check finds, of
+    height at least 2.
     `render` and `to_json` print it on the side whose letter they take."""
 
     __slots__ = ("terms", "provenance", "nodes", "content")
@@ -46,6 +47,8 @@ class SerrePolynomial:
         if len(contents) != 1:
             raise ValueError(f"inhomogeneous Serre element: {contents}")
         (self.content,) = contents
+        if content_height(self.content) < 2:  # the engines take the generators as free
+            raise ValueError(f"a Serre element must have height at least 2: {self.content}")
 
     def render(self, fmt="text", side="e"):
         latex = fmt == "latex"

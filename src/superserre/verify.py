@@ -104,9 +104,6 @@ class NecessityResult:
         self.provenance = provenance
         self.nodes = nodes
 
-    def __bool__(self):
-        return self.necessary
-
     def to_json(self):
         return {
             "provenance": self.provenance,
@@ -116,11 +113,11 @@ class NecessityResult:
         }
 
 
-def _necessity(pres, indices):
-    """Necessity of the higher order elements of `pres` at `indices`, each
-    decided on the presentation's covering engine, its levels read up to one
-    below the element's height.  Element j is necessary when it does not lie
-    in the ideal generated by the other elements.
+def _necessity(pres, j):
+    """Necessity of the higher order element of `pres` at index j, decided on
+    the presentation's covering engine, its levels read up to one below the
+    element's height.  Element j is necessary when it does not lie in the
+    ideal generated by the other elements.
 
     Let j have weight nu and height h.  Deleting j changes no relation below
     h, so the levels below h are the engine's, and at height h only j's row
@@ -136,40 +133,37 @@ def _necessity(pres, indices):
     class up to rank 8 does, j is necessary exactly when deleting it lets
     some weight exceed its reference multiplicity, nu first.
     """
-    elements = pres.e_side
-    for j in indices:
-        if not (0 <= j < len(elements) and elements[j].provenance != "standard"):
-            raise PreconditionError(f"element index {j} is outside the higher order elements")
-    engine = pres.engine
-    results = []
-    for j in indices:
-        el, nu = elements[j], elements[j].content
-        h = content_height(nu)
-        engine.level(h - 1)
-        span = Echelon()
-        for _, jacobi in engine.jacobi_rows(h, {engine.pack(nu)}):
-            span.insert(jacobi)
-        for k, other in enumerate(elements):
-            if k != j and other.content == nu:
-                span.insert(engine.rho_pair(other.terms))
-        row = engine.rho_pair(el.terms)
-        span.reduce(row)
-        results.append(NecessityResult(bool(row), nu if row else None, el.provenance, el.nodes))
-    return results
+    elements, engine = pres.e_side, pres.engine
+    el, nu = elements[j], elements[j].content
+    h = content_height(nu)
+    engine.level(h - 1)
+    span = Echelon()
+    for _, jacobi in engine.jacobi_rows(h, {engine.pack(nu)}):
+        span.insert(jacobi)
+    for k, other in enumerate(elements):
+        if k != j and other.content == nu:
+            span.insert(engine.rho_pair(other.terms))
+    row = engine.rho_pair(el.terms)
+    span.reduce(row)
+    return NecessityResult(bool(row), nu if row else None, el.provenance, el.nodes)
 
 
 def necessity_test(datum, system, relation_index):
     """Whether the addressed higher order element, one object for both
-    sides, is necessary: see `_necessity`."""
-    return _necessity(presentation(datum, system), [relation_index])[0]
+    sides, is necessary: see `_necessity`.  An index that addresses no
+    higher order element raises `PreconditionError`."""
+    pres, j = presentation(datum, system), relation_index
+    if not (0 <= j < len(pres.e_side) and pres.e_side[j].provenance != "standard"):
+        raise PreconditionError(f"element index {j} is outside the higher order elements")
+    return _necessity(pres, j)
 
 
 def survey_presentation(pres):
     """Necessity of every higher order element of `pres`, all on its one
     covering engine, so a presentation that verification has run on (a
-    `VerificationReport.presentation`) reuses the levels already built."""
-    indices = [idx for idx, el in enumerate(pres.e_side) if el.provenance != "standard"]
-    return _necessity(pres, indices) if indices else []
+    `VerificationReport.presentation`) reuses the levels already built; one
+    without higher order elements makes no engine."""
+    return [_necessity(pres, j) for j, el in enumerate(pres.e_side) if el.provenance != "standard"]
 
 
 def necessity_survey(datum, system):

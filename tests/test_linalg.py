@@ -76,8 +76,8 @@ def _dense_rank(rows):
 
 def _echelon_of(rows):
     ech = Echelon()
-    for j, row in enumerate(rows):
-        ech.insert(dict(row), {j: 1})
+    for row in rows:
+        ech.insert(dict(row))
     return ech
 
 
@@ -120,7 +120,7 @@ def test_read_off_annihilates_every_inserted_row(rows):
         assert q not in expr
     for row in rows:
         assert _substitute(row, expr) == {}
-    assert all(_no_float(vec) for vec, _ in ech.rows.values())
+    assert all(_no_float(vec) for vec in ech.rows.values())
     assert all(_no_float(e) for e in expr.values())
 
 
@@ -133,12 +133,10 @@ def _settled(v):
 @given(st.lists(_vectors(_native), max_size=6))
 def test_native_rows_stay_native(rows):
     # over Q the echelon never leaves int and Fraction: no float, no Scalar,
-    # and no Fraction with denominator 1 in a stored row, its coordinates or
-    # a read-off
+    # and no Fraction with denominator 1 in a stored row or a read-off
     ech = _echelon_of(rows)
-    for vec, coords in ech.rows.values():
-        for v in list(vec.values()) + list(coords.values()):
-            assert _settled(v), v
+    for vec in ech.rows.values():
+        assert all(_settled(v) for v in vec.values()), vec
     for e in ech.read_off().values():
         assert all(_settled(v) for v in e.values())
 
@@ -148,32 +146,37 @@ def test_native_pivots_are_exact():
     # pivot is the int 1
     ech = Echelon()
     assert ech.insert({0: 3, 1: 1}) == 0
-    (vec, _), = ech.rows.values()
+    vec, = ech.rows.values()
     assert vec == {0: 1, 1: Fraction(1, 3)}
     assert type(vec[0]) is int and type(vec[1]) is Fraction
     # unit pivots keep the row on int; a negative unit flips its sign
     ech.insert({2: -1, 3: 4})
-    assert ech.rows[2][0] == {2: 1, 3: -4}
-    assert all(type(v) is int for v in ech.rows[2][0].values())
+    assert ech.rows[2] == {2: 1, 3: -4}
+    assert all(type(v) is int for v in ech.rows[2].values())
     assert ech.read_off() == {0: {1: Fraction(-1, 3)}, 2: {3: 4}}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
-    st.tuples(st.lists(_vectors(_q), max_size=6), st.lists(_q, min_size=6, max_size=6), _vectors(_q)),
-    st.tuples(st.lists(_vectors(_qa()), max_size=4), st.lists(_qa(), min_size=4, max_size=4),
-              _vectors(_qa())),
+    st.tuples(st.just(True), st.lists(_vectors(_q), max_size=6), st.lists(_q, min_size=6, max_size=6),
+              _vectors(_q)),
+    st.tuples(st.just(False), st.lists(_vectors(_qa()), max_size=4),
+              st.lists(_qa(), min_size=4, max_size=4), _vectors(_qa())),
 ))
-def test_reduce_coordinates_rebuild_the_vector(args):
-    rows, weights, extra = args
+def test_reduce_leaves_a_residual_off_the_pivots_and_in_the_coset(args):
+    over_q, rows, weights, extra = args
     ech = _echelon_of(rows)
     in_span = _combine(list(zip(weights, rows)))
     for vec, spanned in ((in_span, True), (_combine([(ONE, in_span), (ONE, extra)]), False)):
-        residual, coords = dict(vec), {}
-        ech.reduce(residual, coords)
-        # coords holds minus the combination of inserted rows that was subtracted
-        rebuilt = _combine([(ONE, residual)] + [(-c, rows[j]) for j, c in coords.items()])
-        assert rebuilt == vec
+        residual = dict(vec)
+        ech.reduce(residual)
         assert not any(k in ech.rows for k in residual)
         if spanned:
             assert residual == {}
+        # what reduce subtracted, vec - residual, lies in the span of the rows
+        removed = _combine([(ONE, vec), (-ONE, residual)])
+        if over_q:
+            assert _dense_rank(rows + [removed]) == _dense_rank(rows)
+        else:
+            _echelon_of(rows).reduce(removed)
+            assert removed == {}

@@ -312,7 +312,7 @@ def test_ideal_component_row_values():
     parities = (0, 1)
     ech = IdealWordEngine(parities, [_element({(2, 2): 1}, (2,))]).echelon((0, 2))
     assert ech.rank == 1 == free_dimension(parities, (0, 2))
-    (row, _), = ech.rows.values()
+    row, = ech.rows.values()
     assert set(row) == set(expand_terms({(2, 2): 1}, parities)) == {(2, 2)}
 
 

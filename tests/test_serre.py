@@ -19,6 +19,7 @@ from superserre.rootdata import (
 )
 from superserre.scalars import ALPHA, ONE, Scalar
 from superserre.serre import (
+    SerrePolynomial,
     _match_d21a,
     _match_path,
     _match_triangle,
@@ -233,6 +234,14 @@ def test_provenance_tags_and_json():
     assert any(el["provenance"] == "case-1" for el in data["eSide"])
     latex = pres.render("latex")
     assert "[e_2,[e_1,[e_2,e_3]]]" in latex
+
+
+def test_an_element_below_height_2_is_refused():
+    # e_1 = 0 would kill a generator, which the engines take as free, so an
+    # accepted one would be silently ignored
+    with pytest.raises(ValueError, match="height at least 2"):
+        SerrePolynomial({1: 1}, "hand", (1,), 2)
+    assert SerrePolynomial({(1, 1): 1}, "hand", (1,), 2).content == (2, 0)
 
 
 def test_exponent_requires_integer_entry():
