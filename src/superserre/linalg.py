@@ -57,12 +57,14 @@ def _native(v):
 def _settle(vec, c=1):
     """vec scaled by c in place, each `Fraction` entry with denominator 1
     replaced by its `int`; returns vec.  The `int` 1 skips the
-    multiplication."""
+    multiplication, and an entry that is no `Fraction` is left as it is:
+    `_native` would return it unchanged."""
     unit = type(c) is int and c == 1
     for k, v in vec.items():
         if not unit:
-            v = c * v
-        vec[k] = _native(v)
+            v = vec[k] = c * v
+        if type(v) is Fraction:
+            vec[k] = _native(v)
     return vec
 
 
@@ -111,8 +113,10 @@ class Echelon:
         caller must not reuse it.  The scaling keeps each integral entry as
         an `int` (`_settle`), the pivot included, also when the pivot was
         already 1 and nothing is multiplied: reduction by rows with
-        `Fraction` entries may leave a `Fraction(n)` behind."""
-        self.reduce(vec)
+        `Fraction` entries may leave a `Fraction(n)` behind.  An echelon
+        with no rows has nothing to reduce by, so `reduce` is skipped."""
+        if self.rows:
+            self.reduce(vec)
         if not vec:
             return None
         pivot = min(vec)

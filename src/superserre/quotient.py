@@ -229,11 +229,14 @@ class CoveringEngine:
         return bid
 
     def _init_level1(self):
+        """e_1, ..., e_r get ids 0, ..., r - 1.  `dims[1]` lists their
+        weights in ascending order, e_r first, as `build_level` lists every
+        higher level (see `quotient_dimensions`)."""
         self.level_ids[1] = [
             self._new_basis(_unit(self.r, i), self._units[i - 1], self.parities[i - 1], 1)
             for i in range(1, self.r + 1)
         ]
-        self.dims[1] = {_unit(self.r, i): 1 for i in range(1, self.r + 1)}
+        self.dims[1] = {_unit(self.r, i): 1 for i in range(self.r, 0, -1)}
         self.completed = 1
 
     def _koszul(self, x, y):
@@ -373,15 +376,16 @@ class CoveringEngine:
         total height h_next.  The packed sum is the packed tuple sum (no
         field carries, see `jacobi_rows`)."""
         symbols = {}
-        packed_of = self.packed_of
+        packed_of, parity_of = self.packed_of, self.parity_of
         for hx in range(1, h_next // 2 + 1):
             hy = h_next - hx
-            for x in self.level_ids.get(hx, []):
+            ys = self.level_ids.get(hy, ())
+            for x in self.level_ids.get(hx, ()):
                 px = packed_of[x]
-                for y in self.level_ids.get(hy, []):
+                for y in ys:
                     if hx == hy and y < x:
                         continue
-                    if x == y and self.parity_of[x] == 0:
+                    if x == y and parity_of[x] == 0:
                         continue
                     symbols.setdefault(px + packed_of[y], []).append((x, y))
         for syms in symbols.values():
@@ -399,8 +403,11 @@ class CoveringEngine:
           L_{h+1} = sum_i [e_i, L_h]: its component at weight w is spanned by
           the brackets [e_i, b] with b a basis element of weight w - alpha_i
           at level h.  If no w - alpha_i carries a basis element, the
-          component is zero.  This uses only the grading of the presented
-          algebra, never the root system it is compared with.
+          component is zero.  So the weights that can be nonzero are found
+          forward, as the sums b + alpha_i over the weights b of level h and
+          every i, and a symbol weight is live only if it is one of them.
+          This uses only the grading of the presented algebra, never the
+          root system it is compared with.
         * Saturated.  Relation rows go into one echelon per weight as they
           are made, relation elements first and then Jacobi boundaries; a
           triple's weight is tested before its boundary is computed.  Once a
@@ -420,33 +427,32 @@ class CoveringEngine:
 
         * No carry.  Every coordinate of a weight of height at most h_next
           is at most h_next, and h_next < 2^FIELD_BITS (checked first), so
-          a sum of packed weights is the packed sum.
-        * No false borrow.  The live test reads pack(w) - pack(alpha_i) in
-          `below` with no guard on w_i.  If w_i >= 1 this is pack(w -
-          alpha_i).  If w_i = 0 the subtraction borrows: it is negative, or
-          its field i holds 2^FIELD_BITS - 1.  Packed weights are
-          nonnegative, and a weight of height h_next - 1 has every field
-          below 2^FIELD_BITS - 1, so neither is in `below`.
+          a sum of packed weights, a pair symbol's or a forward reach
+          pack(b) + pack(alpha_i), is the packed sum.
         * Order.  Weights of one rank with every coordinate below
           2^FIELD_BITS pack in lexicographic order, so sorting the packed
           weights visits them, and gives out their ids, as sorting the
-          tuples would.  A weight's tuple is taken from its first symbol.
+          tuples would; `dims[h_next]` lists them in that ascending order.
+          A weight's tuple is taken from its first symbol, and its parity
+          is the sum of that symbol's two parities mod 2: parity is
+          additive in the weight, so this is `content_parity` of the tuple.
         """
         if h_next >= 1 << FIELD_BITS:
             raise EngineError(f"height {h_next} does not fit the {FIELD_BITS}-bit field of a packed weight")
         if h_next != self.completed + 1:
             raise EngineError("levels must be built in order")
         symbols = self._pair_symbols(h_next)
-        packed_of, units = self.packed_of, self._units
+        packed_of, parity_of = self.packed_of, self.parity_of
         below = {packed_of[b] for b in self.level_ids[h_next - 1]}
-        live = {w: Echelon() for w in symbols if any(w - u in below for u in units)}
+        reach = {b + u for b in below for u in self._units}
+        live = {w: Echelon() for w in symbols if w in reach}
 
         relations = self.relations_at.get(h_next, ())
         relation_rows = ((nu, self.rho_pair(terms)) for nu, terms in relations if nu in live)
         for w, row in chain(relation_rows, self.jacobi_rows(h_next, live)):
             ech = live[w]
             ech.insert(row)
-            if ech.rank == len(symbols[w]):
+            if len(ech.rows) == len(symbols[w]):
                 del live[w]
 
         new_dims = {}
@@ -463,7 +469,7 @@ class CoveringEngine:
                 new_dims[w] = 0
                 continue
             expr = ech.read_off()
-            parity = content_parity(w, self.parities)
+            parity = parity_of[x] ^ parity_of[y]
             new_id = {s: self._new_basis(w, pw, parity, h_next) for s in syms if s not in expr}
             for s in syms:
                 if s in expr:
@@ -499,6 +505,12 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
     keep growing above a strict excess, so callers comparing against
     reference multiplicities lose nothing by stopping there).
 
+    Each level is read in the order the engine stored it, with no sort:
+    `build_level` lists a level's weights in ascending order (its visit
+    order of the sorted packed weights, see "Order" there), and
+    `_init_level1` lists level 1 ascending too.  So the walk visits the
+    weights, and finds the guard's first excess weight, in ascending order.
+
     The levels are read from `presentation.engine`, so a second run on the
     same presentation builds only the levels the first did not reach, and
     they stay there for the other checks to rewrite on
@@ -516,7 +528,7 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
         h += 1
         dims = engine.level(h)
         alive = 0
-        for w, q in sorted(dims.items()):
+        for w, q in dims.items():
             free = free_dimension(parities, w)
             if free:
                 per_weight[w] = (free, free - q, q)

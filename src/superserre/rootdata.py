@@ -172,6 +172,13 @@ class RootDatum:
     `scalars.native` accepts, in the order of the symbols.  The norms
     (b, b) of all roots are evaluated once here, for the isotropy check and
     for l_m^2, and `all_roots` and the rank are stored once.
+
+    Every root also gets its integer row once here, for `positive_roots` to
+    sum on every class of the datum: its coefficients over the symbols of
+    `norms`, in their order, times `row_scale`, the lcm of the roots'
+    coefficient denominators (2 in F(4), else 1).  `root_rows` maps each
+    root to its row and `root_of_row` each row back to its root; a row
+    determines its root, so the two are inverse.
     """
 
     def __init__(self, family, name, norms, even_roots, odd_roots, simple_roots, alpha=None):
@@ -200,6 +207,14 @@ class RootDatum:
                 q = abs(norm)
                 if least is None or q < least:
                     least = q
+        symbols, zeros = list(self.norms), [0] * len(self.norms)
+        self.row_scale = scale = lcm(*{c.denominator for b in self.all_roots for c in b._d.values()})
+        self.root_rows = {
+            b: tuple(map(b._d.get, symbols, zeros)) if scale == 1
+            else tuple(int(c * scale) for c in map(b._d.get, symbols, zeros))
+            for b in self.all_roots
+        }
+        self.root_of_row = {row: b for b, row in self.root_rows.items()}
         self.isotropic_roots = frozenset(isotropic)
         self.min_square_length = least  # least fixed nonzero |(b, b)|, None if there is none
         self.simple_roots = tuple(simple_roots)  # the distinguished system's, in order
@@ -478,8 +493,9 @@ def positive_roots(system):
     The roots are grown from the simple roots.  Each starts at the unit
     vector of its index; when beta + alpha_i is a root, it joins with
     beta's coordinates plus one at i, until no root joins.  Roots are
-    summed as integer rows: coefficients over `datum.norms`, scaled by the
-    lcm of their denominators (2 in F(4), else 1).
+    summed as the integer rows the datum made once (`RootDatum.root_rows`,
+    coefficients over `datum.norms` times `datum.row_scale`), and a sum is
+    a root exactly when `datum.root_of_row` has it.
 
     Three checks make the walk exact.  Every root it reaches is an
     N-combination.  (1) The simple roots number `datum.rank`, the dimension
@@ -498,15 +514,8 @@ def positive_roots(system):
             f"{system!r} has {r} simple roots, but the roots of {datum.name} span rank {datum.rank}"
             + (": they are linearly dependent" if r > datum.rank else "")
         )
-    symbols, zeros = list(datum.norms), [0] * len(datum.norms)
-    scale = lcm(*{c.denominator for b in datum.all_roots for c in b._d.values()})
-
-    def row(b):
-        coefficients = map(b._d.get, symbols, zeros)
-        return tuple(coefficients) if scale == 1 else tuple(int(c * scale) for c in coefficients)
-
-    roots = {row(b): b for b in datum.all_roots}
-    simple = [row(b) for b in system.roots]
+    roots = datum.root_of_row
+    simple = [datum.root_rows[b] for b in system.roots]
     reached = {a: tuple(int(k == i) for k in range(r)) for i, a in enumerate(simple)}
     order = list(reached)
     for beta in order:  # breadth first: `order` grows while it is read

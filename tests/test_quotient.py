@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FAMILY_MATRIX
 from superserre.freelie import content_height, expand_terms, free_dimension
 from superserre.linalg import axpy
 from superserre.quotient import (
@@ -274,25 +275,24 @@ def test_pack_adds_without_carry_below_the_field_width(pair):
     assert _fields(pack(total), len(total)) == total
 
 
-@settings(max_examples=300, deadline=None)
-@given(_ranks.flatmap(lambda r: st.tuples(_weights(r, 8000), st.integers(0, r - 1))))
-def test_a_borrowing_unit_subtraction_is_no_weight(case):
-    # the live test of build_level reads pack(w) - pack(alpha_i) with no
-    # guard on w_i: where w_i = 0 the result must be the packed form of no
-    # weight whose coordinates are at most the height (8 * 8000 < 2^16 - 1)
-    w, i = case
-    w[i] = 0
-    h, r = sum(w), len(w)
-    unit = [1 if k == i else 0 for k in range(r)]
-    v = pack(w) - pack(unit)
-    assert v < 0 or max(_fields(v, r)) > h
-
-
 def test_packed_weights_match_the_tuples():
     datum = build_root_datum("F4")
     report = verify_presentation(datum, enumerate_simple_systems(datum)[1])
     engine = report.presentation.engine
     assert engine.packed_of == [pack(w) for w in engine.weight_of]
+
+
+def test_every_level_lists_its_weights_in_ascending_order():
+    # quotient_dimensions reads each level as the engine stored it, with no
+    # sort, so its walk and the excess guard's first excess weight follow
+    # the ascending order that sorting would give; level 1 included
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        for k, system in enumerate(enumerate_simple_systems(datum)):
+            engine = verify_presentation(datum, system).presentation.engine
+            assert len(engine.dims[1]) == datum.rank
+            for h, dims in engine.dims.items():
+                assert list(dims) == sorted(dims), (datum.name, k, h)
 
 
 def test_a_height_beyond_the_field_is_refused():

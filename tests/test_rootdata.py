@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import algebras_of_rank
+from conftest import FAMILY_MATRIX, algebras_of_rank
 from superserre.rootdata import (
     InconsistencyError,
     ParameterError,
@@ -465,6 +465,26 @@ def test_coordinate_map_matches_the_oracle_on_every_class():
                 assert pos.get(root) == want, (system, root)
 
 
+def test_root_rows_are_an_additive_one_to_one_integer_table():
+    # the rows positive_roots sums: made once per datum, so every class of
+    # the datum reads the same table
+    algebras = list(_COORDINATE_ALGEBRAS) + [(fam, kw) for fam, kw, _ in FAMILY_MATRIX]
+    for fam, kw in algebras:
+        datum = build_root_datum(fam, **kw)
+        rows, symbols = datum.root_rows, list(datum.norms)
+        assert datum.row_scale == (2 if fam == "F4" else 1), datum.name
+        assert rows.keys() == datum.all_roots
+        for b, row in rows.items():
+            assert all(type(c) is int for c in row), (datum.name, b)
+            assert row == tuple(b.coefficient(s) * datum.row_scale for s in symbols)
+        assert len(set(rows.values())) == len(rows)
+        assert datum.root_of_row == {row: b for b, row in rows.items()}
+        for b in datum.all_roots:
+            for c in datum.all_roots:
+                if b + c in datum.all_roots:
+                    assert tuple(x + y for x, y in zip(rows[b], rows[c])) == rows[b + c]
+
+
 def test_dependent_simple_roots_are_rejected():
     a10 = build_root_datum("A", m=1, n=0)
     b = distinguished_simple_system(a10).roots[0]
@@ -535,6 +555,9 @@ def test_data_and_systems_survive_a_pickle_round_trip(family):
             datum.even_roots, datum.odd_roots, datum.all_roots
         )
         assert copy.rank == datum.rank
+        assert copy.row_scale == datum.row_scale
+        assert copy.root_rows == datum.root_rows
+        assert copy.root_of_row == datum.root_of_row
     assert system_copy.roots == system.roots
     assert system_copy.rank == system.rank
     assert positive_roots(system_copy) == positive_roots(system)
