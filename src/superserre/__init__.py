@@ -11,7 +11,7 @@ from .rootdata import (
     odd_reflection,
     positive_roots,
 )
-from .cartan_dynkin import build_diagram, cartan_matrix, full_subdiagrams, parse_diagram, serialize_diagram
+from .cartan_dynkin import build_diagram, cartan_matrix, parse_diagram, serialize_diagram
 from .freelie import free_dimension, lower_terms
 from .serre import Presentation, SerrePolynomial, higher_order_serre_elements, presentation, standard_serre_elements
 from .quotient import GradedQuotientReport, check_lowering_stability, quotient_dimensions
@@ -39,7 +39,6 @@ __all__ = [
     "positive_roots",
     "cartan_matrix",
     "build_diagram",
-    "full_subdiagrams",
     "serialize_diagram",
     "parse_diagram",
     "free_dimension",

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import combinations
 
 from .scalars import Scalar, native, parse_scalar, ratio, render
 from .rootdata import InconsistencyError
@@ -65,8 +64,8 @@ class CartanData:
         self.kappa = kappa
         self.lm2 = lm2
         self.parities = tuple(int(i in self.theta) for i in range(1, self.rank + 1))
-        self.native_a = [[_quotient(x, di) for x in row] for row, di in zip(b, d)]
-        self.sgn = [[_sign(x) for x in row] for row in b]
+        self.native_a = [[_quotient(x, di) if x else 0 for x in row] for row, di in zip(b, d)]
+        self.sgn = [[_sign(x) if x else 0 for x in row] for row in b]
         self._validate()
 
     @cached_property
@@ -273,16 +272,15 @@ def build_diagram(cd):
     return DynkinDiagram(colors, edges, labelled=False)
 
 
-def full_subdiagrams(diag, k):
-    """All connected k-node full sub-diagrams (induced edges, arrows and
-    labels kept), as pairs (node subset, induced diagram), for 1 <= k.
+def connected_subsets(diag, k):
+    """All connected k-node subsets of the diagram, as sorted tuples of
+    0-based nodes in lexicographic order, for 1 <= k <= size.
 
-    Node subsets are 0-based and sorted, in lexicographic order.  Higher
-    order Serre elements attach to connected sub-diagrams only, so the node
-    sets are grown from single nodes by adding a neighbour at a time rather
-    than drawn from all k-subsets.  This reaches every connected k-set: a
-    node whose removal leaves the rest connected (a leaf of a spanning
-    tree) is a neighbour of that connected (k-1)-set.
+    Higher order Serre elements attach to connected sub-diagrams only, so the
+    node sets are grown from single nodes by adding a neighbour at a time
+    rather than drawn from all k-subsets.  This reaches every connected
+    k-set: a node whose removal leaves the rest connected (a leaf of a
+    spanning tree) is a neighbour of that connected (k-1)-set.
     """
     if k > diag.size:
         raise ValueError(f"k = {k} exceeds the diagram size {diag.size}")
@@ -292,17 +290,7 @@ def full_subdiagrams(diag, k):
     grown = {frozenset([v]) for v in range(diag.size)}
     for _ in range(k - 1):
         grown = {s | {u} for s in grown for v in s for u in neighbours[v] if u not in s}
-    out = []
-    for subset in sorted(tuple(sorted(s)) for s in grown):
-        relabel = {v: t for t, v in enumerate(subset)}
-        edges = {}
-        for (a, i), (b, j) in combinations(enumerate(subset), 2):
-            e = diag.edges.get((i, j))
-            if e is not None:
-                arrow = relabel[e.arrow_towards] if e.arrow_towards is not None else None
-                edges[(a, b)] = Edge(e.count, arrow, e.sign, e.b_label)
-        out.append((subset, DynkinDiagram([diag.nodes[v] for v in subset], edges, diag.labelled)))
-    return out
+    return sorted(tuple(sorted(s)) for s in grown)
 
 
 # -- serialization -------------------------------------------------------------
@@ -386,9 +374,10 @@ _NODE_GLYPH = {WHITE: "O", GREY: "(X)", BLACK: "(*)"}
 _BAR = {1: "-", 2: "=", 3: "#"}
 
 
-def _path_order(diag):
-    """Node order if the diagram is a simple path, else None; the path
-    starts at its smaller end.
+def _path_order(diag, nodes=None):
+    """Node order if the diagram, or its full sub-diagram on the sorted
+    tuple `nodes`, is a simple path, else None; the path starts at its
+    smaller end, and holds the diagram's own node indices.
 
     The walk from the first node of degree 1 goes on to the one neighbour
     other than the node it came from.  Every node it leaves then has no
@@ -397,19 +386,21 @@ def _path_order(diag):
     walk never depends on the order of a node's neighbours, so they are
     collected in one pass over the edges.
     """
-    if diag.size == 1:
-        return [0]
-    neighbours = [[] for _ in range(diag.size)]
+    if nodes is None:
+        nodes = range(diag.size)
+    if len(nodes) == 1:
+        return [nodes[0]]
+    neighbours = {v: [] for v in nodes}
     for (a, b), e in diag.edges.items():
-        if e.count:
+        if e.count and a in neighbours and b in neighbours:
             neighbours[a].append(b)
             neighbours[b].append(a)
-    ends = [v for v in range(diag.size) if len(neighbours[v]) == 1]
+    ends = [v for v in nodes if len(neighbours[v]) == 1]
     if not ends:
         return None
     order = [ends[0]]
     prev = None
-    while len(order) < diag.size:
+    while len(order) < len(nodes):
         nxt = [u for u in neighbours[order[-1]] if u != prev]
         if len(nxt) != 1:
             return None
@@ -469,9 +460,7 @@ def _diagram_latex(diag):
             parts.append(edge_tex(a, b))
             parts.append(_LATEX_NODE[diag.nodes[b]])
         return "$" + "".join(parts) + "$"
-    lines = [
-        "% nodes: " + " ".join(f"{v}:{diag.nodes[v]}" for v in range(diag.size))
-    ]
+    lines = ["% nodes: " + " ".join(f"{v}:{diag.nodes[v]}" for v in range(diag.size))]
     for (i, j), _ in sorted(diag.edges.items()):
         lines.append(f"$ {i} {edge_tex(i, j)} {j} $")
     return "\n".join(lines)

@@ -13,9 +13,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from fractions import Fraction
-from functools import partial
 
 from .cartan_dynkin import build_diagram, cartan_matrix, serialize_diagram
 from .rootdata import ParameterError, build_root_datum, enumerate_simple_systems
@@ -122,11 +120,23 @@ def cmd_relations(args, out):
     return 0
 
 
-def _verify_one(datum, system):
-    """One class's verdict, total and JSON report; the datum and the system
-    pickle, so a pool worker gets them as they are."""
-    report = verify_presentation(datum, system)
+def _verdict(system):
+    """One class's verdict, total and JSON report."""
+    report = verify_presentation(system.datum, system)
     return report.passed, report.got_total, report.to_json()
+
+
+_SYSTEMS = []  # a pool worker's classes, set once by `_set_systems`
+
+
+def _set_systems(systems):
+    """Pool initializer: the selected classes, pickled once per worker with
+    the one datum they share, so that each task is a class index."""
+    _SYSTEMS[:] = systems
+
+
+def _verify_one(index):
+    return _verdict(_SYSTEMS[index])
 
 
 def cmd_verify(args, out):
@@ -140,31 +150,24 @@ def cmd_verify(args, out):
         raise UsageError(f"--jobs must be at least 1, got {jobs}")
     # the pool forks all its workers at once: never more than there are classes
     jobs = min(jobs, len(selected))
-    verify_one = partial(_verify_one, datum)
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        verdicts = (pool.map if pool else map)(verify_one, [system for _, system in selected])
-        results = [(k, *verdict) for (k, _), verdict in zip(selected, verdicts)]
+    systems = [system for _, system in selected]
+    if jobs == 1:
+        verdicts = list(map(_verdict, systems))
+    else:
+        with ProcessPoolExecutor(jobs, initializer=_set_systems, initargs=(systems,)) as pool:
+            verdicts = list(pool.map(_verify_one, range(len(systems))))
+    results = [(k, *verdict) for (k, _), verdict in zip(selected, verdicts)]
     all_pass = all(ok for _, ok, _, _ in results)
     if args.format == "json":
-        print(
-            json.dumps(
-                {"datum": datum.name, "reports": [r for _, _, _, r in results]},
-                sort_keys=True,
-            ),
-            file=out,
-        )
+        reports = [r for _, _, _, r in results]
+        print(json.dumps({"datum": datum.name, "reports": reports}, sort_keys=True), file=out)
     else:
         for k, ok, total, _ in results:
             status = "PASS" if ok else "FAIL"
             print(f"{status} total={total if total is not None else '?'} borel={k}", file=out)
         if not all_pass:
-            print(
-                json.dumps(
-                    {"datum": datum.name, "reports": [r for _, _, _, r in results if not r["pass"]]},
-                    sort_keys=True,
-                ),
-                file=out,
-            )
+            reports = [r for _, _, _, r in results if not r["pass"]]
+            print(json.dumps({"datum": datum.name, "reports": reports}, sort_keys=True), file=out)
     return 0 if all_pass else 1
 
 
@@ -201,13 +204,8 @@ def cmd_necessity(args, out):
     for k, system in select_systems(datum, args.borel):
         survey = necessity_survey(datum, system)
         if args.format == "json":
-            print(
-                json.dumps(
-                    {"borel": k, "elements": [res.to_json() for res in survey]},
-                    sort_keys=True,
-                ),
-                file=out,
-            )
+            elements = [res.to_json() for res in survey]
+            print(json.dumps({"borel": k, "elements": elements}, sort_keys=True), file=out)
         else:
             if not survey:
                 print(f"{datum.name} borel[{k}]: no higher order elements", file=out)

@@ -29,16 +29,12 @@ from .linalg import axpy
 # A tree is either an int (1-based generator index) or a pair (left, right).
 
 
-def is_leaf(tree):
-    return isinstance(tree, int)
-
-
 def tree_content(tree, r):
     nu = [0] * r
     stack = [tree]
     while stack:
         t = stack.pop()
-        if is_leaf(t):
+        if type(t) is int:
             nu[t - 1] += 1
         else:
             stack.extend(t)
@@ -54,7 +50,7 @@ def content_height(nu):
 
 
 def tree_render(tree, letter="e"):
-    if is_leaf(tree):
+    if type(tree) is int:
         return f"{letter}{tree}"
     return f"[{tree_render(tree[0], letter)},{tree_render(tree[1], letter)}]"
 
@@ -69,7 +65,7 @@ def _expand(tree, parities):
     The image is a dict word-tuple -> int; the supercommutator [x, y] is
     xy - (-1)^{|x||y|} yx with parities read off the leaf content.
     """
-    if is_leaf(tree):
+    if type(tree) is int:
         return {(tree,): 1}, parities[tree - 1]
     left, pl = _expand(tree[0], parities)
     right, pr = _expand(tree[1], parities)
@@ -203,7 +199,7 @@ def lower_terms(cd, i, terms):
         got = memo.get(tree)
         if got is not None:
             return got
-        if is_leaf(tree):
+        if type(tree) is int:
             res = ({}, 1 if tree == i else 0, parities[tree - 1], row[tree - 1])
             memo[tree] = res
             return res

@@ -1,9 +1,10 @@
 """Defining relation sets: standard Serre elements and the fourteen families
 of higher order Serre elements attached to full sub-diagrams.
 
-Pattern matching consumes Cartan data (colors, edge counts, arrows, Gram
-signs and, in type D(2,1;a), edge labels), never the drawn picture.  Each
-pattern is one condition on one ordering of its sub-diagram's nodes: the
+Pattern matching reads Cartan data (colors, edge counts, arrows, Gram signs
+and, in type D(2,1;a), edge labels) from the class's own diagram, never the
+drawn picture, on each connected node subset; no sub-diagram is built.
+Each pattern is one condition on one ordering of a subset's nodes: the
 chain patterns on a path's order and its reverse (`_match_path`), the
 triangle patterns on every ordering of a triangle (`_match_triangle`,
 `_match_d21a`).  Node indices in emitted elements are 1-based generator
@@ -19,7 +20,7 @@ import json
 from functools import cached_property
 from itertools import permutations
 
-from .cartan_dynkin import BLACK, GREY, WHITE, _path_order, build_diagram, cartan_matrix, full_subdiagrams
+from .cartan_dynkin import BLACK, GREY, WHITE, _path_order, build_diagram, cartan_matrix, connected_subsets
 from .freelie import content_height, tree_content, tree_render
 from .quotient import CoveringEngine
 from .rootdata import PreconditionError
@@ -31,8 +32,8 @@ class SerrePolynomial:
     coefficients converted once by `scalars.native`: `int` or `Fraction`,
     `Scalar` only where the parameter a appears.  Every consumer reads the
     terms as they are.  `content`, the multidegree in `rank` generators, is
-    the one content that the constructor's homogeneity check finds, of
-    height at least 2.
+    the first term's content, which the constructor checks every other term
+    against; it has height at least 2.
     `render` and `to_json` print it on the side whose letter they take."""
 
     __slots__ = ("terms", "provenance", "nodes", "content")
@@ -43,21 +44,21 @@ class SerrePolynomial:
         self.nodes = tuple(nodes)
         if not any(self.terms.values()):
             raise ValueError("a Serre element must be nonzero")
-        contents = {tree_content(t, rank) for t in self.terms}
-        if len(contents) != 1:
+        first, *others = self.terms
+        self.content = tree_content(first, rank)
+        if any(tree_content(t, rank) != self.content for t in others):
+            contents = list(dict.fromkeys(tree_content(t, rank) for t in self.terms))
             raise ValueError(f"inhomogeneous Serre element: {contents}")
-        (self.content,) = contents
         if content_height(self.content) < 2:  # the engines take the generators as free
             raise ValueError(f"a Serre element must have height at least 2: {self.content}")
 
     def render(self, fmt="text", side="e"):
         latex = fmt == "latex"
+        letter = side + "_" if latex else side
         out = ""
-        for t in sorted(self.terms, key=repr):
+        for t in sorted(self.terms, key=repr) if len(self.terms) > 1 else self.terms:
             c = self.terms[t]
-            body = tree_render(t, side)
-            if latex:
-                body = body.replace(side, f"{side}_")
+            body = tree_render(t, letter)
             if c == 1:
                 part = body
             elif c == -1:
@@ -106,17 +107,21 @@ def standard_serre_elements(cd):
     e_i e_j - (-1)^{p_i p_j} e_j e_i equals its swap exactly when both
     generators are odd, so then the later one, with i > j, is left out.
     Otherwise it is the swap's negative, and both stay in the set.
+
+    Rows of `native_a` are read as they are: `CartanData` has checked that
+    a non-isotropic row is integral.
     """
     out = []
     r = cd.rank
     odd = cd.parities
-    for i in range(1, r + 1):
+    for i, row in enumerate(cd.native_a, 1):
+        isotropic = cd.is_isotropic(i)
         for j in range(1, r + 1):
             if i == j:
                 continue
-            if not cd.is_isotropic(i):
-                n = 1 - cd.a_integer(i, j)
-            elif not cd.native_a[i - 1][j - 1]:
+            if not isotropic:
+                n = 1 - row[j - 1]
+            elif not row[j - 1]:
                 n = 1
             else:
                 continue
@@ -138,39 +143,47 @@ def _quartic(t, j, k):
     return {(t, (j, (t, k))): 1}
 
 
-def _match_path(sub, nodes):
+def _match_path(diag, subset):
     """Yield (case name, element terms dict, nodes) for one connected 3- or
-    4-node full sub-diagram: the chain cases 1-4, 9, 11 and 12 on three
-    nodes and 5, 7 and 8 on four.
+    4-node subset of the class's diagram: the chain cases 1-4, 9, 11 and 12
+    on three nodes and 5, 7 and 8 on four.
 
-    `nodes` are the original 1-based generator indices; `sub` uses local
-    indices in the same order.  Every chain pattern n1 - n2 - ... has edges
+    `subset` holds sorted 0-based nodes of `diag`, whose colours, edges,
+    arrows and signs are read by those indices; the emitted nodes are the
+    1-based generator indices.  Every chain pattern n1 - n2 - ... has edges
     between adjacent nodes only, so only an ordering along a path can match:
-    the path's order and its reverse, and no ordering of any other
-    sub-diagram.  Along an ordering `cnt` holds the edge counts and `to` the
-    arrow directions, +1 towards the later node, -1 towards the earlier, 0
-    for no arrow.
+    the path's order and its reverse, and no ordering of any other subset.
+    Along an ordering `cnt` holds the edge counts and `to` the arrow
+    directions, +1 towards the later node, -1 towards the earlier, 0 for no
+    arrow.
 
     At most one case fires per ordering: cases with the same node count
     differ in `cnt`, or in an arrow or a colour.  No case's `cnt` is
     another's reversed, and only cases 1 (1, 1) and 9 (2, 2) have a `cnt`
     that reads the same reversed; case 1 is taken on the order only, and
     case 9's colours (G, G, W) are no palindrome.  So a path yields at most
-    one element.  `_path_order` starts at the smaller
-    end, so the order precedes its reverse among all orderings.
+    one element.  `_path_order` starts at the smaller end, so the order
+    precedes its reverse among all orderings.
+
+    Reading the diagram itself gives what an induced sub-diagram relabelled
+    0..k-1 would: the relabelling keeps the order of the sorted subset, so
+    a local order is the original order.  The smaller-end rule, the test
+    `perm is order` here, `n2 < n3` in `_match_triangle` and the
+    lexicographic order of `permutations` in `_match_triangle` and
+    `_match_d21a` therefore pick the same orderings on either reading.
     """
-    order = _path_order(sub)
+    order = _path_order(diag, subset)
     if order is None:
         return
     for perm in (order, order[::-1]):
-        col = [sub.nodes[v] for v in perm]
+        col = [diag.nodes[v] for v in perm]
         # every chain pattern has a grey inner node
         if GREY not in col[1:-1]:
             continue
-        edges = [sub.edge(a, b) for a, b in zip(perm, perm[1:])]
+        edges = [diag.edge(a, b) for a, b in zip(perm, perm[1:])]
         cnt = [e.count for e in edges]
         to = [(e.arrow_towards == b) - (e.arrow_towards == a) for e, a, b in zip(edges, perm, perm[1:])]
-        g = [nodes[v] for v in perm]
+        g = [v + 1 for v in perm]
         if len(perm) == 3:
             g1, g2, g3 = g
             sign = edges[0].sign * edges[1].sign
@@ -204,9 +217,9 @@ def _match_path(sub, nodes):
             yield "case-5", {((g1, jt), (jt, (g3, g4))): 1}, (g1, g2, g3, g4)
 
 
-def _match_triangle(sub, nodes):
-    """Yield (case name, element terms dict, nodes) for one 3-node full
-    sub-diagram with all three edges: cases 6, 10 and 13.
+def _match_triangle(diag, subset):
+    """Yield (case name, element terms dict, nodes) for one 3-node subset of
+    the class's diagram with all three edges: cases 6, 10 and 13.
 
     One pass over the orderings n1, n2, n3 reads the counts of n1-n2, n1-n3
     and n2-n3.  Cases 10 and 13 need (1, 2, 3), which fixes the ordering,
@@ -215,12 +228,13 @@ def _match_triangle(sub, nodes):
     ordering matches, and it yields one element.  A triangle is not a path,
     so no chain case matches it, and a chain has too few edges to get here.
     """
-    if sub.size != 3 or len(sub.edges) != 3:
+    x, y, z = subset
+    if (x, y) not in diag.edges or (x, z) not in diag.edges or (y, z) not in diag.edges:
         return
-    c, cnt = sub.nodes, sub.count
-    for n1, n2, n3 in permutations(range(3)):
+    c, cnt = diag.nodes, diag.count
+    for n1, n2, n3 in permutations(subset):
         counts = (cnt(n1, n2), cnt(n1, n3), cnt(n2, n3))
-        g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
+        g1, g2, g3 = n1 + 1, n2 + 1, n3 + 1
         if counts == (1, 1, 2) and c[n1] in _CROSS and c[n2] == c[n3] == GREY and n2 < n3:
             yield "case-6", {(g2, (g3, g1)): 1, (g3, (g2, g1)): -1}, (g1, g2, g3)
         elif counts == (1, 2, 3) and c[n1] == c[n2] == c[n3] == GREY:
@@ -229,8 +243,9 @@ def _match_triangle(sub, nodes):
             yield "case-13", {(g2, (g3, g1)): 1, (g3, (g2, g1)): -2}, (g1, g2, g3)
 
 
-def _match_d21a(sub, nodes):
-    """Pattern 14: the all-grey labelled triangle of D(2,1;a).
+def _match_d21a(diag, subset):
+    """Pattern 14: the all-grey labelled triangle of D(2,1;a), on one 3-node
+    subset of the class's diagram.
 
     Roles are fixed by the labels: the n1-n2 edge carries 1, the n1-n3 edge
     carries the parameter and the n2-n3 edge carries minus one plus the
@@ -240,16 +255,17 @@ def _match_d21a(sub, nodes):
     ordering can match; the orderings come in lexicographic order, and the
     first match, the least, is the one taken.
     """
-    if any(col != GREY for col in sub.nodes):
+    x, y, z = subset
+    if any(diag.nodes[v] != GREY for v in subset):
         return
-    if not all(sub.count(a, b) == 1 for a in range(3) for b in range(a + 1, 3)):
+    if not diag.count(x, y) == diag.count(x, z) == diag.count(y, z) == 1:
         return
-    for n1, n2, n3 in permutations(range(3)):
-        if sub.b_label(n1, n2) != 1:
+    for n1, n2, n3 in permutations(subset):
+        if diag.b_label(n1, n2) != 1:
             continue
-        alpha = sub.b_label(n1, n3)
-        if sub.b_label(n2, n3) == -(1 + alpha):
-            g1, g2, g3 = nodes[n1], nodes[n2], nodes[n3]
+        alpha = diag.b_label(n1, n3)
+        if diag.b_label(n2, n3) == -(1 + alpha):
+            g1, g2, g3 = n1 + 1, n2 + 1, n3 + 1
             yield "case-14", {(g1, (g2, g3)): alpha, (g2, (g1, g3)): 1 + alpha}, (g1, g2, g3)
             return
 
@@ -282,10 +298,9 @@ def higher_order_serre_elements(cd, diag):
     for size, matches in matchers:
         if size > cd.rank:
             break
-        for subset, sub in full_subdiagrams(diag, size):
-            nodes = tuple(v + 1 for v in subset)
+        for subset in connected_subsets(diag, size):
             for match in matches:
-                for case, terms, assign in match(sub, nodes):
+                for case, terms, assign in match(diag, subset):
                     out.append(SerrePolynomial(terms, case, assign, cd.rank))
     return out
 

@@ -1,11 +1,20 @@
 """Shared helpers for the test suite."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
-from superserre.cartan_dynkin import BLACK, GREY, WHITE, build_diagram, cartan_matrix, full_subdiagrams
+from superserre.cartan_dynkin import (
+    BLACK,
+    GREY,
+    WHITE,
+    DynkinDiagram,
+    Edge,
+    build_diagram,
+    cartan_matrix,
+    connected_subsets,
+)
 from superserre.quotient import quotient_dimensions
-from superserre.freelie import content_height, content_parity, expand_terms, is_leaf, tree_content
+from superserre.freelie import content_height, content_parity, expand_terms, tree_content
 from superserre.scalars import parse_scalar, render
 from superserre.serre import SerrePolynomial, ad_power
 from superserre.verify import reference_multiplicities
@@ -260,6 +269,24 @@ def _match_d21a(sub, nodes):
     yield "case-14", terms, (g1, g2, g3)
 
 
+def full_subdiagrams(diag, k):
+    """All connected k-node full sub-diagrams (induced edges, arrows and
+    labels kept), as pairs (node subset, induced diagram), the subsets those
+    of `connected_subsets` in its order.  Nodes of the induced diagram are
+    relabelled 0..k-1 in the order of the subset, which is sorted."""
+    out = []
+    for subset in connected_subsets(diag, k):
+        relabel = {v: t for t, v in enumerate(subset)}
+        edges = {}
+        for (a, i), (b, j) in combinations(enumerate(subset), 2):
+            e = diag.edges.get((i, j))
+            if e is not None:
+                arrow = relabel[e.arrow_towards] if e.arrow_towards is not None else None
+                edges[(a, b)] = Edge(e.count, arrow, e.sign, e.b_label)
+        out.append((subset, DynkinDiagram([diag.nodes[v] for v in subset], edges, diag.labelled)))
+    return out
+
+
 def higher_order_oracle(cd, diag):
     """Every higher order match of the matchers above, in match order."""
     out = []
@@ -430,7 +457,7 @@ def span_dimension_by_identities(parities, content):
         return content_parity(tree_content(tree, r), parities)
 
     def node_swaps(tree):
-        if is_leaf(tree):
+        if isinstance(tree, int):
             return
         u, v = tree
         koszul = -1 if (par(u) and par(v)) else 1
@@ -463,10 +490,10 @@ def span_dimension_by_identities(parities, content):
         return {c: v for c, v in row.items() if v}
 
     def jacobi_rows(tree, context):
-        if is_leaf(tree):
+        if isinstance(tree, int):
             return
         u, v = tree
-        if not is_leaf(v):
+        if not isinstance(v, int):
             y, z = v
             s = -1 if (par(u) and par(y)) else 1
             yield [

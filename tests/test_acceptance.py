@@ -191,8 +191,7 @@ def test_criterion_6_table_regeneration():
     assert regenerated == golden
     # the worked sub-diagram extraction: white => grey = grey inside the
     # F(4) diagram with edge multiplicities {1, 2, 2, 3}
-    from superserre.cartan_dynkin import full_subdiagrams
-    from conftest import diagram_shape
+    from conftest import diagram_shape, full_subdiagrams
 
     f4 = build_root_datum("F4")
     target = next(

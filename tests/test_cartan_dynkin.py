@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from conftest import CATALOGUE, FAMILY_MATRIX, diagram_shape, make_shape, shape_of
+from conftest import CATALOGUE, FAMILY_MATRIX, diagram_shape, full_subdiagrams, make_shape, shape_of
 from superserre.cartan_dynkin import (
     BLACK,
     GREY,
@@ -17,7 +17,6 @@ from superserre.cartan_dynkin import (
     _path_order,
     build_diagram,
     cartan_matrix,
-    full_subdiagrams,
     minimal_square_length,
     parse_diagram,
     serialize_diagram,

@@ -219,10 +219,12 @@ def test_jobs_never_exceed_the_number_of_classes(monkeypatch):
     sizes = []
 
     class SerialPool:
-        """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+        """Stands in for ProcessPoolExecutor: records max_workers, runs the
+        initializer here, starts nothing; every task is a class index."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -231,6 +233,8 @@ def test_jobs_never_exceed_the_number_of_classes(monkeypatch):
             return False
 
         def map(self, fn, payloads):
+            payloads = list(payloads)
+            assert all(type(p) is int for p in payloads)
             return [fn(p) for p in payloads]
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)

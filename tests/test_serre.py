@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from superserre.cartan_dynkin import _path_order, build_diagram, cartan_matrix, full_subdiagrams
+from superserre.cartan_dynkin import _path_order, build_diagram, cartan_matrix
 from conftest import (
     CATALOGUE,
     FAMILY_MATRIX,
@@ -11,6 +11,7 @@ from conftest import (
     _match_d21a as oracle_match_d21a,
     algebras_of_rank,
     expansion_oracle,
+    full_subdiagrams,
 )
 from superserre.rootdata import (
     build_root_datum,
@@ -244,6 +245,15 @@ def test_an_element_below_height_2_is_refused():
     assert SerrePolynomial({(1, 1): 1}, "hand", (1,), 2).content == (2, 0)
 
 
+def test_an_inhomogeneous_element_is_refused_naming_every_content():
+    # the first term fixes the content (1, 1, 0); the error names every
+    # content among the terms, in term order, each once
+    terms = {(1, 2): 1, (1, 3): 1, (2, (1, 3)): 1, (3, 1): 2, (2, 1): 1}
+    with pytest.raises(ValueError, match="inhomogeneous") as info:
+        SerrePolynomial(terms, "hand", (1, 2, 3), 3)
+    assert str(info.value).endswith("[(1, 1, 0), (1, 0, 1), (1, 1, 1)]")
+
+
 def test_exponent_requires_integer_entry():
     from superserre.cartan_dynkin import CartanDataError
 
@@ -339,7 +349,7 @@ def test_match_4node_equals_the_every_ordering_oracle():
                 continue
             for subset, sub in full_subdiagrams(diag, 4):
                 nodes = tuple(v + 1 for v in subset)
-                got = list(_match_path(sub, nodes))
+                got = list(_match_path(diag, subset))
                 assert got == list(_match_4node_every_ordering(sub, nodes)), (datum.name, subset)
                 cases |= {case for case, _, _ in got}
                 not_paths += _path_order(sub) is None
@@ -363,13 +373,13 @@ def test_matchers_equal_the_oracle_matchers_on_every_sub_diagram_up_to_rank_6():
                     for subset, sub in full_subdiagrams(diag, size):
                         nodes = tuple(v + 1 for v in subset)
                         if diag.labelled:
-                            got = list(_match_d21a(sub, nodes))
+                            got = list(_match_d21a(diag, subset))
                             want = list(oracle_match_d21a(sub, nodes))
                         elif size == 3:
-                            got = list(_match_path(sub, nodes)) + list(_match_triangle(sub, nodes))
+                            got = list(_match_path(diag, subset)) + list(_match_triangle(diag, subset))
                             want = list(_match_3node(sub, nodes))
                         else:
-                            got = list(_match_path(sub, nodes))
+                            got = list(_match_path(diag, subset))
                             want = list(_match_4node_every_ordering(sub, nodes))
                         assert got == want, (datum.name, subset)
                         assert len(got) <= 1, (datum.name, subset)

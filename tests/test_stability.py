@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import superserre.quotient as quotient
 from conftest import FAMILY_MATRIX
 from superserre.freelie import expand_terms, lower_terms
+from superserre.linalg import axpy
 from superserre.quotient import check_lowering_stability
 from superserre.rootdata import build_root_datum, enumerate_simple_systems
 from superserre.scalars import Scalar
@@ -125,6 +126,41 @@ def test_native_and_scalar_lowerings_agree(case, data):
         h = h + c * ht
     words = {w: x for w, x in words.items() if x}
     assert expand_terms(native_out, cd.parities) == words and native_h == h
+
+
+def _full_lowering_entry(pres, idx, i):
+    """How the (element, i) entry comes out with every element lowered:
+    `zero` on an empty word expansion, else by the image on the engine."""
+    el = pres.e_side[idx]
+    lowered, _ = lower_terms(pres.cartan, i, el.terms)
+    if not expand_terms(lowered, pres.parities):
+        return "zero"
+    pres.engine.level(sum(el.content) - 1)
+    image = {}
+    for tree, coeff in lowered.items():
+        axpy(image, pres.engine.rho(tree), coeff)
+    return "violation" if image else "ideal"
+
+
+def test_entries_without_e_i_equal_the_full_lowering_entries():
+    # an element without e_i is recorded zero with no lowering; on every
+    # matrix class, generic D(2,1;a) among them, each entry is the one that
+    # full lowering plus word expansion give
+    unlowered = 0
+    for fam, kw, _ in FAMILY_MATRIX:
+        datum = build_root_datum(fam, **kw)
+        for k, system in enumerate(enumerate_simple_systems(datum)):
+            pres = presentation(datum, system)
+            got = [(e.element_index, e.provenance, e.i, e.stable, e.how)
+                   for e in check_lowering_stability(pres).entries]
+            want = []
+            for idx, el in enumerate(pres.e_side):
+                for i in range(1, pres.rank + 1):
+                    how = _full_lowering_entry(pres, idx, i)
+                    want.append((idx, el.provenance, i, how != "violation", how))
+                    unlowered += not el.content[i - 1]
+            assert got == want, (datum.name, k)
+    assert unlowered
 
 
 @pytest.fixture
