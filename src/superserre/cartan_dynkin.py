@@ -17,6 +17,7 @@ datum without the parameter.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from functools import cached_property
 
 from .scalars import Scalar, native, parse_scalar, ratio, render
@@ -150,38 +151,29 @@ def cartan_matrix(datum, system):
     return CartanData(datum.family, b, d, system.theta, kappa, lm2)
 
 
-class Edge:
-    __slots__ = ("count", "arrow_towards", "sign", "b_label")
-
-    def __init__(self, count, arrow_towards, sign, b_label=None):
-        self.count = count
-        self.arrow_towards = arrow_towards  # 0-based node index or None
-        self.sign = sign
-        self.b_label = b_label  # native value, populated for D(2,1;a) only
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Edge)
-            and (self.count, self.arrow_towards, self.sign, self.b_label)
-            == (other.count, other.arrow_towards, other.sign, other.b_label)
-        )
-
-    def __repr__(self):
-        bits = [f"count={self.count}", f"sign={self.sign}"]
-        if self.arrow_towards is not None:
-            bits.append(f"arrow->{self.arrow_towards}")
-        if self.b_label is not None:
-            bits.append(f"label={render(self.b_label)}")
-        return "Edge(" + ", ".join(bits) + ")"
+# arrow_towards: 0-based node index or None; b_label: native value, set for
+# D(2,1;a) only
+Edge = namedtuple("Edge", "count arrow_towards sign b_label", defaults=(None,))
 
 
 class DynkinDiagram:
     """Colored nodes and decorated edges; node indices are 0-based."""
 
     def __init__(self, nodes, edges, labelled=False):
+        """`adjacent[v]` is the sorted tuple of v's neighbours, built once
+        from the edges in sorted order: an edge (i, v) with i < v precedes
+        every (v, j), so each node's list comes out ascending.  Every stored
+        edge joins its nodes, count >= 1, so none is filtered out:
+        `build_diagram` skips n = 0, D(2,1;a) edges have count 1, and
+        `diagram_from_json_dict` refuses counts outside 1..3."""
         self.nodes = tuple(nodes)
         self.edges = dict(edges)  # (i, j) with i < j -> Edge
         self.labelled = labelled  # True for D(2,1;a)-type diagrams
+        adjacent = [[] for _ in self.nodes]
+        for i, j in sorted(self.edges):
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        self.adjacent = tuple(map(tuple, adjacent))
 
     @property
     def size(self):
@@ -201,11 +193,6 @@ class DynkinDiagram:
     def b_label(self, i, j):
         e = self.edge(i, j)
         return e.b_label if e else None
-
-    def neighbours(self, i):
-        return sorted(
-            b if a == i else a for (a, b), e in self.edges.items() if i in (a, b) and e.count
-        )
 
     def __eq__(self, other):
         return (
@@ -273,24 +260,26 @@ def build_diagram(cd):
 
 
 def connected_subsets(diag, k):
-    """All connected k-node subsets of the diagram, as sorted tuples of
-    0-based nodes in lexicographic order, for 1 <= k <= size.
+    """The connected node sets of 1, 2, ..., k nodes, from one growth: stage
+    s - 1 of the returned list holds the connected s-node sets as sorted
+    tuples of 0-based nodes in lexicographic order, for 1 <= k <= size.
 
     Higher order Serre elements attach to connected sub-diagrams only, so the
     node sets are grown from single nodes by adding a neighbour at a time
-    rather than drawn from all k-subsets.  This reaches every connected
-    k-set: a node whose removal leaves the rest connected (a leaf of a
-    spanning tree) is a neighbour of that connected (k-1)-set.
+    (`DynkinDiagram.adjacent`) rather than drawn from all k-subsets, and each
+    stage is the seed of the next.  This reaches every connected s-set: a
+    node whose removal leaves the rest connected (a leaf of a spanning tree)
+    is a neighbour of that connected (s-1)-set.
     """
     if k > diag.size:
         raise ValueError(f"k = {k} exceeds the diagram size {diag.size}")
     if k < 1:
         raise ValueError(f"k = {k} is not a positive sub-diagram size")
-    neighbours = [diag.neighbours(v) for v in range(diag.size)]
-    grown = {frozenset([v]) for v in range(diag.size)}
+    adjacent = diag.adjacent
+    stages = [{frozenset([v]) for v in range(diag.size)}]
     for _ in range(k - 1):
-        grown = {s | {u} for s in grown for v in s for u in neighbours[v] if u not in s}
-    return sorted(tuple(sorted(s)) for s in grown)
+        stages.append({s | {u} for s in stages[-1] for v in s for u in adjacent[v] if u not in s})
+    return [sorted(tuple(sorted(s)) for s in stage) for stage in stages]
 
 
 # -- serialization -------------------------------------------------------------
@@ -382,19 +371,15 @@ def _path_order(diag, nodes=None):
     The walk from the first node of degree 1 goes on to the one neighbour
     other than the node it came from.  Every node it leaves then has no
     further neighbour, so it reaches all nodes exactly when the diagram is
-    a path, and no separate connectivity or degree test is needed.  The
-    walk never depends on the order of a node's neighbours, so they are
-    collected in one pass over the edges.
+    a path, and no separate connectivity or degree test is needed.  A
+    node's neighbours inside `nodes` are its `DynkinDiagram.adjacent` entries
+    restricted to `nodes`; no edge is scanned.
     """
     if nodes is None:
         nodes = range(diag.size)
     if len(nodes) == 1:
         return [nodes[0]]
-    neighbours = {v: [] for v in nodes}
-    for (a, b), e in diag.edges.items():
-        if e.count and a in neighbours and b in neighbours:
-            neighbours[a].append(b)
-            neighbours[b].append(a)
+    neighbours = {v: [u for u in diag.adjacent[v] if u in nodes] for v in nodes}
     ends = [v for v in nodes if len(neighbours[v]) == 1]
     if not ends:
         return None
@@ -423,14 +408,35 @@ def _edge_ascii(diag, i, j):
     return f"{bar}{left}{middle}{right}{bar}"
 
 
-def _diagram_ascii(diag):
+def _edge_latex(diag, i, j):
+    e = diag.edge(i, j)
+    core = {1: "-", 2: "=", 3: r"\equiv"}[e.count]
+    if e.arrow_towards == j:
+        core = core + ">"
+    elif e.arrow_towards == i:
+        core = "<" + core
+    if e.b_label is not None:
+        core += "^{" + render(e.b_label) + "}"
+    return r"\;" + core + r"\;"
+
+
+def _draw_path(diag, glyph, edge_text):
+    """The diagram drawn along its path order, node glyphs and edge texts
+    alternating, or None if it is no path."""
     order = _path_order(diag)
-    if order is not None:
-        parts = [_NODE_GLYPH[diag.nodes[order[0]]]]
-        for a, b in zip(order, order[1:]):
-            parts.append(_edge_ascii(diag, a, b))
-            parts.append(_NODE_GLYPH[diag.nodes[b]])
-        return "".join(parts)
+    if order is None:
+        return None
+    parts = [glyph[diag.nodes[order[0]]]]
+    for a, b in zip(order, order[1:]):
+        parts.append(edge_text(diag, a, b))
+        parts.append(glyph[diag.nodes[b]])
+    return "".join(parts)
+
+
+def _diagram_ascii(diag):
+    path = _draw_path(diag, _NODE_GLYPH, _edge_ascii)
+    if path is not None:
+        return path
     lines = ["nodes: " + " ".join(f"{v}:{_NODE_GLYPH[c]}" for v, c in enumerate(diag.nodes))]
     for (i, j), _ in sorted(diag.edges.items()):
         lines.append(f"  {i} {_edge_ascii(diag, i, j)} {j}")
@@ -441,28 +447,12 @@ _LATEX_NODE = {WHITE: r"\bigcirc", GREY: r"\otimes", BLACK: r"\bullet"}
 
 
 def _diagram_latex(diag):
-    order = _path_order(diag)
-
-    def edge_tex(i, j):
-        e = diag.edge(i, j)
-        core = {1: "-", 2: "=", 3: r"\equiv"}[e.count]
-        if e.arrow_towards == j:
-            core = core + ">"
-        elif e.arrow_towards == i:
-            core = "<" + core
-        if e.b_label is not None:
-            core += "^{" + render(e.b_label) + "}"
-        return r"\;" + core + r"\;"
-
-    if order is not None:
-        parts = [_LATEX_NODE[diag.nodes[order[0]]]]
-        for a, b in zip(order, order[1:]):
-            parts.append(edge_tex(a, b))
-            parts.append(_LATEX_NODE[diag.nodes[b]])
-        return "$" + "".join(parts) + "$"
+    path = _draw_path(diag, _LATEX_NODE, _edge_latex)
+    if path is not None:
+        return "$" + path + "$"
     lines = ["% nodes: " + " ".join(f"{v}:{diag.nodes[v]}" for v in range(diag.size))]
     for (i, j), _ in sorted(diag.edges.items()):
-        lines.append(f"$ {i} {edge_tex(i, j)} {j} $")
+        lines.append(f"$ {i} {_edge_latex(diag, i, j)} {j} $")
     return "\n".join(lines)
 
 

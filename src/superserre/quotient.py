@@ -43,6 +43,7 @@ both engines on `Scalar`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain, groupby
 from operator import add
 
@@ -120,7 +121,9 @@ class IdealWordEngine:
 
 
 class GradedQuotientReport:
-    """Per-weight dimensions of the presented positive part."""
+    """Per-weight dimensions of the presented positive part.  `per_weight`
+    is in (height, weight) order, as `quotient_dimensions` fills it, level
+    by level and each level ascending, so `to_json` lists it as it is."""
 
     def __init__(self, rank, per_weight, max_height_reached, closed, warning):
         self.rank = rank
@@ -145,7 +148,7 @@ class GradedQuotientReport:
     def to_json(self):
         weights = [
             {"nu": list(nu), "free": f, "idealRank": i, "dim": q}
-            for nu, (f, i, q) in sorted(self.per_weight.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+            for nu, (f, i, q) in self.per_weight.items()
         ]
         data = {"weights": weights, "total": self.total_dim, "closed": self.closed}
         if self.warning:
@@ -554,15 +557,8 @@ def quotient_dimensions(presentation, max_height, excess_guard=None):
 # -- lowering stability ---------------------------------------------------------
 
 
-class StabilityEntry:
-    __slots__ = ("element_index", "provenance", "i", "stable", "how")
-
-    def __init__(self, element_index, provenance, i, stable, how):
-        self.element_index = element_index
-        self.provenance = provenance
-        self.i = i
-        self.stable = stable
-        self.how = how  # "zero" | "ideal" | "violation"
+# how: "zero" | "ideal" | "violation"
+StabilityEntry = namedtuple("StabilityEntry", "element_index provenance i stable how")
 
 
 class StabilityReport:

@@ -276,7 +276,9 @@ def higher_order_serre_elements(cd, diag):
     D(2,1;a)-type diagrams (labelled edges) carry only the labelled-triangle
     pattern; all other diagrams are matched against patterns 1-13, the
     3-node sub-diagrams first, then the 4-node ones.  Every pattern is a
-    connected sub-diagram, so only connected ones are matched.
+    connected sub-diagram, so only connected ones are matched, and both
+    sizes are stages of one `connected_subsets` growth, up to min(rank, 4),
+    or up to 3 for a labelled diagram.
 
     No two matches have the same expansion into free-Lie words, so none is
     expanded here.  An element's content has support its matched node set,
@@ -295,10 +297,11 @@ def higher_order_serre_elements(cd, diag):
         matchers = ((3, (_match_d21a,)),)
     else:
         matchers = ((3, (_match_path, _match_triangle)), (4, (_match_path,)))
+    stages = connected_subsets(diag, min(cd.rank, matchers[-1][0]))
     for size, matches in matchers:
-        if size > cd.rank:
+        if size > len(stages):
             break
-        for subset in connected_subsets(diag, size):
+        for subset in stages[size - 1]:
             for match in matches:
                 for case, terms, assign in match(diag, subset):
                     out.append(SerrePolynomial(terms, case, assign, cd.rank))

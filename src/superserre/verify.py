@@ -71,14 +71,16 @@ def verify_presentation(datum, system):
     reference table, which has no weight above top, the highest root height:
     level top + 1 is all zero, and the run closes, or has a weight of positive
     dimension, which trips the guard.  So the run stops by itself at or below
-    top + 1, and no higher cap could bind."""
+    top + 1, and no higher cap could bind.  Both mismatch walks go in
+    (height, weight) order: the report's weights come in that order, and
+    the reference table, breadth-first from `positive_roots`, is sorted."""
     ref = reference_multiplicities(system)
     pres = presentation(datum, system)
     report = quotient_dimensions(pres, max(sum(w) for w in ref) + 1, excess_guard=ref)
     notes = [] if report.closed else [report.warning]
     mismatches = []
     surviving = report.surviving_weights()
-    for w, q in sorted(surviving.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+    for w, q in surviving.items():
         expected = ref.get(w, 0)
         if q != expected:
             mismatches.append((w, expected, q))

@@ -272,10 +272,11 @@ def _match_d21a(sub, nodes):
 def full_subdiagrams(diag, k):
     """All connected k-node full sub-diagrams (induced edges, arrows and
     labels kept), as pairs (node subset, induced diagram), the subsets those
-    of `connected_subsets` in its order.  Nodes of the induced diagram are
-    relabelled 0..k-1 in the order of the subset, which is sorted."""
+    of the last `connected_subsets` stage in its order.  Nodes of the
+    induced diagram are relabelled 0..k-1 in the order of the subset, which
+    is sorted."""
     out = []
-    for subset in connected_subsets(diag, k):
+    for subset in connected_subsets(diag, k)[k - 1]:
         relabel = {v: t for t, v in enumerate(subset)}
         edges = {}
         for (a, i), (b, j) in combinations(enumerate(subset), 2):

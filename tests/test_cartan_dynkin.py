@@ -17,6 +17,7 @@ from superserre.cartan_dynkin import (
     _path_order,
     build_diagram,
     cartan_matrix,
+    connected_subsets,
     minimal_square_length,
     parse_diagram,
     serialize_diagram,
@@ -311,14 +312,33 @@ def _connected_subsets(diag, k):
     return out
 
 
+def test_adjacency_is_the_edge_scan():
+    # one sorted tuple of neighbours per node, as a scan of every edge gives
+    for fam, kw in [(fam, kw) for fam, kw, _ in FAMILY_MATRIX] + CATALOGUE:
+        datum = build_root_datum(fam, **kw)
+        for k, system in enumerate(enumerate_simple_systems(datum)):
+            diag = build_diagram(cartan_matrix(datum, system))
+            assert len(diag.adjacent) == diag.size
+            for v in range(diag.size):
+                scan = tuple(sorted(b if a == v else a for a, b in diag.edges if v in (a, b)))
+                assert diag.adjacent[v] == scan, (datum.name, k, v)
+            # the JSON reader's diagrams get theirs the same way
+            assert parse_diagram(serialize_diagram(diag, "json")).adjacent == diag.adjacent
+
+
 def test_full_subdiagrams_are_the_connected_subsets():
     # the matrix and every class of the catalogue algebras (rank up to 8),
-    # whose D-type fork is a connected 4-node sub-diagram that is no path
+    # whose D-type fork is a connected 4-node sub-diagram that is no path;
+    # every stage of one growth is the brute-force list of its size
     disconnected_seen = claw_seen = False
     for fam, kw in [(fam, kw) for fam, kw, _ in FAMILY_MATRIX] + CATALOGUE:
         datum = build_root_datum(fam, **kw)
         for system in enumerate_simple_systems(datum):
             diag = build_diagram(cartan_matrix(datum, system))
+            stages = connected_subsets(diag, min(4, diag.size))
+            assert len(stages) == min(4, diag.size)
+            for s, stage in enumerate(stages, 1):
+                assert stage == _connected_subsets(diag, s), (datum.name, s)
             for k in (3, 4):
                 if k > diag.size:
                     continue
@@ -327,7 +347,7 @@ def test_full_subdiagrams_are_the_connected_subsets():
                 assert [subset for subset, _ in subs] == wanted, (datum.name, k)
                 disconnected_seen |= len(wanted) < comb(diag.size, k)
                 for subset, sub in subs:
-                    claw_seen |= max(len(sub.neighbours(v)) for v in range(k)) == 3
+                    claw_seen |= max(len(sub.adjacent[v]) for v in range(k)) == 3
                     assert list(sub.nodes) == [diag.nodes[v] for v in subset]
                     assert sub.labelled == diag.labelled
                     for (a, i), (b, j) in combinations(enumerate(subset), 2):
@@ -390,11 +410,10 @@ def test_sl22_ascii():
 
 
 def _is_path(diag):
-    neighbours = [diag.neighbours(v) for v in range(diag.size)]
-    deg = [len(ns) for ns in neighbours]
+    deg = [len(ns) for ns in diag.adjacent]
     reached, stack = {0}, [0]  # a walk from node 0 over the neighbours
     while stack:
-        for u in neighbours[stack.pop()]:
+        for u in diag.adjacent[stack.pop()]:
             if u not in reached:
                 reached.add(u)
                 stack.append(u)
@@ -426,7 +445,7 @@ def test_table2_series_shapes_conform():
             assert len(doubles) == 1
             (i, j), e = doubles[0]
             end = e.arrow_towards
-            assert end in (i, j) and len(diag.neighbours(end)) == 1
+            assert end in (i, j) and len(diag.adjacent[end]) == 1
             assert diag.nodes[end] in (WHITE, BLACK)
             assert all(x.count == 1 for k, x in diag.edges.items() if x is not e)
 
@@ -436,10 +455,10 @@ def test_table2_series_shapes_conform():
         doubles = [(k, e) for k, e in diag.edges.items() if e.count == 2]
         if not doubles:
             # fork of two white leaves on a common neighbour
-            leaves = [v for v in range(diag.size) if len(diag.neighbours(v)) == 1]
-            forks = [v for v in range(diag.size) if len(diag.neighbours(v)) == 3]
+            leaves = [v for v in range(diag.size) if len(diag.adjacent[v]) == 1]
+            forks = [v for v in range(diag.size) if len(diag.adjacent[v]) == 3]
             assert len(forks) == 1
-            fork_leaves = [v for v in leaves if forks[0] in diag.neighbours(v)]
+            fork_leaves = [v for v in leaves if forks[0] in diag.adjacent[v]]
             assert len(fork_leaves) >= 2
         elif any(diag.nodes[i] == GREY and diag.nodes[j] == GREY for (i, j), _ in doubles):
             (i, j), e = doubles[0]
@@ -448,7 +467,7 @@ def test_table2_series_shapes_conform():
             # double tail: the arrow points inward, the terminal is white
             (i, j), e = doubles[0]
             other = j if e.arrow_towards == i else i
-            assert diag.nodes[other] == WHITE and len(diag.neighbours(other)) == 1
+            assert diag.nodes[other] == WHITE and len(diag.adjacent[other]) == 1
 
 
 def _canonical_entry(x):

@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +24,7 @@ from superserre.rootdata import (
     distinguished_simple_system,
     enumerate_simple_systems,
 )
-from superserre.scalars import Scalar
+from superserre.scalars import ALPHA, Scalar
 from superserre.serre import SerrePolynomial, presentation
 from superserre.verify import compare_z_grading, verify_presentation
 
@@ -133,6 +135,67 @@ def test_cross_validation_against_word_engine():
                 assert free == free_dimension(pres.parities, nu)
                 assert word.rank(nu) == ideal_rank, (fam, nu)
                 assert free - ideal_rank == q
+
+
+def _random_tree(rng, letters):
+    """A random bracketing of the generator indices `letters`, in order."""
+    if len(letters) == 1:
+        return letters[0]
+    cut = rng.randrange(1, len(letters))
+    return (_random_tree(rng, letters[:cut]), _random_tree(rng, letters[cut:]))
+
+
+def _random_coefficient(rng):
+    """A nonzero `int`, a `Fraction`, or a `Scalar` that involves a."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rng.choice((-2, -1, 1, 2, 3))
+    if kind == 1:
+        return Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((2, 3, 5)))
+    return rng.choice((-1, 1, 2)) * ALPHA + rng.randrange(-2, 3)
+
+
+def _random_element(rng, r):
+    """A nonzero homogeneous element of height 2 to 4 in r generators: one to
+    three random bracketings of one random word's letters."""
+    while True:
+        letters = [rng.randrange(1, r + 1) for _ in range(rng.randrange(2, 5))]
+        terms = {}
+        for _ in range(rng.randrange(1, 4)):
+            rng.shuffle(letters)
+            tree = _random_tree(rng, tuple(letters))
+            terms[tree] = terms.get(tree, 0) + _random_coefficient(rng)
+        terms = {t: c for t, c in terms.items() if c}
+        if terms:
+            return SerrePolynomial(terms, "random", sorted(set(letters)), r)
+
+
+def check_random_ideals(count, seed):
+    """(cases, weights compared) over `count` random homogeneous ideals, not
+    Serre ones: rank 1 to 3, random parities, one to three elements of
+    height 2 to 4 with `int`, `Fraction` and `Scalar` coefficients.  At every
+    weight of the covering engine's report, up to height 7 for rank <= 2 and
+    5 for rank 3, its ideal rank is `IdealWordEngine`'s.  Unlike Serre rows
+    of type A, these rows have pivots other than 1."""
+    rng = random.Random(seed)
+    weights = 0
+    for case in range(count):
+        r = rng.randrange(1, 4)
+        parities = tuple(rng.randrange(2) for _ in range(r))
+        elements = [_random_element(rng, r) for _ in range(rng.randrange(1, 4))]
+        ideal = SimpleNamespace(parities=parities, engine=CoveringEngine(parities, elements))
+        rep = quotient_dimensions(ideal, 7 if r <= 2 else 5)
+        word = IdealWordEngine(parities, elements)
+        for nu, (free, ideal_rank, q) in rep.per_weight.items():
+            assert free == free_dimension(parities, nu)
+            assert word.rank(nu) == ideal_rank, (case, nu)
+            assert free - ideal_rank == q
+            weights += 1
+    return count, weights
+
+
+def test_random_ideal_ranks_match_the_word_engine():
+    assert check_random_ideals(200, 0) == (200, 4148)
 
 
 def test_monotonicity_more_relations_never_grow():
@@ -289,10 +352,15 @@ def test_every_level_lists_its_weights_in_ascending_order():
     for fam, kw, _ in FAMILY_MATRIX:
         datum = build_root_datum(fam, **kw)
         for k, system in enumerate(enumerate_simple_systems(datum)):
-            engine = verify_presentation(datum, system).presentation.engine
+            report = verify_presentation(datum, system)
+            engine = report.presentation.engine
             assert len(engine.dims[1]) == datum.rank
             for h, dims in engine.dims.items():
                 assert list(dims) == sorted(dims), (datum.name, k, h)
+            # so the report's weights come in (height, weight) order, and
+            # its to_json and verify's mismatch walk need no sort
+            keys = [(sum(nu), nu) for nu in report.quotient_report.per_weight]
+            assert keys == sorted(keys), (datum.name, k)
 
 
 def test_a_height_beyond_the_field_is_refused():
