@@ -20,7 +20,6 @@ from .verify import (
     necessity_survey,
     necessity_test,
     survey_presentation,
-    verify_all_borels,
     verify_presentation,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "quotient_dimensions",
     "check_lowering_stability",
     "verify_presentation",
-    "verify_all_borels",
     "necessity_test",
     "necessity_survey",
     "survey_presentation",

@@ -186,10 +186,6 @@ class DynkinDiagram:
         e = self.edge(i, j)
         return e.count if e else 0
 
-    def sign(self, i, j):
-        e = self.edge(i, j)
-        return e.sign if e else 0
-
     def b_label(self, i, j):
         e = self.edge(i, j)
         return e.b_label if e else None

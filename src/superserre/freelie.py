@@ -154,7 +154,10 @@ def lyndon_count(content):
 
 
 @lru_cache(maxsize=None)
-def _free_dimension_cached(parities, content):
+def free_dimension(parities, content):
+    """Dimension of the multidegree component of the free Lie superalgebra:
+    Lyndon words of the content plus, when the half content is odd, Lyndon
+    words of the half content (the squares).  Cached: both are tuples."""
     if content_height(content) == 0:
         return 0
     n = lyndon_count(content)
@@ -162,13 +165,6 @@ def _free_dimension_cached(parities, content):
     if half is not None and any(half) and content_parity(half, parities) == 1:
         n += lyndon_count(half)
     return n
-
-
-def free_dimension(parities, content):
-    """Dimension of the multidegree component of the free Lie superalgebra:
-    Lyndon words of the content plus, when the half content is odd, Lyndon
-    words of the half content (the squares)."""
-    return _free_dimension_cached(tuple(parities), tuple(content))
 
 
 # -- lowering operators ----------------------------------------------------------

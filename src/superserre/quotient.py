@@ -203,7 +203,6 @@ class CoveringEngine:
         self.weight_of = []
         self.packed_of = []  # id -> `pack(weight_of[id])`
         self.parity_of = []
-        self.height_of = []
         self.level_ids = {}  # height -> list of ids, ordered by weight then id
         self.dims = {}  # height -> {weight: new dimension}, as build_level returned it
         self.products = {}  # canonical (x, y) with x <= y -> vec over ids
@@ -223,38 +222,39 @@ class CoveringEngine:
             p = (p << FIELD_BITS) | c
         return p
 
-    def _new_basis(self, weight, packed, parity, height):
+    def _new_basis(self, weight, packed, parity):
         bid = len(self.weight_of)
         self.weight_of.append(weight)
         self.packed_of.append(packed)
         self.parity_of.append(parity)
-        self.height_of.append(height)
         return bid
 
     def _init_level1(self):
         """e_1, ..., e_r get ids 0, ..., r - 1.  `dims[1]` lists their
         weights in ascending order, e_r first, as `build_level` lists every
         higher level (see `quotient_dimensions`)."""
-        self.level_ids[1] = [
-            self._new_basis(_unit(self.r, i), self._units[i - 1], self.parities[i - 1], 1)
-            for i in range(1, self.r + 1)
-        ]
-        self.dims[1] = {_unit(self.r, i): 1 for i in range(self.r, 0, -1)}
+        units = [_unit(self.r, i) for i in range(1, self.r + 1)]
+        self.level_ids[1] = list(map(self._new_basis, units, self._units, self.parities))
+        self.dims[1] = dict.fromkeys(reversed(units), 1)
         self.completed = 1
 
     def _koszul(self, x, y):
         return -1 if (self.parity_of[x] and self.parity_of[y]) else 1
 
     def product(self, x, y):
-        """[x, y] in basis coordinates; total height must be completed."""
-        if self.height_of[x] + self.height_of[y] > self.completed:
-            raise EngineError("product beyond the completed level")
+        """[x, y] in basis coordinates.  `build_level(h)` gives each pair
+        (x < y, or x = y odd) of height h one `products` entry, {} at a dead
+        weight, so a pair without one is beyond `completed`; an even square is {}."""
         if x == y and self.parity_of[x] == 0:
             return {}
-        if x <= y:
-            return self.products[(x, y)]
+        try:
+            if x <= y:
+                return self.products[(x, y)]
+            vec = self.products[(y, x)]
+        except KeyError:
+            raise EngineError("product beyond the completed level") from None
         sign = self._koszul(x, y)
-        return {b: -sign * c for b, c in self.products[(y, x)].items()}
+        return {b: -sign * c for b, c in vec.items()}
 
     # -- rewriting -------------------------------------------------------------
 
@@ -473,7 +473,7 @@ class CoveringEngine:
                 continue
             expr = ech.read_off()
             parity = parity_of[x] ^ parity_of[y]
-            new_id = {s: self._new_basis(w, pw, parity, h_next) for s in syms if s not in expr}
+            new_id = {s: self._new_basis(w, pw, parity) for s in syms if s not in expr}
             for s in syms:
                 if s in expr:
                     self.products[s] = {new_id[q]: c for q, c in expr[s].items()}

@@ -24,14 +24,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-class AlphaDomainError(ValueError):
-    """Raised when the deformation parameter is specialised to 0 or -1."""
-
-
-class PoleError(ZeroDivisionError):
-    """Raised when a substitution makes a denominator vanish."""
-
-
 FORBIDDEN_ALPHA = (Fraction(0), Fraction(-1))
 
 
@@ -142,12 +134,6 @@ class Poly:
         if self.is_zero():
             return self
         return self.scale(1 / self.coeffs[-1])
-
-    def evaluate(self, a0):
-        acc = _FRACTION_ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * a0 + c
-        return acc
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)})"
@@ -452,20 +438,6 @@ class Scalar:
     def __reduce__(self):
         """Pickle and copy through the constructor, which restores `_ONE_POLY`."""
         return Scalar, (self.num, self.den)
-
-    # -- specialisation ----------------------------------------------------
-
-    def evaluate_at(self, a0):
-        """Substitute a := a0 exactly; a0 must avoid {0, -1} and all poles."""
-        a0 = exact(a0)
-        d = self.den.evaluate(a0)
-        if d == 0:
-            raise PoleError(f"denominator of {self} vanishes at a = {a0}")
-        if a0 in FORBIDDEN_ALPHA:
-            raise AlphaDomainError(
-                f"a = {a0} is excluded: the parameter ranges over C \\ {{0, -1}}"
-            )
-        return self.num.evaluate(a0) / d
 
     def sign_on_positive_a(self):
         """Sign in {-1, 0, +1} that this function keeps for every a > 0.

@@ -23,7 +23,6 @@ from itertools import permutations
 from .cartan_dynkin import BLACK, GREY, WHITE, _path_order, build_diagram, cartan_matrix, connected_subsets
 from .freelie import content_height, tree_content, tree_render
 from .quotient import CoveringEngine
-from .rootdata import PreconditionError
 from .scalars import native, render
 
 
@@ -34,7 +33,7 @@ class SerrePolynomial:
     terms as they are.  `content`, the multidegree in `rank` generators, is
     the first term's content, which the constructor checks every other term
     against; it has height at least 2.
-    `render` and `to_json` print it on the side whose letter they take."""
+    `render` prints it on the e side, `to_json` on the side it is given."""
 
     __slots__ = ("terms", "provenance", "nodes", "content")
 
@@ -52,9 +51,9 @@ class SerrePolynomial:
         if content_height(self.content) < 2:  # the engines take the generators as free
             raise ValueError(f"a Serre element must have height at least 2: {self.content}")
 
-    def render(self, fmt="text", side="e"):
+    def render(self, fmt="text"):
         latex = fmt == "latex"
-        letter = side + "_" if latex else side
+        letter = "e_" if latex else "e"
         out = ""
         for t in sorted(self.terms, key=repr) if len(self.terms) > 1 else self.terms:
             c = self.terms[t]
@@ -329,23 +328,13 @@ class Presentation:
         its presentation, so verification, the necessity test and the
         stability check of one class read one set of levels
         (`CoveringEngine.level`).  Nothing is shared between presentations:
-        `without_element` returns a new one, with an engine of its own.
+        each makes an engine of its own.
         """
         return CoveringEngine(self.parities, self.e_side)
 
     @property
     def higher_order(self):
         return [el for el in self.e_side if el.provenance != "standard"]
-
-    def without_element(self, index):
-        """Presentation with one element removed, from both sides; `index`
-        must address an element of `e_side`, counted from 0."""
-        if not 0 <= index < len(self.e_side):
-            raise PreconditionError(
-                f"element index {index} is outside 0..{len(self.e_side) - 1}"
-            )
-        e_side = self.e_side[:index] + self.e_side[index + 1:]
-        return Presentation(self.datum, self.system, self.cartan, self.diagram, e_side)
 
     def to_json(self):
         return {
@@ -359,15 +348,19 @@ class Presentation:
         }
 
     def render(self, fmt="text"):
+        """Text or latex, e side then f side, or `to_json`'s JSON.  An f line
+        is its e body with `e` replaced by `f`: a body's coefficients print
+        in `Scalar.render`'s grammar (digits, `a`, `^`, `*`, `/`, `+`, `-`,
+        parentheses), which has no `e`, and the provenance is outside it."""
         if fmt == "json":
             return json.dumps(self.to_json(), sort_keys=True)
         lines = [
             f"presentation of {self.datum.name}, rank {self.rank}, theta {sorted(self.cartan.theta)}",
             "quadratic relations: [h_i,h_j]=0, [h_i,e_j]=a_ij e_j, [h_i,f_j]=-a_ij f_j, [e_i,f_j]=delta_ij h_i",
         ]
-        for side in "ef":
-            for el in self.e_side:
-                lines.append(f"  ({el.provenance}; nodes {list(el.nodes)})  {el.render(fmt, side)} = 0")
+        tagged = [(f"  ({el.provenance}; nodes {list(el.nodes)})  ", el.render(fmt)) for el in self.e_side]
+        lines += [f"{tag}{body} = 0" for tag, body in tagged]
+        lines += [f"{tag}{body.replace('e', 'f')} = 0" for tag, body in tagged]
         return "\n".join(lines)
 
 

@@ -9,11 +9,7 @@ from __future__ import annotations
 from .freelie import content_height
 from .linalg import Echelon
 from .quotient import quotient_dimensions
-from .rootdata import (
-    PreconditionError,
-    enumerate_simple_systems,
-    positive_roots,
-)
+from .rootdata import PreconditionError, positive_roots
 from .serre import presentation
 
 
@@ -172,14 +168,6 @@ def necessity_survey(datum, system):
     """Necessity of every higher order element of the class's presentation:
     `survey_presentation` on a presentation of its own."""
     return survey_presentation(presentation(datum, system))
-
-
-def verify_all_borels(datum):
-    """One report per enumerated simple system."""
-    return [
-        verify_presentation(datum, system)
-        for system in enumerate_simple_systems(datum)
-    ]
 
 
 def z_layer_dimensions(rank, multiplicities, d):

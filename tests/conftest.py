@@ -15,9 +15,10 @@ from superserre.cartan_dynkin import (
 )
 from superserre.quotient import quotient_dimensions
 from superserre.freelie import content_height, content_parity, expand_terms, tree_content
-from superserre.scalars import parse_scalar, render
-from superserre.serre import SerrePolynomial, ad_power
-from superserre.verify import reference_multiplicities
+from superserre.rootdata import PreconditionError, enumerate_simple_systems
+from superserre.scalars import FORBIDDEN_ALPHA, exact, parse_scalar, render
+from superserre.serre import Presentation, SerrePolynomial, ad_power
+from superserre.verify import reference_multiplicities, verify_presentation
 
 
 # family, constructor kwargs, expected total dimension (rank + root count)
@@ -127,7 +128,7 @@ def _match_3node(sub, nodes):
                 continue
             gj, gt, gk = nodes[j], nodes[t], nodes[k]
             if cnt(j, t) == 1 and cnt(t, k) == 1 and c[j] in _CROSS and c[k] in _CROSS:
-                if sub.sign(j, t) * sub.sign(t, k) == -1 and j < k:
+                if sub.edge(j, t).sign * sub.edge(t, k).sign == -1 and j < k:
                     yield "case-1", _quartic(gt, gj, gk), (gj, gt, gk)
             if cnt(j, t) == 1 and cnt(t, k) == 2 and c[j] in _CROSS and arrow(t, k) == k:
                 if c[k] == WHITE:
@@ -320,6 +321,21 @@ def expansion_oracle(datum, system):
     return list(seen.values())
 
 
+def verify_all_borels(datum):
+    """One verification report per enumerated simple system."""
+    return [verify_presentation(datum, system) for system in enumerate_simple_systems(datum)]
+
+
+def without_element(pres, index):
+    """`pres` with one element removed, from both sides; `index` must
+    address an element of `e_side`, counted from 0, and any other index
+    raises PreconditionError."""
+    if not 0 <= index < len(pres.e_side):
+        raise PreconditionError(f"element index {index} is outside 0..{len(pres.e_side) - 1}")
+    e_side = pres.e_side[:index] + pres.e_side[index + 1:]
+    return Presentation(pres.datum, pres.system, pres.cartan, pres.diagram, e_side)
+
+
 def necessity_oracle(pres):
     """`necessity_survey`'s JSON for the presentation `pres`, by the
     definition it replaced: delete each higher order element in turn and
@@ -333,7 +349,7 @@ def necessity_oracle(pres):
     for j, el in enumerate(pres.e_side):
         if el.provenance == "standard":
             continue
-        report = quotient_dimensions(pres.without_element(j), top + 1, excess_guard=ref)
+        report = quotient_dimensions(without_element(pres, j), top + 1, excess_guard=ref)
         h = report.max_height_reached
         excess = sorted(
             w for w, (_, _, q) in report.per_weight.items() if sum(w) == h and q > ref.get(w, 0)
@@ -347,6 +363,37 @@ def necessity_oracle(pres):
             }
         )
     return out
+
+
+# -- specialising the parameter a ---------------------------------------------
+
+
+class AlphaDomainError(ValueError):
+    """Raised when the deformation parameter is specialised to 0 or -1."""
+
+
+class PoleError(ZeroDivisionError):
+    """Raised when a substitution makes a denominator vanish."""
+
+
+def _poly_value(p, a0):
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * a0 + c
+    return acc
+
+
+def evaluate_at(x, a0):
+    """The `Scalar` x at a := a0, exactly.  A pole of x at a0 raises
+    PoleError, checked first; a0 in {0, -1} raises AlphaDomainError; a
+    float a0 raises TypeError."""
+    a0 = exact(a0)
+    d = _poly_value(x.den, a0)
+    if d == 0:
+        raise PoleError(f"denominator of {x} vanishes at a = {a0}")
+    if a0 in FORBIDDEN_ALPHA:
+        raise AlphaDomainError(f"a = {a0} is excluded: the parameter ranges over C \\ {{0, -1}}")
+    return _poly_value(x.num, a0) / d
 
 
 # -- brute-force free-Lie dimension oracle ------------------------------------

@@ -14,6 +14,7 @@ from conftest import (
     make_shape,
     shape_of,
     span_dimension_by_identities,
+    verify_all_borels,
 )
 from superserre.cartan_dynkin import (
     GREY,
@@ -32,7 +33,6 @@ from superserre.serre import presentation
 from superserre.verify import (
     compare_z_grading,
     necessity_survey,
-    verify_all_borels,
     verify_presentation,
 )
 

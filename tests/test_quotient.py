@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FAMILY_MATRIX
+from conftest import FAMILY_MATRIX, without_element
 from superserre.freelie import content_height, expand_terms, free_dimension
 from superserre.linalg import axpy
 from superserre.quotient import (
@@ -108,7 +108,7 @@ def test_total_dimension_requires_closure():
 def test_unbounded_growth_warning():
     datum = build_root_datum("A", m=1, n=0)
     pres = presentation(datum, distinguished_simple_system(datum))
-    rep = quotient_dimensions(pres.without_element(0), 6)
+    rep = quotient_dimensions(without_element(pres, 0), 6)
     assert not rep.closed and rep.warning
 
 
@@ -202,7 +202,7 @@ def test_monotonicity_more_relations_never_grow():
     datum = build_root_datum("A", m=1, n=1)
     pres = presentation(datum, distinguished_simple_system(datum))
     idx = next(k for k, el in enumerate(pres.e_side) if el.provenance != "standard")
-    smaller = pres.without_element(idx)
+    smaller = without_element(pres, idx)
     full = quotient_dimensions(pres, 8)
     part = quotient_dimensions(smaller, 8)
     for nu, (_, _, q) in full.per_weight.items():
@@ -228,8 +228,8 @@ def test_z_grading_requires_closed_report(monkeypatch):
     # without its case-1 element, A(1,1) trips the excess guard: a failing report
     def reduced(datum, system):
         pres = presentation(datum, system)
-        return pres.without_element(
-            next(k for k, el in enumerate(pres.e_side) if el.provenance == "case-1")
+        return without_element(
+            pres, next(k for k, el in enumerate(pres.e_side) if el.provenance == "case-1")
         )
 
     monkeypatch.setattr(verify, "presentation", reduced)
@@ -372,6 +372,30 @@ def test_a_height_beyond_the_field_is_refused():
     with pytest.raises(EngineError, match="in order"):
         engine.build_level((1 << FIELD_BITS) - 1)
     assert engine.completed == 1
+
+
+def test_a_product_beyond_the_completed_level_is_refused():
+    # e1 even, e2 odd: a pair above `completed` has no entry in `products`,
+    # in either order, the odd square [e2, e2] included
+    engine = CoveringEngine((0, 1), [])
+    for x, y in ((0, 1), (1, 0), (1, 1)):
+        with pytest.raises(EngineError, match="beyond the completed level"):
+            engine.product(x, y)
+    engine.build_level(2)
+    e22, e12 = engine.level_ids[2]  # weights (0, 2) < (1, 1)
+    assert engine.product(0, 1) == {e12: 1} and engine.product(1, 1) == {e22: 1}
+    for x, y in ((0, e12), (e22, 1), (e12, e22)):
+        with pytest.raises(EngineError, match="beyond the completed level"):
+            engine.product(x, y)
+
+
+def test_a_dimension_above_the_free_dimension_is_refused(monkeypatch):
+    import superserre.quotient as quotient
+
+    monkeypatch.setattr(quotient, "free_dimension", lambda parities, content: 0)
+    engine = CoveringEngine((0, 0), [])
+    with pytest.raises(EngineError, match=r"covering produced dimension 1 > free dimension at \(1, 1\)"):
+        engine.build_level(2)
 
 
 def test_ideal_component_row_values():
@@ -534,7 +558,7 @@ def test_single_deletion_ranks_match_the_word_engine(data):
     pres = data.draw(st.sampled_from(_DELETION_CASES))
     k = data.draw(st.integers(min_value=0, max_value=len(pres.e_side) - 1))
     h = data.draw(st.integers(min_value=2, max_value=5))
-    reduced = pres.without_element(k)
+    reduced = without_element(pres, k)
     rep = quotient_dimensions(reduced, h)
     word = IdealWordEngine(reduced.parities, reduced.e_side)
     for nu, (free, ideal_rank, q) in rep.per_weight.items():

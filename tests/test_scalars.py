@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import AlphaDomainError, PoleError, evaluate_at
 from superserre.linalg import _reciprocal
 from superserre.scalars import (
     ALPHA,
-    AlphaDomainError,
     ONE,
-    PoleError,
     Poly,
     Scalar,
     ZERO,
@@ -66,19 +65,19 @@ def test_canonical_form_monic_denominator():
 
 
 def test_evaluate_at():
-    assert (-(ONE + ALPHA)).evaluate_at(1) == Fraction(-2)
-    assert (ALPHA / (ONE + ALPHA)).evaluate_at(2) == Fraction(2, 3)
+    assert evaluate_at(-(ONE + ALPHA), 1) == Fraction(-2)
+    assert evaluate_at(ALPHA / (ONE + ALPHA), 2) == Fraction(2, 3)
 
 
 def test_evaluate_forbidden_and_pole():
     with pytest.raises(AlphaDomainError):
-        ALPHA.evaluate_at(0)
+        evaluate_at(ALPHA, 0)
     with pytest.raises(AlphaDomainError):
-        ALPHA.evaluate_at(-1)
+        evaluate_at(ALPHA, -1)
     with pytest.raises(PoleError):
-        (ONE / ALPHA).evaluate_at(Fraction(0))  # the pole check fires first
+        evaluate_at(ONE / ALPHA, Fraction(0))  # the pole check fires first
     with pytest.raises(PoleError):
-        (ONE / (ALPHA - 2)).evaluate_at(2)
+        evaluate_at(ONE / (ALPHA - 2), 2)
 
 
 def test_render_and_parse_round_trip():
@@ -313,7 +312,7 @@ def test_inverse_of_a_non_monic_numerator_matches_the_constructor(p, r, lead):
         lambda: Scalar(0.1),
         lambda: Scalar(1, 0.5),
         lambda: native(0.1),
-        lambda: ALPHA.evaluate_at(0.1),
+        lambda: evaluate_at(ALPHA, 0.1),
     ],
     ids=["Poly", "Poly-scale", "Scalar-num", "Scalar-den", "native", "evaluate_at"],
 )

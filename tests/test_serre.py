@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,10 @@ from conftest import (
     _match_4node_every_ordering,
     _match_d21a as oracle_match_d21a,
     algebras_of_rank,
+    evaluate_at,
     expansion_oracle,
     full_subdiagrams,
+    without_element,
 )
 from superserre.rootdata import (
     build_root_datum,
@@ -144,13 +147,17 @@ def test_f_side_mirrors_e_side():
                     dict(term, word=_on_f_side(term["word"])) for term in e_json["terms"]
                 ]
                 assert f_json == want, (datum.name, e_json)
-            lines = pres.render().split("\n")[2:]
-            n = len(pres.e_side)
-            assert len(lines) == 2 * n
-            for el, e_line, f_line in zip(pres.e_side, lines, lines[n:]):
-                head = f"  ({el.provenance}; nodes {list(el.nodes)})  "
-                assert e_line == head + el.render() + " = 0"
-                assert f_line == head + el.render("text", "f") + " = 0"
+            for fmt in ("text", "latex"):
+                lines = pres.render(fmt).split("\n")[2:]
+                n = len(pres.e_side)
+                assert len(lines) == 2 * n
+                for el, e_line, f_line in zip(pres.e_side, lines, lines[n:]):
+                    head = f"  ({el.provenance}; nodes {list(el.nodes)})  "
+                    body = el.render(fmt)
+                    # the body's only `e`s are generator letters, which the swap relabels
+                    assert "e" not in re.sub(r"e_?\d+", "", body), body
+                    assert e_line == head + body + " = 0"
+                    assert f_line == head + body.replace("e", "f") + " = 0"
 
 
 def test_elements_homogeneous_in_degree_and_parity():
@@ -189,7 +196,7 @@ def test_relation_coefficients_are_native_from_birth(family, kw):
     for system in enumerate_simple_systems(datum):
         pres = presentation(datum, system)
         sides = [pres]
-        sides += [pres.without_element(k) for k in range(len(pres.e_side))]
+        sides += [without_element(pres, k) for k in range(len(pres.e_side))]
         for p in sides:
             for el in p.e_side:
                 for c in el.terms.values():
@@ -213,7 +220,7 @@ def test_specialisation_commutes_with_generation():
             for el in pg.e_side:
                 vec = {}
                 for t, c in el.terms.items():
-                    vec[t] = Scalar(c).evaluate_at(a0)
+                    vec[t] = evaluate_at(Scalar(c), a0)
                 # normalise sign so span comparison is fair
                 key = tuple(sorted((repr(t), str(q)) for t, q in vec.items()))
                 neg = tuple(sorted((repr(t), str(-q)) for t, q in vec.items()))

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import FAMILY_MATRIX, algebras_of_rank, necessity_oracle
+from conftest import FAMILY_MATRIX, algebras_of_rank, necessity_oracle, verify_all_borels, without_element
 from superserre.rootdata import (
     PreconditionError,
     build_root_datum,
@@ -14,7 +14,6 @@ from superserre.verify import (
     necessity_test,
     reference_multiplicities,
     survey_presentation,
-    verify_all_borels,
     verify_presentation,
 )
 
@@ -67,7 +66,7 @@ def test_broken_presentation_fails_honestly():
     idx = next(k for k, el in enumerate(pres.e_side) if el.provenance != "standard")
     ref = reference_multiplicities(system)
     top = max(sum(w) for w in ref)
-    rep = quotient_dimensions(pres.without_element(idx), top + 1, excess_guard=ref)
+    rep = quotient_dimensions(without_element(pres, idx), top + 1, excess_guard=ref)
     assert any(q > ref.get(w, 0) for w, (_, _, q) in rep.per_weight.items())
 
 
@@ -116,7 +115,7 @@ def test_necessity_rejects_an_index_outside_the_elements():
     assert necessity_test(f4, system, last).necessary
     for idx in (-1, last + 1):
         with pytest.raises(PreconditionError, match="outside"):
-            pres.without_element(idx)
+            without_element(pres, idx)
         with pytest.raises(PreconditionError, match="outside"):
             necessity_test(f4, system, idx)
 
