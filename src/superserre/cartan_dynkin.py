@@ -50,22 +50,24 @@ def _sign(x):
 class CartanData:
     """B, D, A together with theta, kappa, l_m^2 and the sign matrix.
 
-    `native_b`, `d`, `native_a` and `lm2` hold native entries (see the
-    module docstring).  `b` and `a` are the same matrices as rows of
-    `Scalar`, built on first read for callers that want the field's own
+    Only the family, B, theta and l_m^2 are given; kappa and D follow from
+    them as the module docstring says.  `native_b`, `d`, `native_a` and
+    `lm2` hold native entries.  `b` and `a` are the same matrices as rows
+    of `Scalar`, built on first read for callers that want the field's own
     methods; nothing in the package reads them.
     """
 
-    def __init__(self, family, b, d, theta, kappa, lm2):
+    def __init__(self, family, b, theta, lm2):
         self.family = family
         self.rank = len(b)
         self.native_b = b
-        self.d = d
         self.theta = frozenset(theta)
-        self.kappa = kappa
+        self.kappa = 0 if family == "B" else 1
         self.lm2 = lm2
+        iso_d = _quotient(lm2, 2 ** self.kappa)
+        self.d = [_quotient(row[i], 2) if row[i] else iso_d for i, row in enumerate(b)]
         self.parities = tuple(int(i in self.theta) for i in range(1, self.rank + 1))
-        self.native_a = [[_quotient(x, di) if x else 0 for x in row] for row, di in zip(b, d)]
+        self.native_a = [[_quotient(x, di) if x else 0 for x in row] for row, di in zip(b, self.d)]
         self.sgn = [[_sign(x) if x else 0 for x in row] for row in b]
         self._validate()
 
@@ -144,11 +146,7 @@ def cartan_matrix(datum, system):
     for i in range(r):  # B is symmetric: evaluate j >= i and mirror
         for j in range(i, r):
             b[i][j] = b[j][i] = form_value(roots[i], roots[j])
-    lm2 = minimal_square_length(datum)
-    kappa = 0 if datum.family == "B" else 1
-    iso_d = _quotient(lm2, 2 ** kappa)
-    d = [_quotient(b[i][i], 2) if b[i][i] else iso_d for i in range(r)]
-    return CartanData(datum.family, b, d, system.theta, kappa, lm2)
+    return CartanData(datum.family, b, system.theta, minimal_square_length(datum))
 
 
 # arrow_towards: 0-based node index or None; b_label: native value, set for

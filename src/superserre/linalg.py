@@ -4,7 +4,7 @@ A vector is a dict key -> coefficient that stores no zero entry; keys are
 any totally ordered values (word tuples, pair symbols, basis ids).  `axpy`
 is the one accumulation step, and `Echelon` the one elimination, behind the
 word expansion, the word-space ideal engine, the relation echelons of the
-covering engine and the lowering-stability spans.
+covering engine and the necessity test (`verify._necessity`).
 
 Coefficients are exact and may be of any type closed under the field
 operations with Python's operators: native `int` and `Fraction`, or

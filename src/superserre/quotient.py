@@ -32,7 +32,9 @@ the Z-grading tables are read off a verification report, by
 
 Both engines and the stability check read the relation terms as
 `SerrePolynomial` holds them, native `int` and `Fraction` over Q and
-`Scalar` only where a appears, and eliminate with `linalg.Echelon`.
+`Scalar` only where a appears.  Both engines eliminate with
+`linalg.Echelon`; the stability check eliminates nothing, since it
+rewrites each lowered element on the covering engine's levels.
 Sharing that arithmetic costs the cross-check nothing: it compares two
 constructions of the ideal (ad-word spans in the free algebra against
 levels built in quotient coordinates), not two number types;
@@ -44,7 +46,7 @@ both engines on `Scalar`.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import chain, groupby
+from itertools import chain
 from operator import add
 
 from .freelie import (
@@ -340,8 +342,7 @@ class CoveringEngine:
         """(w, J(x, y, z)) per sorted basis triple x <= y <= z of height h and
         packed weight w in `weights` (see `pack`), which is read as they go
         (a weight taken out yields no more).  Ids grow with height, so
-        hx <= hy <= hz, and a level's ids are in weight order, so groupby
-        reads off its groups.
+        hx <= hy <= hz.
 
         A triple's weight is the sum of three packed weights.  No field
         carries: every coordinate of a weight of height at most h is at most
@@ -349,13 +350,11 @@ class CoveringEngine:
         level it builds, so each field of a partial or full sum holds the
         coordinate sum itself.  So the test
         is one int addition and one set lookup, and it hits exactly when the
-        tuple sum would.  The packed z groups are the tuple groups, in the
-        same order, since packing is one-to-one on these weights."""
+        tuple sum would."""
         packed_of, level_ids = self.packed_of, self.level_ids
         for hx in range(1, h // 3 + 1):
             for hy in range(hx, (h - hx) // 2 + 1):
-                z_ids = level_ids.get(h - hx - hy, ())
-                z_groups = [(wz, list(zs)) for wz, zs in groupby(z_ids, packed_of.__getitem__)]
+                zs = [(z, packed_of[z]) for z in level_ids.get(h - hx - hy, ())]
                 for x in level_ids.get(hx, ()):
                     px = packed_of[x]
                     for y in level_ids.get(hy, ()):
@@ -364,15 +363,10 @@ class CoveringEngine:
                         if y < x:
                             continue
                         pxy = px + packed_of[y]
-                        for wz, zs in z_groups:
-                            w = pxy + wz
-                            if w not in weights:
-                                continue
-                            for z in zs:
-                                if z >= y:
-                                    yield w, self._jacobi_boundary(x, y, z)
-                                    if w not in weights:
-                                        break
+                        for z, pz in zs:
+                            w = pxy + pz
+                            if z >= y and w in weights:
+                                yield w, self._jacobi_boundary(x, y, z)
 
     def _pair_symbols(self, h_next):
         """Packed weight -> sorted pair symbols (x, y), x < y or x = y odd, of

@@ -269,8 +269,9 @@ def _match_d21a(diag, subset):
             return
 
 
-def higher_order_serre_elements(cd, diag):
-    """Matches of the fourteen patterns in match order, each emitted once.
+def higher_order_serre_elements(cd):
+    """Matches of the fourteen patterns on the diagram of `cd`
+    (`build_diagram`), in match order, each emitted once.
 
     D(2,1;a)-type diagrams (labelled edges) carry only the labelled-triangle
     pattern; all other diagrams are matched against patterns 1-13, the
@@ -292,6 +293,7 @@ def higher_order_serre_elements(cd, diag):
     by rank 8.
     """
     out = []
+    diag = build_diagram(cd)
     if diag.labelled:
         matchers = ((3, (_match_d21a,)),)
     else:
@@ -309,13 +311,12 @@ def higher_order_serre_elements(cd, diag):
 
 class Presentation:
     """Cartan data plus the defining relation set: one list of e-side
-    elements, from which both sides are printed."""
+    elements, from which both sides are printed, under the name that
+    `to_json` and `render` print."""
 
-    def __init__(self, datum, system, cd, diagram, e_side):
-        self.datum = datum
-        self.system = system
+    def __init__(self, cd, e_side, name):
         self.cartan = cd
-        self.diagram = diagram
+        self.name = name
         self.rank = cd.rank
         self.parities = cd.parities
         self.e_side = list(e_side)
@@ -338,8 +339,8 @@ class Presentation:
 
     def to_json(self):
         return {
-            "family": self.datum.family,
-            "datum": self.datum.name,
+            "family": self.cartan.family,
+            "datum": self.name,
             "rank": self.rank,
             "theta": sorted(self.cartan.theta),
             "cartan": self.cartan.to_json(),
@@ -355,7 +356,7 @@ class Presentation:
         if fmt == "json":
             return json.dumps(self.to_json(), sort_keys=True)
         lines = [
-            f"presentation of {self.datum.name}, rank {self.rank}, theta {sorted(self.cartan.theta)}",
+            f"presentation of {self.name}, rank {self.rank}, theta {sorted(self.cartan.theta)}",
             "quadratic relations: [h_i,h_j]=0, [h_i,e_j]=a_ij e_j, [h_i,f_j]=-a_ij f_j, [e_i,f_j]=delta_ij h_i",
         ]
         tagged = [(f"  ({el.provenance}; nodes {list(el.nodes)})  ", el.render(fmt)) for el in self.e_side]
@@ -376,6 +377,4 @@ def presentation(datum, system):
     and expansions are homogeneous.
     """
     cd = cartan_matrix(datum, system)
-    diag = build_diagram(cd)
-    e_side = standard_serre_elements(cd) + higher_order_serre_elements(cd, diag)
-    return Presentation(datum, system, cd, diag, e_side)
+    return Presentation(cd, standard_serre_elements(cd) + higher_order_serre_elements(cd), datum.name)

@@ -23,21 +23,32 @@ def expected_total_dimension(datum):
 
 
 class VerificationReport:
-    """Comparison of a presented algebra against the reference root system.
+    """Comparison of a presented algebra against the reference root system,
+    made from `presentation`, its `quotient_report` and `reference`, the
+    weight -> multiplicity table of the positive roots.
 
-    `verify_presentation` also attaches what the comparison was made from:
-    `presentation`, `quotient_report` and `reference`, the weight ->
-    multiplicity table of the positive roots.
+    Surviving weights must be exactly the positive roots with multiplicity
+    one, and the total dimension must match the root count.  Both mismatch
+    walks go in (height, weight) order: the report's weights come in that
+    order, and the reference table, breadth-first from `positive_roots`, is
+    sorted.
     """
 
-    def __init__(self, datum, system, passed, mismatches, expected_total, got_total, notes=()):
+    def __init__(self, datum, system, presentation, quotient_report, reference):
         self.datum_name = datum.name
         self.system = system
-        self.passed = passed
-        self.mismatches = mismatches  # list of (weight, expected dim, got dim)
-        self.expected_total = expected_total
-        self.got_total = got_total
-        self.notes = list(notes)
+        self.presentation = presentation
+        self.quotient_report = quotient_report
+        self.reference = reference
+        self.notes = [] if quotient_report.closed else [quotient_report.warning]
+        surviving = quotient_report.surviving_weights()
+        self.mismatches = [  # (weight, expected dim, got dim)
+            (w, reference.get(w, 0), q) for w, q in surviving.items() if q != reference.get(w, 0)
+        ]
+        self.mismatches += [(w, 1, 0) for w in sorted(reference, key=lambda w: (sum(w), w)) if w not in surviving]
+        self.expected_total = expected_total_dimension(datum)
+        self.got_total = quotient_report.total_dim
+        self.passed = quotient_report.closed and not self.mismatches and self.got_total == self.expected_total
 
     def to_json(self):
         return {
@@ -61,43 +72,23 @@ class VerificationReport:
 
 
 def verify_presentation(datum, system):
-    """Build the presentation, run the graded quotient and compare: surviving
-    weights must be exactly the positive roots with multiplicity one, and the
-    total dimension must match the root count.  The run is guarded by the
-    reference table, which has no weight above top, the highest root height:
-    level top + 1 is all zero, and the run closes, or has a weight of positive
-    dimension, which trips the guard.  So the run stops by itself at or below
-    top + 1, and no higher cap could bind.  Both mismatch walks go in
-    (height, weight) order: the report's weights come in that order, and
-    the reference table, breadth-first from `positive_roots`, is sorted."""
+    """Build the presentation, run the graded quotient and compare
+    (`VerificationReport`).  The run is guarded by the reference table,
+    which has no weight above top, the highest root height: level top + 1
+    is all zero, and the run closes, or has a weight of positive dimension,
+    which trips the guard.  So the run stops by itself at or below top + 1,
+    and no higher cap could bind."""
     ref = reference_multiplicities(system)
     pres = presentation(datum, system)
     report = quotient_dimensions(pres, max(sum(w) for w in ref) + 1, excess_guard=ref)
-    notes = [] if report.closed else [report.warning]
-    mismatches = []
-    surviving = report.surviving_weights()
-    for w, q in surviving.items():
-        expected = ref.get(w, 0)
-        if q != expected:
-            mismatches.append((w, expected, q))
-    for w in sorted(ref, key=lambda w: (sum(w), w)):
-        if w not in surviving:
-            mismatches.append((w, 1, 0))
-    expected_total = expected_total_dimension(datum)
-    got_total = report.total_dim
-    passed = report.closed and not mismatches and got_total == expected_total
-    result = VerificationReport(datum, system, passed, mismatches, expected_total, got_total, notes)
-    result.quotient_report = report
-    result.presentation = pres
-    result.reference = ref
-    return result
+    return VerificationReport(datum, system, pres, report, ref)
 
 
 class NecessityResult:
     """Whether one higher order element of a presentation is necessary."""
 
-    def __init__(self, necessary, first_excess, provenance, nodes):
-        self.necessary = necessary
+    def __init__(self, first_excess, provenance, nodes):
+        self.necessary = first_excess is not None
         self.first_excess = first_excess  # weight where the excess first appears
         self.provenance = provenance
         self.nodes = nodes
@@ -143,7 +134,7 @@ def _necessity(pres, j):
             span.insert(engine.rho_pair(other.terms))
     row = engine.rho_pair(el.terms)
     span.reduce(row)
-    return NecessityResult(bool(row), nu if row else None, el.provenance, el.nodes)
+    return NecessityResult(nu if row else None, el.provenance, el.nodes)
 
 
 def necessity_test(datum, system, relation_index):

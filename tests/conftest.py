@@ -333,17 +333,17 @@ def without_element(pres, index):
     if not 0 <= index < len(pres.e_side):
         raise PreconditionError(f"element index {index} is outside 0..{len(pres.e_side) - 1}")
     e_side = pres.e_side[:index] + pres.e_side[index + 1:]
-    return Presentation(pres.datum, pres.system, pres.cartan, pres.diagram, e_side)
+    return Presentation(pres.cartan, e_side, pres.name)
 
 
-def necessity_oracle(pres):
-    """`necessity_survey`'s JSON for the presentation `pres`, by the
-    definition it replaced: delete each higher order element in turn and
-    rerun the quotient, guarded by the reference table, up to top + 1.  The
-    element is necessary when some weight exceeds its reference multiplicity;
-    the guard stops at the first height with an excess, and the least excess
-    weight there is the first."""
-    ref = reference_multiplicities(pres.system)
+def necessity_oracle(pres, system):
+    """`necessity_survey`'s JSON for the presentation `pres` of the class
+    `system`, by the definition it replaced: delete each higher order
+    element in turn and rerun the quotient, guarded by the reference table
+    of `system`, up to top + 1.  The element is necessary when some weight
+    exceeds its reference multiplicity; the guard stops at the first height
+    with an excess, and the least excess weight there is the first."""
+    ref = reference_multiplicities(system)
     top = max(sum(w) for w in ref)
     out = []
     for j, el in enumerate(pres.e_side):

@@ -398,6 +398,44 @@ def test_a_dimension_above_the_free_dimension_is_refused(monkeypatch):
         engine.build_level(2)
 
 
+@pytest.mark.parametrize("parities, count", [((0, 0), 14), ((0, 1), 23), ((1, 1), 29)])
+def test_jacobi_rows_visit_each_sorted_triple_once(parities, count):
+    # the free algebra on two generators, its levels built to height 5, where
+    # (2, 3) has multiplicity 2; W is every weight of height 6 that the free
+    # algebra has.  The walk hands `_jacobi_boundary` exactly the sorted
+    # triples x <= y <= z of height 6 and weight in W, each once
+    engine = CoveringEngine(parities, [])
+    engine.level(5)
+    assert engine.dims[5][(2, 3)] == 2
+    weights = {(k, 6 - k) for k in range(7) if free_dimension(parities, (k, 6 - k))}
+    packed = {engine.pack(w) for w in weights}
+    height = {x: h for h, ids in engine.level_ids.items() for x in ids}
+
+    def weight(triple):
+        return tuple(map(sum, zip(*(engine.weight_of[x] for x in triple))))
+
+    expected = [
+        t for t in combinations_with_replacement(sorted(height), 3)
+        if sum(height[x] for x in t) == 6 and weight(t) in weights
+    ]
+    seen = []
+    engine._jacobi_boundary = lambda *triple: seen.append(triple) or {}
+    rows = list(engine.jacobi_rows(6, set(packed)))
+    assert len(seen) == len(set(seen)) == len(expected) == count
+    assert set(seen) == set(expected)
+    assert [w for w, _ in rows] == [engine.pack(weight(t)) for t in seen]
+
+    # a weight taken out of W during the walk yields no further row, which
+    # `build_level`'s saturation relies on; an emptied W ends the walk
+    live = set(packed)
+    taken = []
+    for w, _ in engine.jacobi_rows(6, live):
+        assert w in live
+        taken.append(w)
+        live.discard(w)
+    assert sorted(taken) == sorted(packed)
+
+
 def test_ideal_component_row_values():
     # at (0,2) the single ideal row spans the line of the square monomial,
     # which is the whole one-dimensional free component

@@ -68,19 +68,19 @@ def test_standard_elements_orthogonal_isotropic_pair():
 
 def test_higher_order_sl22():
     _, _, cd, diag = setup_cd("A", m=1, n=1)
-    els = higher_order_serre_elements(cd, diag)
+    els = higher_order_serre_elements(cd)
     assert renders(els) == ["[e2,[e1,[e2,e3]]]"]
     assert els[0].provenance == "case-1"
 
 
 def test_higher_order_osp42_empty():
     _, _, cd, diag = setup_cd("D", m=2, n=1)
-    assert higher_order_serre_elements(cd, diag) == []
+    assert higher_order_serre_elements(cd) == []
 
 
 def test_higher_order_d21a_triangle():
     datum, system, cd, diag = setup_cd("D21a", borel=1)
-    els = higher_order_serre_elements(cd, diag)
+    els = higher_order_serre_elements(cd)
     assert len(els) == 1
     el = els[0]
     assert el.provenance == "case-14"
@@ -93,8 +93,7 @@ def test_higher_order_d21a_distinguished_and_chains_empty():
     systems = enumerate_simple_systems(datum)
     for k, system in enumerate(systems):
         cd = cartan_matrix(datum, system)
-        diag = build_diagram(cd)
-        els = higher_order_serre_elements(cd, diag)
+        els = higher_order_serre_elements(cd)
         assert len(els) == (1 if k == 1 else 0)
 
 
