@@ -9,7 +9,7 @@ glyphs alone do not determine.
 Every entry is exact and native (`scalars.native`): an `int`, a `Fraction`
 with denominator other than 1, or a `Scalar` only where the parameter a of
 the generic D(2,1;a) appears.  The Gram entries arrive that way from
-`RootDatum.form_value`, D and A are formed by `_quotient`, and the edge
+`RootDatum.form_value`, D and A are formed by `scalars.ratio`, and the edge
 labels of a D(2,1;a) diagram are native too, so no `Scalar` is built for a
 datum without the parameter.
 """
@@ -28,15 +28,6 @@ WHITE, GREY, BLACK = "white", "grey", "black"
 
 class CartanDataError(InconsistencyError):
     """A constructed Cartan matrix violates its invariants."""
-
-
-def _quotient(x, y):
-    """x / y for native values x and y != 0, native again: two `int`s go
-    through `ratio`, and anything else divides in its own type (`Fraction`,
-    or `Scalar` where a appears) and is converted by `native`."""
-    if type(x) is int and type(y) is int:
-        return ratio(x, y)
-    return native(x / y)
 
 
 def _sign(x):
@@ -64,10 +55,10 @@ class CartanData:
         self.theta = frozenset(theta)
         self.kappa = 0 if family == "B" else 1
         self.lm2 = lm2
-        iso_d = _quotient(lm2, 2 ** self.kappa)
-        self.d = [_quotient(row[i], 2) if row[i] else iso_d for i, row in enumerate(b)]
+        iso_d = ratio(lm2, 2 ** self.kappa)
+        self.d = [ratio(row[i], 2) if row[i] else iso_d for i, row in enumerate(b)]
         self.parities = tuple(int(i in self.theta) for i in range(1, self.rank + 1))
-        self.native_a = [[_quotient(x, di) if x else 0 for x in row] for row, di in zip(b, self.d)]
+        self.native_a = [[ratio(x, di) if x else 0 for x in row] for row, di in zip(b, self.d)]
         self.sgn = [[_sign(x) if x else 0 for x in row] for row in b]
         self._validate()
 
@@ -218,7 +209,7 @@ def build_diagram(cd):
             colors.append(WHITE)
     edges = {}
     if cd.family == "D21a":
-        scale = _quotient(2, cd.lm2)
+        scale = ratio(2, cd.lm2)
         for i in range(r):
             for j in range(i + 1, r):
                 if not cd.native_a[i][j]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -274,10 +275,18 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.fn(args, sys.stdout)
+        code = args.fn(args, sys.stdout)
+        if sys.stdout is not None:  # None when the descriptor was closed
+            sys.stdout.flush()  # a reader that has gone shows here, not at exit
+        return code
     except (UsageError, ParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader of stdout has gone: send what is still buffered to
+        # devnull so that the flush at exit raises nothing more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ constant is an `int` or a `Fraction`, and only a value that involves a is a
 the linear algebra on them run on Python's own rationals, and this field
 does the work only where the parameter a appears; `render` prints either
 kind in one grammar.  There is no floating point anywhere in the package:
-`Poly`, `Scalar` and `native` refuse a float with a TypeError.
+`Scalar` (each coefficient too) and `native` refuse a float with a TypeError.
 
 A `Scalar` is kept in one canonical form (see the class), and each operation
 builds that form directly from canonical operands, as Henrici's
@@ -36,134 +36,91 @@ def exact(c):
     raise TypeError(f"{c!r} is not exact: pass an int or a Fraction")
 
 
-def _poly(coeffs):
-    """The Poly of a list of `Fraction` coefficients, taken as they are: the
-    list's trailing zeros are popped, nothing is converted or copied twice.
-    Every `Poly` operation builds its result with this."""
+def _trim(coeffs):
+    """The polynomial of a list of `Fraction` coefficients, taken as they
+    are: the trailing zeros are popped and the rest is the tuple.  A
+    polynomial over Q is always such a tuple, by ascending degree with no
+    trailing zero (() for zero), and each `_poly_*` function returns one."""
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    p = object.__new__(Poly)
-    p.coeffs = tuple(coeffs)
-    return p
+    return tuple(coeffs)
 
 
-class Poly:
-    """Dense univariate polynomial over Q, coefficients by ascending degree.
+def _poly_add(p, r):
+    if len(p) < len(r):
+        p, r = r, p
+    out = list(p)
+    for i, c in enumerate(r):
+        out[i] += c
+    return _trim(out)
 
-    The coefficients are `Fraction`s with no trailing zero.  The constructor
-    converts an `int` or a `Fraction` and refuses anything else."""
 
-    __slots__ = ("coeffs",)
+def _poly_neg(p):
+    return tuple([-c for c in p])
 
-    def __init__(self, coeffs=()):
-        self.coeffs = _poly([exact(c) for c in coeffs]).coeffs
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
+def _poly_mul(p, r):
+    if not p or not r:
+        return ()
+    if len(p) == 1:
+        return _poly_scale(r, p[0])
+    if len(r) == 1:
+        return _poly_scale(p, r[0])
+    out = [_FRACTION_ZERO] * (len(p) + len(r) - 1)
+    for i, c in enumerate(p):
+        for j, d in enumerate(r):
+            out[i + j] += c * d
+    return _trim(out)
 
-    def is_zero(self):
-        return not self.coeffs
 
-    def __bool__(self):
-        return bool(self.coeffs)
+def _poly_scale(p, k):
+    """k times p for a rational k; p itself when k = 1."""
+    if k == 1:
+        return p
+    return _trim([c * k for c in p])
 
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return _poly(out)
-
-    def __neg__(self):
-        return _poly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _poly([])
-        if len(a) == 1:
-            return other.scale(a[0])
-        if len(b) == 1:
-            return self.scale(b[0])
-        out = [_FRACTION_ZERO] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            for j, d in enumerate(b):
-                out[i + j] += c * d
-        return _poly(out)
-
-    def scale(self, k):
-        """k times this polynomial, for an `int` or a `Fraction` k (a float is
-        refused); itself when k = 1."""
-        if type(k) is not Fraction and type(k) is not int:
-            k = exact(k)
-        if k == 1:
-            return self
-        return _poly([c * k for c in self.coeffs])
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [_FRACTION_ZERO] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.coeffs
-        while len(rem) >= len(d):
-            k = len(rem) - len(d)
-            f = rem[-1] / d[-1]
-            quo[k] = f
-            for i, c in enumerate(d):
-                rem[k + i] -= f * c
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if not rem:
-                break
-        return _poly(quo), _poly(rem)
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.coeffs[-1])
-
-    def __repr__(self):
-        return f"Poly({list(self.coeffs)})"
+def _poly_divmod(p, d):
+    """Quotient and remainder of p by a nonzero d."""
+    rem = list(p)
+    quo = [_FRACTION_ZERO] * max(len(rem) - len(d) + 1, 0)
+    while len(rem) >= len(d):
+        k = len(rem) - len(d)
+        f = rem[-1] / d[-1]
+        quo[k] = f
+        for i, c in enumerate(d):
+            rem[k + i] -= f * c
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+    return _trim(quo), tuple(rem)
 
 
 def _poly_gcd(a, b):
     """The monic gcd; `_ONE_POLY` as soon as a remainder is a nonzero
     constant, which divides everything."""
-    while not b.is_zero():
-        if len(b.coeffs) == 1:
+    while b:
+        if len(b) == 1:
             return _ONE_POLY
-        a, b = b, a.divmod(b)[1]
-    return a.monic()
+        a, b = b, _poly_divmod(a, b)[1]
+    return _poly_scale(a, 1 / a[-1]) if a else a
 
 
 def _exact_quotient(p, g):
     """p / g for a g that divides p; p itself when g is the constant 1."""
-    return p if len(g.coeffs) == 1 else p.divmod(g)[0]
+    return p if len(g) == 1 else _poly_divmod(p, g)[0]
 
 
-_ONE_POLY = Poly([1])
+_ONE_POLY = (Fraction(1),)
 _FRACTION_ZERO = Fraction(0)
 _FRACTION_ONE = Fraction(1)
 
 
-def _constant_poly(q):
-    """Poly of the rational q, built without normalising."""
-    p = object.__new__(Poly)
-    p.coeffs = (q,) if q else ()
-    return p
+def _coefficients(x):
+    """The polynomial of an `int`, a `Fraction` or a list or tuple of them,
+    each converted by `exact`."""
+    return _trim([exact(c) for c in (x if isinstance(x, (list, tuple)) else (x,))])
 
 
 def _scalar(num, den):
@@ -175,13 +132,13 @@ def _scalar(num, den):
 
 def _rational(q):
     """Canonical Scalar of the `Fraction` q."""
-    return _scalar(_constant_poly(q), _ONE_POLY)
+    return _scalar((q,) if q else (), _ONE_POLY)
 
 
 def _constant(x):
     """The Fraction value of a rational constant Scalar, or None."""
     if x.den is _ONE_POLY:
-        c = x.num.coeffs
+        c = x.num
         if not c:
             return _FRACTION_ZERO
         if len(c) == 1:
@@ -219,8 +176,9 @@ def _sum_proper(x, y):
     Only a sum with a proper fraction on a side runs the general normaliser:
     n1/d1 + n2/d2 can cancel against any factor of d1*d2."""
     if x.den is _ONE_POLY and y.den is _ONE_POLY:
-        return _scalar(x.num + y.num, _ONE_POLY)
-    return Scalar(x.num * y.den + y.num * x.den, x.den * y.den)
+        return _scalar(_poly_add(x.num, y.num), _ONE_POLY)
+    num = _poly_add(_poly_mul(x.num, y.den), _poly_mul(y.num, x.den))
+    return Scalar(num, _poly_mul(x.den, y.den))
 
 
 def _shift(x, q):
@@ -234,10 +192,10 @@ def _shift(x, q):
         return x
     n, d = x.num, x.den
     if d is _ONE_POLY:
-        coeffs = list(n.coeffs)
+        coeffs = list(n)
         coeffs[0] += q
-        return _scalar(_poly(coeffs), d)
-    return _scalar(n + d.scale(q), d)
+        return _scalar(tuple(coeffs), d)
+    return _scalar(_poly_add(n, _poly_scale(d, q)), d)
 
 
 def _scale(x, q):
@@ -249,7 +207,7 @@ def _scale(x, q):
         return _rational(_FRACTION_ZERO)
     if q == 1:
         return x
-    return _scalar(x.num.scale(q), x.den)
+    return _scalar(_poly_scale(x.num, q), x.den)
 
 
 def _product(x, y):
@@ -269,8 +227,8 @@ def _product(x, y):
     if d1 is not _ONE_POLY:
         g = _poly_gcd(n2, d1)
         n2, d1 = _exact_quotient(n2, g), _exact_quotient(d1, g)
-    den = d1 * d2
-    return _scalar(n1 * n2, _ONE_POLY if len(den.coeffs) == 1 else den)
+    den = _poly_mul(d1, d2)
+    return _scalar(_poly_mul(n1, n2), _ONE_POLY if len(den) == 1 else den)
 
 
 class Scalar:
@@ -287,8 +245,9 @@ class Scalar:
     Where each canonical form comes from:
 
     - `Scalar(num, den)`, the constructor, normalises any pair: it divides
-      out the polynomial gcd and makes the denominator monic.  A rational
-      `num` or `den` must be an `int` or a `Fraction`.
+      out the polynomial gcd and makes the denominator monic.  Each of
+      `num` and `den` is an `int`, a `Fraction`, or a list or tuple of
+      them as coefficients by ascending degree.
     - Arithmetic between two constants is plain `Fraction` arithmetic, with
       no polynomial gcd; an `int` or `Fraction` operand is used as it is.
     - A rational operand meeting a value that involves a shifts or scales
@@ -307,40 +266,36 @@ class Scalar:
                 raise TypeError("cannot re-wrap a Scalar with a denominator")
             self.num, self.den = num.num, num.den
             return
-        if not isinstance(num, Poly):
-            num = _constant_poly(exact(num))
-        if den is None:
-            den = _ONE_POLY
-        elif not isinstance(den, Poly):
-            den = _constant_poly(exact(den))
-        if den.is_zero():
+        num = _coefficients(num)
+        den = _ONE_POLY if den is None else _coefficients(den)
+        if not den:
             raise ZeroDivisionError("zero denominator in Q(a)")
-        if num.is_zero():
-            self.num, self.den = _poly([]), _ONE_POLY
+        if not num:
+            self.num, self.den = (), _ONE_POLY
             return
-        if len(den.coeffs) == 1:
+        if len(den) == 1:
             # gcd(num, d) = 1 for a constant d: the canonical form is num/d over 1
-            self.num, self.den = num.scale(1 / den.coeffs[0]), _ONE_POLY
+            self.num, self.den = _poly_scale(num, 1 / den[0]), _ONE_POLY
             return
         g = _poly_gcd(num, den)
         num = _exact_quotient(num, g)
         den = _exact_quotient(den, g)
-        lead = den.coeffs[-1]
+        lead = den[-1]
         if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
+            num = _poly_scale(num, 1 / lead)
+            den = _poly_scale(den, 1 / lead)
         self.num, self.den = num, _ONE_POLY if den == _ONE_POLY else den
 
     # -- predicates --------------------------------------------------------
 
     def is_zero(self):
-        return not self.num.coeffs
+        return not self.num
 
     def __bool__(self):
-        return bool(self.num.coeffs)
+        return bool(self.num)
 
     def is_constant(self):
-        return self.den is _ONE_POLY and len(self.num.coeffs) < 2
+        return self.den is _ONE_POLY and len(self.num) < 2
 
     def as_fraction(self):
         q = _constant(self)
@@ -362,7 +317,7 @@ class Scalar:
         q = _constant(self)
         if q is not None:
             return _rational(-q)
-        return _scalar(-self.num, self.den)
+        return _scalar(_poly_neg(self.num), self.den)
 
     def __sub__(self, other):
         y = _value(other)
@@ -413,14 +368,14 @@ class Scalar:
         is monic.  Swapping keeps gcd 1, so no gcd is taken; a constant n
         leaves the denominator 1, held as `_ONE_POLY`."""
         n, d = self.num, self.den
-        if not n.coeffs:
+        if not n:
             raise ZeroDivisionError("inverse of zero in Q(a)")
-        inv = _FRACTION_ONE / n.coeffs[-1]
-        if len(n.coeffs) == 1:
+        inv = _FRACTION_ONE / n[-1]
+        if len(n) == 1:
             if d is _ONE_POLY:
                 return _rational(inv)
-            return _scalar(d.scale(inv), _ONE_POLY)
-        return _scalar(d.scale(inv), n.scale(inv))
+            return _scalar(_poly_scale(d, inv), _ONE_POLY)
+        return _scalar(_poly_scale(d, inv), _poly_scale(n, inv))
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
@@ -452,7 +407,7 @@ class Scalar:
             return 0
         sign = 1
         for poly in (self.num, self.den):
-            signs = {c > 0 for c in poly.coeffs if c}
+            signs = {c > 0 for c in poly if c}
             if len(signs) != 1:
                 raise ValueError(f"the sign of {self.render()} is not constant on a > 0")
             if not signs.pop():
@@ -485,7 +440,7 @@ class Scalar:
 
 ZERO = Scalar(0)
 ONE = Scalar(1)
-ALPHA = Scalar(Poly([0, 1]))
+ALPHA = Scalar((0, 1))
 
 
 def native(c):
@@ -508,11 +463,15 @@ def native(c):
 
 
 def ratio(num, den):
-    """num / den for integers, den != 0, as `native` gives it: the `int`
-    quotient when den divides num, found without building a `Fraction`,
-    else the reduced `Fraction`."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
+    """num / den for native values, den != 0, native again.  For two `int`s
+    it is the `int` quotient when den divides num, found without building a
+    `Fraction`, else the reduced `Fraction`; anything else divides in its
+    own type (`Fraction`, or `Scalar` where a appears) and is converted by
+    `native`."""
+    if type(num) is int and type(den) is int:
+        q, r = divmod(num, den)
+        return Fraction(num, den) if r else q
+    return native(num / den)
 
 
 def render(c):
@@ -531,15 +490,15 @@ def render(c):
 
 
 def _needs_parens(p):
-    return sum(1 for c in p.coeffs if c != 0) > 1
+    return sum(1 for c in p if c != 0) > 1
 
 
 def _render_poly(p):
-    if p.is_zero():
+    if not p:
         return "0"
     # ascending powers, leading minus pulled out when every term is negative
-    negate = all(c <= 0 for c in p.coeffs)
-    coeffs = [-c for c in p.coeffs] if negate else list(p.coeffs)
+    negate = all(c <= 0 for c in p)
+    coeffs = [-c for c in p] if negate else p
     parts = []
     for k, c in enumerate(coeffs):
         if c == 0:
@@ -614,7 +573,7 @@ class _Parser:
         if self.peek() == "^":
             self.pos += 1
             at, n = self.pos, self.integer()
-            if n * max(1, v.num.degree, v.den.degree) > 64:  # time grows as n squared, even for 2^n
+            if n * max(1, len(v.num) - 1, len(v.den) - 1) > 64:  # time grows as n squared, even for 2^n
                 raise ValueError(f"power of degree above 64 at {at} in {self.text!r}")
             out = ONE
             for _ in range(n):

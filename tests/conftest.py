@@ -378,7 +378,7 @@ class PoleError(ZeroDivisionError):
 
 def _poly_value(p, a0):
     acc = 0
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * a0 + c
     return acc
 

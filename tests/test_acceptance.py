@@ -159,7 +159,7 @@ def test_criterion_4_lowering_stability():
         for system in enumerate_simple_systems(datum):
             pres = presentation(datum, system)
             report = check_lowering_stability(pres)
-            assert report.ok, (datum.name, [vars(v) for v in report.violations])
+            assert report.ok, (datum.name, [v._asdict() for v in report.violations])
             entries += len(report.entries)
     _report(4, f"lowering stability: zero violations over {entries} (element, i) pairs")
 

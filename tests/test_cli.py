@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 
 import jsonschema
 import pytest
 
+import superserre
 from superserre.cli import build_parser, main
 
 
@@ -319,3 +323,30 @@ def test_zgrading_refuses_d_before_verifying(monkeypatch, capsys):
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "d=9" in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["relations", "D", "--m", "3", "--n", "2", "--borel", "all", "--format", "json"],
+        ["necessity", "F4", "--borel", "all"],
+    ],
+    ids=["relations-json", "necessity"],
+)
+def test_a_reader_that_has_gone_ends_the_run_quietly(argv):
+    # the read end is closed before the child starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(superserre.__file__))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "superserre.cli", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert proc.stderr == b""  # no traceback, no "Exception ignored" at exit

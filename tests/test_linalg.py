@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superserre.linalg import Echelon, axpy
-from superserre.scalars import ONE, Poly, Scalar, ZERO
+from superserre.scalars import ONE, Scalar, ZERO
 
 KEYS = range(6)
 
@@ -20,9 +20,9 @@ _native = st.one_of(_small, _fraction)  # int and Fraction coefficients
 
 @st.composite
 def _qa(draw):
-    num = Poly([draw(_small) for _ in range(2)])
-    den = Poly([draw(_small) for _ in range(2)])
-    return Scalar(num, den if den else Poly([1]))
+    num = [draw(_small) for _ in range(2)]
+    den = [draw(_small) for _ in range(2)]
+    return Scalar(num, den if any(den) else [1])
 
 
 def _vectors(scalars):

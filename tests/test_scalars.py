@@ -11,11 +11,14 @@ from superserre.linalg import _reciprocal
 from superserre.scalars import (
     ALPHA,
     ONE,
-    Poly,
     Scalar,
     ZERO,
     _ONE_POLY,
+    _poly_add,
     _poly_gcd,
+    _poly_mul,
+    _poly_neg,
+    _poly_scale,
     native,
     parse_scalar,
     render,
@@ -36,7 +39,7 @@ def test_alpha_cancellation():
 
 def test_powers_are_bounded_in_degree():
     # numerator and denominator degree at most 64, nested powers included
-    assert parse_scalar("a^64").num.degree == 64
+    assert len(parse_scalar("a^64").num) - 1 == 64
     assert parse_scalar("(a^8)^8") == parse_scalar("a^64")
     assert parse_scalar("2^64") == Scalar(2**64)
     for text in ("a^65", "(1/a)^65", "(a^9)^8", "(1+a)^2000", "2^65"):
@@ -61,7 +64,7 @@ def test_canonical_form_monic_denominator():
     # 2a / (2+2a) must normalize to a/(1+a)
     x = (ALPHA * 2) / (Scalar(2) + ALPHA * 2)
     assert x == ALPHA / (ONE + ALPHA)
-    assert x.den.coeffs[-1] == 1
+    assert x.den[-1] == 1
 
 
 def test_evaluate_at():
@@ -114,10 +117,10 @@ _small = st.integers(min_value=-4, max_value=4)
 
 @st.composite
 def _scalars(draw):
-    num = Poly([Fraction(draw(_small)) for _ in range(draw(st.integers(0, 2)) + 1)])
-    den = Poly([Fraction(draw(_small)) for _ in range(draw(st.integers(0, 2)) + 1)])
-    if den.is_zero():
-        den = Poly([1])
+    num = [Fraction(draw(_small)) for _ in range(draw(st.integers(0, 2)) + 1)]
+    den = [Fraction(draw(_small)) for _ in range(draw(st.integers(0, 2)) + 1)]
+    if not any(den):
+        den = [1]
     return Scalar(num, den)
 
 
@@ -160,36 +163,36 @@ def test_rational_fast_path_agrees_with_fraction(p, q):
         assert value.as_fraction() == expected
         assert value == Scalar(expected) and hash(value) == hash(expected)
         assert value.den is _ONE_POLY
-        assert all(type(c) is Fraction for c in value.num.coeffs)
+        assert all(type(c) is Fraction for c in value.num)
         _assert_round_trip(value)
 
 
 def _assert_canonical(value, num, den):
     """`value` is the canonical form of num/den: same element, coprime
     numerator and denominator, monic denominator, shared unit denominator."""
-    assert value.num * den == num * value.den
-    assert value.den.coeffs[-1] == 1
+    assert _poly_mul(value.num, den) == _poly_mul(num, value.den)
+    assert value.den[-1] == 1
     if value.is_zero():
         assert value.den is _ONE_POLY
     else:
-        assert _poly_gcd(value.num, value.den) == Poly([1])
-    assert (value.den is _ONE_POLY) == (value.den == Poly([1]))
+        assert _poly_gcd(value.num, value.den) == (1,)
+    assert (value.den is _ONE_POLY) == (value.den == (1,))
     _assert_round_trip(value)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_fractions, _scalars())
 def test_mixed_constant_and_qa_operands_stay_canonical(p, a):
-    c = Poly([p])
+    c = _trimmed([p])
     x = Scalar(p)
-    _assert_canonical(x + a, c * a.den + a.num, a.den)
-    _assert_canonical(a - x, a.num - c * a.den, a.den)
-    _assert_canonical(x * a, c * a.num, a.den)
+    _assert_canonical(x + a, _poly_add(_poly_mul(c, a.den), a.num), a.den)
+    _assert_canonical(a - x, _poly_sub(a.num, _poly_mul(c, a.den)), a.den)
+    _assert_canonical(x * a, _poly_mul(c, a.num), a.den)
     if not a.is_zero():
-        _assert_canonical(x / a, c * a.den, a.num)
+        _assert_canonical(x / a, _poly_mul(c, a.den), a.num)
         _assert_canonical(a.inverse(), a.den, a.num)
     if p:
-        _assert_canonical(a / x, a.num, c * a.den)
+        _assert_canonical(a / x, a.num, _poly_mul(c, a.den))
 
 
 @settings(max_examples=300, deadline=None)
@@ -217,34 +220,38 @@ def _trimmed(coeffs):
     return tuple(coeffs)
 
 
-_polys = st.lists(_small, max_size=4).map(Poly)
+def _poly_sub(p, r):
+    return _poly_add(p, _poly_neg(r))
+
+
+_polys = st.lists(_small, max_size=4).map(lambda coeffs: _trimmed(map(Fraction, coeffs)))
 _nonzero_polys = _polys.filter(bool)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_polys, _polys, _fractions)
 def test_poly_operations_agree_with_coefficient_lists(p, r, k):
-    a, b = list(p.coeffs), list(r.coeffs)
+    a, b = list(p), list(r)
     n = max(len(a), len(b))
     pairs = list(zip(a + [0] * (n - len(a)), b + [0] * (n - len(b))))
-    assert (p + r).coeffs == _trimmed(x + y for x, y in pairs)
-    assert (p - r).coeffs == _trimmed(x - y for x, y in pairs)
-    assert (p * r).coeffs == _trimmed(_coefficient_lists_product(a, b))
-    assert p.scale(k).coeffs == _trimmed(c * k for c in a)
-    for value in (p + r, p - r, p * r, p.scale(k), -p):
-        assert all(type(c) is Fraction for c in value.coeffs)
-        assert not value.coeffs or value.coeffs[-1] != 0
+    assert _poly_add(p, r) == _trimmed(x + y for x, y in pairs)
+    assert _poly_sub(p, r) == _trimmed(x - y for x, y in pairs)
+    assert _poly_mul(p, r) == _trimmed(_coefficient_lists_product(a, b))
+    assert _poly_scale(p, k) == _trimmed(c * k for c in a)
+    for value in (_poly_add(p, r), _poly_sub(p, r), _poly_mul(p, r), _poly_scale(p, k), _poly_neg(p)):
+        assert all(type(c) is Fraction for c in value)
+        assert not value or value[-1] != 0
 
 
 def _assert_as_oracle(value, num, den):
     """`value` carries exactly the form the general constructor gives num/den."""
     oracle = Scalar(num, den)
-    assert value.num.coeffs == oracle.num.coeffs
-    assert value.den.coeffs == oracle.den.coeffs
+    assert value.num == oracle.num
+    assert value.den == oracle.den
     assert value.render() == oracle.render()
     assert value == oracle and hash(value) == hash(oracle)
-    assert (value.den is _ONE_POLY) == (value.den.coeffs == (Fraction(1),))
-    assert all(type(c) is Fraction for c in value.num.coeffs + value.den.coeffs)
+    assert (value.den is _ONE_POLY) == (value.den == (Fraction(1),))
+    assert all(type(c) is Fraction for c in value.num + value.den)
 
 
 @settings(max_examples=150, deadline=None)
@@ -252,25 +259,25 @@ def _assert_as_oracle(value, num, den):
 def test_product_with_cross_factors_matches_the_constructor(f, g, h, k, m):
     # f is built into the numerator of x and the denominator of y, so the
     # cross gcds of x * y are not trivial
-    x, y = Scalar(f * g, h), Scalar(k, f * m)
-    _assert_as_oracle(x * y, x.num * y.num, x.den * y.den)
-    _assert_as_oracle(y * x, x.num * y.num, x.den * y.den)
-    _assert_as_oracle(x / y.inverse(), x.num * y.num, x.den * y.den)
-    _assert_as_oracle(x / y, x.num * y.den, x.den * y.num)
-    _assert_as_oracle(y * y, y.num * y.num, y.den * y.den)
+    x, y = Scalar(_poly_mul(f, g), h), Scalar(k, _poly_mul(f, m))
+    _assert_as_oracle(x * y, _poly_mul(x.num, y.num), _poly_mul(x.den, y.den))
+    _assert_as_oracle(y * x, _poly_mul(x.num, y.num), _poly_mul(x.den, y.den))
+    _assert_as_oracle(x / y.inverse(), _poly_mul(x.num, y.num), _poly_mul(x.den, y.den))
+    _assert_as_oracle(x / y, _poly_mul(x.num, y.den), _poly_mul(x.den, y.num))
+    _assert_as_oracle(y * y, _poly_mul(y.num, y.num), _poly_mul(y.den, y.den))
 
 
 @settings(max_examples=150, deadline=None)
 @given(_polys, _polys, _fractions)
 def test_polynomial_sums_match_the_constructor(p, r, c):
     x, y = Scalar(p), Scalar(r)
-    _assert_as_oracle(x + y, p + r, _ONE_POLY)
-    _assert_as_oracle(x - y, p - r, _ONE_POLY)
+    _assert_as_oracle(x + y, _poly_add(p, r), _ONE_POLY)
+    _assert_as_oracle(x - y, _poly_sub(p, r), _ONE_POLY)
     # the degree collapses: (p + c) - p = c, and p - p = 0
-    collapsed = Scalar(p + Poly([c]))
-    _assert_as_oracle(collapsed - x, Poly([c]), _ONE_POLY)
-    _assert_as_oracle(x - x, Poly(), _ONE_POLY)
-    _assert_as_oracle(x + (-x), Poly(), _ONE_POLY)
+    collapsed = Scalar(_poly_add(p, _trimmed([c])))
+    _assert_as_oracle(collapsed - x, _trimmed([c]), _ONE_POLY)
+    _assert_as_oracle(x - x, (), _ONE_POLY)
+    _assert_as_oracle(x + (-x), (), _ONE_POLY)
 
 
 _rationals = st.one_of(st.sampled_from([0, 1, -1]), _small, _fractions)
@@ -279,26 +286,26 @@ _rationals = st.one_of(st.sampled_from([0, 1, -1]), _small, _fractions)
 @settings(max_examples=200, deadline=None)
 @given(_rationals, _scalars())
 def test_rational_operands_on_either_side_match_the_constructor(q, a):
-    c = Poly([q])
+    c = _trimmed([Fraction(q)])
     n, d = a.num, a.den
-    _assert_as_oracle(a + q, n + c * d, d)
-    _assert_as_oracle(q + a, n + c * d, d)
-    _assert_as_oracle(a - q, n - c * d, d)
-    _assert_as_oracle(q - a, c * d - n, d)
-    _assert_as_oracle(a * q, c * n, d)
-    _assert_as_oracle(q * a, c * n, d)
+    _assert_as_oracle(a + q, _poly_add(n, _poly_mul(c, d)), d)
+    _assert_as_oracle(q + a, _poly_add(n, _poly_mul(c, d)), d)
+    _assert_as_oracle(a - q, _poly_sub(n, _poly_mul(c, d)), d)
+    _assert_as_oracle(q - a, _poly_sub(_poly_mul(c, d), n), d)
+    _assert_as_oracle(a * q, _poly_mul(c, n), d)
+    _assert_as_oracle(q * a, _poly_mul(c, n), d)
     if q:
-        _assert_as_oracle(a / q, n, c * d)
+        _assert_as_oracle(a / q, n, _poly_mul(c, d))
     if a:
-        _assert_as_oracle(q / a, c * d, n)
+        _assert_as_oracle(q / a, _poly_mul(c, d), n)
 
 
 @settings(max_examples=150, deadline=None)
 @given(_nonzero_polys, _nonzero_polys, st.sampled_from([2, -3, Fraction(1, 2), Fraction(-5, 4)]))
 def test_inverse_of_a_non_monic_numerator_matches_the_constructor(p, r, lead):
     # a monic denominator of degree >= 1 keeps the numerator's lead coefficient
-    x = Scalar(Poly(list(p.coeffs) + [lead]), Poly(list(r.coeffs) + [1]))
-    assert x.num.coeffs[-1] != 1
+    x = Scalar(list(p) + [lead], list(r) + [1])
+    assert x.num[-1] != 1
     _assert_as_oracle(x.inverse(), x.den, x.num)
     _assert_as_oracle(_reciprocal(x), x.den, x.num)
     _assert_as_oracle(1 / x, x.den, x.num)
@@ -307,14 +314,14 @@ def test_inverse_of_a_non_monic_numerator_matches_the_constructor(p, r, lead):
 @pytest.mark.parametrize(
     "build",
     [
-        lambda: Poly([1, 0.1]),
-        lambda: Poly([1, 2]).scale(0.1),
+        lambda: Scalar([1, 0.1]),
+        lambda: Scalar(1, [1, 0.5]),
         lambda: Scalar(0.1),
         lambda: Scalar(1, 0.5),
         lambda: native(0.1),
         lambda: evaluate_at(ALPHA, 0.1),
     ],
-    ids=["Poly", "Poly-scale", "Scalar-num", "Scalar-den", "native", "evaluate_at"],
+    ids=["Scalar-num-coefficient", "Scalar-den-coefficient", "Scalar-num", "Scalar-den", "native", "evaluate_at"],
 )
 def test_a_float_is_refused(build):
     with pytest.raises(TypeError, match="0.1|0.5"):
