@@ -99,7 +99,16 @@ def _poly_divmod(p, d):
 
 def _poly_gcd(a, b):
     """The monic gcd; `_ONE_POLY` as soon as a remainder is a nonzero
-    constant, which divides everything."""
+    constant, which divides everything.
+
+    Two linear polynomials, the common case on D(2,1;a), take no division:
+    each has one root, -a0/a1 and -b0/b1, and these agree exactly when
+    a0*b1 = a1*b0.  Then a is a multiple of b, and the gcd is b made monic;
+    otherwise they are coprime.  Any other degree runs Euclid."""
+    if len(a) == 2 == len(b):
+        if a[0] * b[1] != a[1] * b[0]:
+            return _ONE_POLY
+        return b if b[1] == 1 else (b[0] / b[1], _FRACTION_ONE)
     while b:
         if len(b) == 1:
             return _ONE_POLY
@@ -108,8 +117,12 @@ def _poly_gcd(a, b):
 
 
 def _exact_quotient(p, g):
-    """p / g for a g that divides p; p itself when g is the constant 1."""
-    return p if len(g) == 1 else _poly_divmod(p, g)[0]
+    """p / g for a monic g that divides p, as `_poly_gcd` returns it: p
+    itself when g is the constant 1, and the constant (p[-1],) when g has
+    p's degree, since then p = p[-1] * g."""
+    if len(g) == 1:
+        return p
+    return (p[-1],) if len(p) == len(g) else _poly_divmod(p, g)[0]
 
 
 _ONE_POLY = (Fraction(1),)

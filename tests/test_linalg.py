@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superserre.linalg import Echelon, axpy
-from superserre.scalars import ONE, Scalar, ZERO
+from superserre.scalars import ONE, Scalar, ZERO, native
 
 KEYS = range(6)
 
@@ -142,40 +142,63 @@ def test_native_rows_stay_native(rows):
 
 
 def test_native_pivots_are_exact():
-    # an int pivot is inverted as a Fraction, never as a float; the stored
-    # pivot is the int 1
+    # a native row is stored as a primitive integer vector with a positive
+    # pivot entry, never through a reciprocal, so no float and no Fraction
     ech = Echelon()
     assert ech.insert({0: 3, 1: 1}) == 0
     vec, = ech.rows.values()
-    assert vec == {0: 1, 1: Fraction(1, 3)}
-    assert type(vec[0]) is int and type(vec[1]) is Fraction
-    # unit pivots keep the row on int; a negative unit flips its sign
+    assert vec == {0: 3, 1: 1}
+    assert all(type(v) is int for v in vec.values())
+    # a negative pivot entry flips the row's sign
     ech.insert({2: -1, 3: 4})
     assert ech.rows[2] == {2: 1, 3: -4}
     assert all(type(v) is int for v in ech.rows[2].values())
     assert ech.read_off() == {0: {1: Fraction(-1, 3)}, 2: {3: 4}}
+    # denominators are cleared with their lcm and the content divided out;
+    # reduction cross-multiplies by the non-unit pivot 3 and stays on int
+    ech = Echelon()
+    assert ech.insert({0: Fraction(-2, 3), 1: Fraction(4, 9), 2: Fraction(2)}) == 0
+    assert ech.rows[0] == {0: 3, 1: -2, 2: -9}
+    assert ech.insert({0: 2, 1: 1, 2: Fraction(1, 2)}) == 1
+    assert ech.rows[1] == {1: 14, 2: 39}
+    assert all(type(v) is int for row in ech.rows.values() for v in row.values())
+    assert ech.read_off() == {0: {2: Fraction(8, 7)}, 1: {2: Fraction(-39, 14)}}
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.one_of(
-    st.tuples(st.just(True), st.lists(_vectors(_q), max_size=6), st.lists(_q, min_size=6, max_size=6),
+    st.tuples(st.just("q"), st.lists(_vectors(_q), max_size=6), st.lists(_q, min_size=6, max_size=6),
               _vectors(_q)),
-    st.tuples(st.just(False), st.lists(_vectors(_qa()), max_size=4),
+    st.tuples(st.just("native"), st.lists(_vectors(_native), max_size=6),
+              st.lists(_native, min_size=6, max_size=6), _vectors(_native)),
+    st.tuples(st.just("qa"), st.lists(_vectors(_qa()), max_size=4),
               st.lists(_qa(), min_size=4, max_size=4), _vectors(_qa())),
 ))
 def test_reduce_leaves_a_residual_off_the_pivots_and_in_the_coset(args):
-    over_q, rows, weights, extra = args
+    field, rows, weights, extra = args
     ech = _echelon_of(rows)
     in_span = _combine(list(zip(weights, rows)))
     for vec, spanned in ((in_span, True), (_combine([(ONE, in_span), (ONE, extra)]), False)):
+        if field == "native":
+            vec = {k: native(v) for k, v in vec.items()}
         residual = dict(vec)
-        ech.reduce(residual)
+        integral = ech.reduce(residual)
         assert not any(k in ech.rows for k in residual)
         if spanned:
             assert residual == {}
+        if field == "native":
+            # the integer path scales as it reduces: the residual is a nonzero
+            # multiple of an element of the coset.  It lies in the span of the
+            # rows and vec, and is zero exactly when vec is in the span of the
+            # rows; a nonzero residual off the pivots is outside that span, so
+            # its multiple of vec is not zero
+            assert integral and all(type(v) is int for v in residual.values())
+            assert _dense_rank(rows + [vec, residual]) == _dense_rank(rows + [vec])
+            assert (residual == {}) == (_dense_rank(rows + [vec]) == _dense_rank(rows))
+            continue
         # what reduce subtracted, vec - residual, lies in the span of the rows
         removed = _combine([(ONE, vec), (-ONE, residual)])
-        if over_q:
+        if field == "q":
             assert _dense_rank(rows + [removed]) == _dense_rank(rows)
         else:
             _echelon_of(rows).reduce(removed)

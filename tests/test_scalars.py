@@ -14,7 +14,9 @@ from superserre.scalars import (
     Scalar,
     ZERO,
     _ONE_POLY,
+    _exact_quotient,
     _poly_add,
+    _poly_divmod,
     _poly_gcd,
     _poly_mul,
     _poly_neg,
@@ -241,6 +243,49 @@ def test_poly_operations_agree_with_coefficient_lists(p, r, k):
     for value in (_poly_add(p, r), _poly_sub(p, r), _poly_mul(p, r), _poly_scale(p, k), _poly_neg(p)):
         assert all(type(c) is Fraction for c in value)
         assert not value or value[-1] != 0
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd of two coefficient tuples by the textbook Euclid loop, each
+    remainder taken by long division written out here."""
+    a, b = list(a), list(b)
+    while b:
+        while len(a) >= len(b):
+            f, k = a[-1] / b[-1], len(a) - len(b)
+            for i, c in enumerate(b):
+                a[k + i] -= f * c
+            a = list(_trimmed(a))
+        a, b = b, a
+    return tuple(c / a[-1] for c in a)
+
+
+_linear_polys = st.tuples(_fractions, _fractions.filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_linear_polys, _linear_polys, _fractions.filter(bool))
+def test_gcd_of_two_linear_polynomials_is_euclids(a, b, k):
+    # a random pair is almost always coprime; k * b shares b's root; a and
+    # 2a share the root 0
+    for p, r in ((a, b), (_poly_scale(b, k), b), (b, _poly_scale(b, k)), ((0, 1), (0, 2))):
+        p, r = tuple(map(Fraction, p)), tuple(map(Fraction, r))
+        got = _poly_gcd(p, r)
+        assert got == _euclid_gcd(p, r)
+        assert all(type(c) is Fraction for c in got)
+        if len(got) == 1:
+            assert got is _ONE_POLY
+        else:
+            assert got[-1] == 1 and p[0] * r[1] == p[1] * r[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_nonzero_polys, _fractions.filter(bool))
+def test_exact_quotient_by_a_monic_divisor_of_equal_degree_is_a_constant(g, k):
+    g = _poly_scale(g, 1 / g[-1])  # monic, as `_poly_gcd` returns it
+    p = _poly_scale(g, k)
+    q, rem = _poly_divmod(p, g)
+    assert rem == ()
+    assert _exact_quotient(p, g) == q == (k,)
 
 
 def _assert_as_oracle(value, num, den):
